@@ -37,7 +37,10 @@
 // covers daemon-served rankings: a RankServer builds its closure under one
 // configured seed, reported in every rank response, so
 // CertifyRanking(..., WithSeed(seed)) certifies rankings served by
-// crowdrankd just as it certifies Infer results.
+// crowdrankd just as it certifies Infer results. That includes rankings
+// answered from the daemon's per-generation ranking cache: a cached
+// answer is the one a rerun over the same votes would produce, so it
+// still certifies with WithSeed(result.Seed).
 //
 // # Serving
 //

@@ -417,7 +417,9 @@ type ServeConfig = serve.Config
 // RankServer is the daemon engine behind crowdrankd, usable in-process:
 // Ingest acknowledges batches only once durable in the write-ahead
 // journal, RankContext degrades down the search ladder under the caller's
-// deadline, and Handler exposes the HTTP API.
+// deadline (serving the best answer already found for the current votes
+// when this request cannot afford better), and Handler exposes the HTTP
+// API.
 //
 // Served rankings are certifiable exactly like Infer results: the daemon
 // runs the same Step 1-3 closure pipeline under its configured seed

@@ -142,6 +142,7 @@ type Ranking struct {
 	Degraded  bool    `json:"degraded"`
 	Votes     int     `json:"votes"`
 	Seed      uint64  `json:"seed"`
+	Gen       uint64  `json:"gen"`
 }
 
 // StatusError is a non-retryable HTTP failure: the daemon answered, and

@@ -13,6 +13,7 @@ import (
 
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/obs"
+	"crowdrank/internal/serve"
 )
 
 // testClient builds a client against url with instant fake sleeps,
@@ -330,6 +331,36 @@ func TestRank(t *testing.T) {
 	}
 	if len(rk.Ranking) != 3 || rk.Algorithm != "saps" {
 		t.Fatalf("rank = %+v", rk)
+	}
+}
+
+// TestRankMirrorsDaemon decodes a real daemon's rank response: every
+// field of Ranking, the generation included, carries the served value.
+func TestRankMirrorsDaemon(t *testing.T) {
+	s, err := serve.New(serve.DefaultConfig(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	votes := []crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: true}, {Worker: 0, I: 2, J: 3, PrefersI: true}}
+	for _, v := range votes {
+		if _, err := s.Ingest([]crowd.Vote{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := s.Rank()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c, _ := testClient(t, hs.URL, nil)
+	rk, err := c.Rank(context.Background(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rk.Gen != 2 || rk.Gen != want.Gen || rk.Algorithm != want.Algorithm || rk.Votes != want.Votes || rk.Seed != want.Seed {
+		t.Fatalf("client decoded %+v, daemon served %+v", rk, want)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
 	"crowdrank/internal/netfault"
+	"crowdrank/internal/reexec"
 	"crowdrank/internal/serve"
 )
 
@@ -97,6 +98,7 @@ func TestSoakChildDaemon(t *testing.T) {
 	if dir == "" {
 		t.Skip("not a soak child")
 	}
+	reexec.ExitWithParent()
 	cfg := soakServeConfig()
 	cfg.JournalPath = filepath.Join(dir, "wal")
 	cfg.JournalSync = journal.SyncAlways // acks must mean durable
@@ -115,19 +117,19 @@ func TestSoakChildDaemon(t *testing.T) {
 	if err := os.Rename(tmp, filepath.Join(dir, "addr")); err != nil {
 		t.Fatalf("soak child: %v", err)
 	}
-	// Serve until SIGKILL; there is no graceful path out of this process.
+	// Serve until SIGKILL, or until the parent dies (ExitWithParent).
 	t.Fatalf("soak child: listener exited: %v", http.Serve(ln, s.Handler()))
 }
 
 // startSoakChild re-execs the test binary as a victim daemon in dir and
 // waits for its address file. Callers SIGKILL it via child.Process.Kill;
-// the cleanup reaps it if the test bails out early.
+// the cleanup reaps it if the test bails out early, and the child exits by
+// itself if this process dies first.
 func startSoakChild(t *testing.T, dir string) *exec.Cmd {
 	t.Helper()
-	child := exec.Command(os.Args[0], "-test.run=^TestSoakChildDaemon$", "-test.v")
-	child.Env = append(os.Environ(), soakDirEnv+"="+dir)
+	child := reexec.Command("TestSoakChildDaemon", soakDirEnv+"="+dir)
 	child.Stdout, child.Stderr = os.Stderr, os.Stderr
-	if err := child.Start(); err != nil {
+	if err := reexec.Start(child); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

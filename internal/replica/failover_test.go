@@ -36,6 +36,7 @@ import (
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
 	"crowdrank/internal/netfault"
+	"crowdrank/internal/reexec"
 	"crowdrank/internal/serve"
 )
 
@@ -99,6 +100,7 @@ func TestFailoverChildDaemon(t *testing.T) {
 	if dir == "" {
 		t.Skip("not a failover child")
 	}
+	reexec.ExitWithParent()
 	scfg := failServeConfig()
 	scfg.JournalPath = filepath.Join(dir, "wal")
 	scfg.JournalSync = journal.SyncAlways // acks must mean durable
@@ -135,22 +137,22 @@ func TestFailoverChildDaemon(t *testing.T) {
 	if err := os.Rename(tmp, filepath.Join(dir, "addr")); err != nil {
 		t.Fatalf("failover child: %v", err)
 	}
-	// Serve until SIGKILL; there is no graceful path out of this process.
+	// Serve until SIGKILL, or until the parent dies (ExitWithParent).
 	t.Fatalf("failover child: listener exited: %v", http.Serve(ln, n.Handler()))
 }
 
 // startFailoverChild re-execs the test binary as one replicated node.
-// Callers SIGKILL it via child.Process.Kill; cleanup reaps early bailouts.
+// Callers SIGKILL it via child.Process.Kill; cleanup reaps early bailouts,
+// and the child exits by itself if this process dies first.
 func startFailoverChild(t *testing.T, dir, leader, advertise string) *exec.Cmd {
 	t.Helper()
-	child := exec.Command(os.Args[0], "-test.run=^TestFailoverChildDaemon$", "-test.v")
-	child.Env = append(os.Environ(),
+	child := reexec.Command("TestFailoverChildDaemon",
 		failDirEnv+"="+dir,
 		failLeaderEnv+"="+leader,
 		failAdvertiseEnv+"="+advertise,
 	)
 	child.Stdout, child.Stderr = os.Stderr, os.Stderr
-	if err := child.Start(); err != nil {
+	if err := reexec.Start(child); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

@@ -16,6 +16,7 @@ import (
 
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
+	"crowdrank/internal/reexec"
 )
 
 const (
@@ -70,6 +71,7 @@ func TestChaosChildDaemon(t *testing.T) {
 	if dir == "" {
 		t.Skip("not a chaos child")
 	}
+	reexec.ExitWithParent()
 	cfg := DefaultConfig(chaosN, chaosM)
 	cfg.Seed = 1
 	cfg.JournalPath = filepath.Join(dir, "wal")
@@ -100,20 +102,20 @@ func TestChaosChildDaemon(t *testing.T) {
 	if err := os.Rename(tmp, filepath.Join(dir, "addr")); err != nil {
 		t.Fatalf("chaos child: %v", err)
 	}
-	// Serve until SIGKILL; there is no graceful path out of this process.
+	// Serve until SIGKILL, or until the parent dies (ExitWithParent).
 	t.Fatalf("chaos child: listener exited: %v", http.Serve(ln, s.Handler()))
 }
 
 // startChaosChild re-execs the test binary as a victim daemon in dir and
 // waits for its address. The caller SIGKILLs it via child.Process.Kill and
-// reaps it with child.Wait; the cleanup handles tests that bail out early.
+// reaps it with child.Wait; the cleanup handles tests that bail out early,
+// and the child exits by itself if this process dies first.
 func startChaosChild(t *testing.T, dir string, extraEnv ...string) (base string, out *bytes.Buffer, child *exec.Cmd) {
 	t.Helper()
-	child = exec.Command(os.Args[0], "-test.run=^TestChaosChildDaemon$", "-test.v")
-	child.Env = append(append(os.Environ(), chaosDirEnv+"="+dir), extraEnv...)
+	child = reexec.Command("TestChaosChildDaemon", append([]string{chaosDirEnv + "=" + dir}, extraEnv...)...)
 	var childOut bytes.Buffer
 	child.Stdout, child.Stderr = &childOut, &childOut
-	if err := child.Start(); err != nil {
+	if err := reexec.Start(child); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"crowdrank/internal/crowd"
@@ -33,7 +34,8 @@ type errorResponse struct {
 // Handler returns the daemon's HTTP API:
 //
 //	POST /votes      ingest a vote batch; 200 acknowledges durability
-//	GET  /rank       serve a ranking; ?deadline_ms bounds inference time
+//	GET  /rank       serve a ranking; ?deadline_ms bounds inference time;
+//	                 ETag "<gen>-<algorithm>", If-None-Match answers 304
 //	POST /snapshot   take a snapshot now and compact covered segments
 //	GET  /metrics    Prometheus text exposition of the metric registry
 //	GET  /healthz    liveness + operational stats (always 200 while up)
@@ -256,6 +258,15 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if deadline > s.cfg.MaxDeadline {
 		deadline = s.cfg.MaxDeadline
 	}
+	// A client already holding the cached answer is told so without
+	// queueing or searching.
+	if inm := r.Header.Get("If-None-Match"); inm != "" {
+		if tag, ok := s.cachedETag(); ok && etagListMatches(inm, tag) {
+			w.Header().Set("ETag", tag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+	}
 	if !acquire(s.rankSem) {
 		s.met.rejectedRank.Inc()
 		w.Header().Set("Retry-After", s.retryAfter(s.rankSem, true))
@@ -269,6 +280,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	res, err := s.RankContext(ctx)
 	switch {
 	case err == nil:
+		w.Header().Set("ETag", res.etag())
 		s.writeJSON(w, http.StatusOK, res)
 	case errors.Is(err, errShuttingDown):
 		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
@@ -279,6 +291,17 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.logf("serve: rank failed: %v", err)
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 	}
+}
+
+// etagListMatches reports whether an If-None-Match header value names
+// tag, under the weak comparison RFC 9110 prescribes for it.
+func etagListMatches(header, tag string) bool {
+	for _, t := range strings.Split(header, ",") {
+		if strings.TrimPrefix(strings.TrimSpace(t), "W/") == tag {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {

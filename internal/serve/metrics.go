@@ -10,7 +10,9 @@ import (
 
 // Stage names used by the per-stage inference latency histograms. Truth,
 // smooth, and propagate are observed when a closure is (re)built — cache
-// hits skip them by design; search is observed on every ranked request.
+// hits skip them by design; search is observed when a rank runs a
+// searcher, which a rank answered from the per-generation ranking cache
+// does not.
 const (
 	stageTruth     = "truth"
 	stageSmooth    = "smooth"
@@ -35,10 +37,12 @@ type metrics struct {
 	rejectedRank      *obs.Counter // 429s from the full rank queue
 	panics            *obs.Counter // handler panics answered 500
 
-	rankByAlgo   map[string]*obs.Counter
-	rankDegraded *obs.Counter
-	rankSeconds  *obs.Histogram
-	stageSeconds map[string]*obs.Histogram
+	rankByAlgo    map[string]*obs.Counter
+	rankDegraded  *obs.Counter
+	rankCacheHit  *obs.Counter // ranks answered from the per-generation cache
+	rankCacheMiss *obs.Counter // ranks answered by a fresh search
+	rankSeconds   *obs.Histogram
+	stageSeconds  map[string]*obs.Histogram
 
 	slowRequests *obs.Counter
 	httpSeconds  map[string]*obs.Histogram
@@ -75,10 +79,12 @@ func newMetrics(reg *obs.Registry) *metrics {
 		rejectedRank:      reg.Counter("crowdrankd_queue_rejections_total", "Requests answered 429 because a bounded queue was full.", obs.L("queue", "rank")),
 		panics:            reg.Counter("crowdrankd_http_panics_total", "HTTP handlers that panicked and were answered 500 by the recovery middleware."),
 
-		rankByAlgo:   make(map[string]*obs.Counter, len(rankAlgorithms)),
-		rankDegraded: reg.Counter("crowdrankd_rank_degraded_total", "Rank responses produced below the exact rung."),
-		rankSeconds:  reg.Histogram("crowdrankd_rank_seconds", "End-to-end rank latency.", nil),
-		stageSeconds: make(map[string]*obs.Histogram, 4),
+		rankByAlgo:    make(map[string]*obs.Counter, len(rankAlgorithms)),
+		rankDegraded:  reg.Counter("crowdrankd_rank_degraded_total", "Rank responses produced below the exact rung."),
+		rankCacheHit:  reg.Counter("crowdrankd_rank_cache_total", "Ranked responses by per-generation ranking cache outcome.", obs.L("result", "hit")),
+		rankCacheMiss: reg.Counter("crowdrankd_rank_cache_total", "Ranked responses by per-generation ranking cache outcome.", obs.L("result", "miss")),
+		rankSeconds:   reg.Histogram("crowdrankd_rank_seconds", "End-to-end rank latency.", nil),
+		stageSeconds:  make(map[string]*obs.Histogram, 4),
 
 		slowRequests: reg.Counter("crowdrankd_http_slow_requests_total", "HTTP requests slower than the configured threshold."),
 		httpSeconds:  make(map[string]*obs.Histogram, len(httpRoutes)),
@@ -103,7 +109,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		m.rankByAlgo[algo] = reg.Counter("crowdrankd_rank_requests_total", "Rank responses by the ladder rung that answered.", obs.L("algorithm", algo))
 	}
 	for _, stage := range []string{stageTruth, stageSmooth, stagePropagate, stageSearch} {
-		m.stageSeconds[stage] = reg.Histogram("crowdrankd_infer_stage_seconds", "Per-stage inference latency (truth/smooth/propagate on closure rebuilds, search per request).", nil, obs.L("stage", stage))
+		m.stageSeconds[stage] = reg.Histogram("crowdrankd_infer_stage_seconds", "Per-stage inference latency (truth/smooth/propagate on closure rebuilds, search when a rank runs a searcher).", nil, obs.L("stage", stage))
 	}
 	for _, route := range httpRoutes {
 		m.httpSeconds[route] = reg.Histogram("crowdrankd_http_request_seconds", "HTTP request latency by route.", nil, obs.L("route", route))

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -115,9 +116,14 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 
 	// Scrape over HTTP first so the route="metrics" request series
-	// exists, and pin the exposition content type while at it.
+	// exists, and pin the exposition content type while at it. The body
+	// is read to EOF: it is chunked, and its last chunk is written only
+	// after the instrumented handler has counted the request.
 	resp, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	if err := resp.Body.Close(); err != nil {

@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"strconv"
 	"time"
 
+	"crowdrank/internal/core"
+	"crowdrank/internal/graph"
 	"crowdrank/internal/invariant"
 	"crowdrank/internal/search"
 )
@@ -48,6 +52,16 @@ type RankResult struct {
 	Breaker string `json:"breaker"`
 	// Elapsed is the server-side time spent producing the ranking.
 	Elapsed time.Duration `json:"elapsed_ns"`
+	// Gen is the state generation the ranking was inferred from; it moves
+	// whenever the deduplicated votes change.
+	Gen uint64 `json:"gen"`
+}
+
+// etag is the HTTP entity tag of r: its generation and rung. The rung is
+// part of the tag because the per-generation cache may upgrade the answer
+// without the generation moving.
+func (r *RankResult) etag() string {
+	return `"` + strconv.FormatUint(r.Gen, 10) + "-" + r.Algorithm + `"`
 }
 
 // newPipelineRNG seeds the closure pipeline exactly as the public
@@ -88,6 +102,11 @@ func (s *Server) Rank() (*RankResult, error) {
 // order as the floor. An expired deadline is absorbed by degradation — the
 // call still returns a ranking; only an explicit cancellation (client
 // gone) or a broken pipeline returns an error.
+//
+// Every rung is deterministic at a fixed generation, so the best answer
+// produced at the current generation is cached and the ladder only climbs
+// from it: a cached exact answer is served at once, a cached degraded one
+// is served whenever the rungs this request can afford are no better.
 func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 	// All request timing goes through the injected clock: Since carries
 	// the monotonic reading on the real clock (immune to wall jumps), and
@@ -105,44 +124,61 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		return nil, err // cancelled outright; nobody is waiting for an answer
 	}
 
-	votes, gen := s.snapshot()
-	res := &RankResult{Votes: len(votes), Seed: s.cfg.Seed}
-	var searchStart time.Time // zero until the closure is built
-	finish := func(path []int, logProb float64) (*RankResult, error) {
+	//lint:ignore lockcheck the shared closeMu read lock intentionally spans the whole inference (closure build and searchers) so Close's drain waits for in-flight ranks instead of yanking state from under them
+	e, err := s.current()
+	if err != nil {
+		return nil, err
+	}
+	var searchStart time.Time // zero until a searcher runs
+	// finish stamps the per-request fields on its own copy of r.
+	finish := func(r RankResult) (*RankResult, error) {
 		// Stage-boundary assertion (no-op unless built with
 		// -tags crowdrank_invariants): every rung must return a
 		// permutation.
-		invariant.CheckRanking(s.cfg.N, path)
-		res.Ranking = path
-		res.LogProb = logProb
-		res.Breaker = s.breaker.state()
-		res.Elapsed = s.clock.Since(start)
-		s.met.rankByAlgo[res.Algorithm].Inc()
-		s.met.rankSeconds.ObserveDuration(res.Elapsed)
-		if res.Degraded {
+		invariant.CheckRanking(s.cfg.N, r.Ranking)
+		r.Ranking = slices.Clone(r.Ranking) // callers must not reach the cache through it
+		r.Breaker = s.breaker.state()
+		r.Elapsed = s.clock.Since(start)
+		s.met.rankByAlgo[r.Algorithm].Inc()
+		s.met.rankSeconds.ObserveDuration(r.Elapsed)
+		if r.Degraded {
 			s.met.rankDegraded.Inc()
 		}
 		if !searchStart.IsZero() {
 			s.met.stageSeconds[stageSearch].ObserveDuration(s.clock.Since(searchStart))
 		}
-		return res, nil
+		return &r, nil
 	}
 
-	if len(votes) == 0 {
-		res.Algorithm = AlgoUninformed
+	if e.votes == 0 {
 		identity := make([]int, s.cfg.N)
 		for i := range identity {
 			identity[i] = i
 		}
-		return finish(identity, 0)
+		return finish(RankResult{Ranking: identity, Algorithm: AlgoUninformed, Seed: s.cfg.Seed, Gen: e.gen})
+	}
+	cached := func() (*RankResult, error) {
+		s.met.rankCacheHit.Inc()
+		return finish(*e.best)
+	}
+	searched := func(algo string, sr *search.Result) (*RankResult, error) {
+		r := RankResult{
+			Ranking:   sr.Path,
+			LogProb:   sr.LogProb,
+			Algorithm: algo,
+			Degraded:  rung(algo) < rungExact,
+			Votes:     e.votes,
+			Seed:      s.cfg.Seed,
+			Gen:       e.gen,
+		}
+		s.remember(r)
+		s.met.rankCacheMiss.Inc()
+		return finish(r)
+	}
+	if e.best != nil && !e.best.Degraded {
+		return cached()
 	}
 
-	//lint:ignore lockcheck the shared closeMu read lock intentionally spans the whole inference (closure build and searchers) so Close's drain waits for in-flight ranks instead of yanking state from under them
-	closure, err := s.closure(votes, gen)
-	if err != nil {
-		return nil, err
-	}
-	searchStart = s.clock.Now()
 	const obj = search.ObjectiveAllPairs
 	deadline, hasDeadline := ctx.Deadline()
 	remaining := func() time.Duration {
@@ -164,27 +200,25 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		affordable = exactBudget > 2*heldKarpEstimate(s.cfg.N)
 	}
 	if affordable && s.breaker.allow() {
+		searchStart = s.clock.Now()
 		if useHeldKarp {
-			if sr, err := search.HeldKarp(closure, 0, obj); err == nil {
+			if sr, err := search.HeldKarp(e.closure, 0, obj); err == nil {
 				s.breaker.success()
-				res.Algorithm = AlgoExactHeldKarp
-				return finish(sr.Path, sr.LogProb)
+				return searched(AlgoExactHeldKarp, sr)
 			}
 			// Structurally impossible on a complete closure, but resolve
 			// the breaker (and any probe) rather than wedge it.
 			s.breaker.failure()
-			res.Degraded = true
 		} else {
 			exactCtx, cancel := ctx, context.CancelFunc(func() {})
 			if hasDeadline {
 				exactCtx, cancel = context.WithTimeout(ctx, exactBudget)
 			}
-			sr, err := search.BranchAndBoundContext(exactCtx, closure, search.BranchAndBoundParams{})
+			sr, err := search.BranchAndBoundContext(exactCtx, e.closure, search.BranchAndBoundParams{})
 			cancel()
 			if err == nil {
 				s.breaker.success()
-				res.Algorithm = AlgoExactBranchBound
-				return finish(sr.Path, sr.LogProb)
+				return searched(AlgoExactBranchBound, sr)
 			}
 			if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
 				return nil, ctxErr
@@ -193,10 +227,12 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 			// refuses: either way this instance is not answering exactly
 			// at this budget, which is what the breaker tracks.
 			s.breaker.failure()
-			res.Degraded = true
 		}
-	} else {
-		res.Degraded = true // exact skipped: unaffordable or breaker open
+	}
+	// Exact did not answer (unaffordable, breaker open, or failed): a
+	// cached SAPS answer is what rerunning SAPS would return.
+	if e.best != nil && rung(e.best.Algorithm) >= rungSAPS {
+		return cached()
 	}
 
 	// Rung 2: SAPS annealing under what is left of the deadline.
@@ -208,24 +244,123 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		params := search.DefaultSAPSParams()
 		params.Objective = obj
 		params.Parallelism = s.cfg.Parallelism
-		sr, err := search.SAPSContext(sapsCtx, closure, params, newSearchRNG(s.cfg.Seed))
+		if searchStart.IsZero() {
+			searchStart = s.clock.Now()
+		}
+		sr, err := search.SAPSContext(sapsCtx, e.closure, params, newSearchRNG(s.cfg.Seed))
 		cancel()
 		if err == nil {
-			res.Algorithm = AlgoSAPS
-			return finish(sr.Path, sr.LogProb)
+			return searched(AlgoSAPS, sr)
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
 			return nil, ctxErr
 		}
 	}
+	if e.best != nil {
+		return cached() // the greedy floor, already computed at this generation
+	}
 
 	// Rung 3: greedy tournament order — the floor that answers even after
 	// the deadline has expired.
-	sr, err := search.Greedy(closure, obj)
+	if searchStart.IsZero() {
+		searchStart = s.clock.Now()
+	}
+	sr, err := search.Greedy(e.closure, obj)
 	if err != nil {
 		return nil, fmt.Errorf("serve: greedy floor failed: %w", err)
 	}
-	res.Algorithm = AlgoGreedy
-	res.Degraded = true
-	return finish(sr.Path, sr.LogProb)
+	return searched(AlgoGreedy, sr)
+}
+
+// genEntry is the per-generation cache: the Steps 1-3 closure of one vote
+// state and the best ranking any rung has produced from it. Both live in
+// one entry under one lock, so they can never disagree about the
+// generation they belong to.
+type genEntry struct {
+	gen     uint64
+	votes   int
+	closure *graph.PreferenceGraph
+	// best is the highest rung answered at gen, nil until a search
+	// answers. The uninformed prior is never cached. A stored result is
+	// never mutated; responses copy it.
+	best *RankResult
+}
+
+// Ladder rungs in quality order; the cached answer only ever moves up.
+const (
+	rungGreedy = iota
+	rungSAPS
+	rungExact
+)
+
+// rung ranks a ladder outcome by quality: exact > SAPS > greedy.
+func rung(algo string) int {
+	switch algo {
+	case AlgoExactHeldKarp, AlgoExactBranchBound:
+		return rungExact
+	case AlgoSAPS:
+		return rungSAPS
+	default:
+		return rungGreedy
+	}
+}
+
+// current returns the cache entry for the newest vote state, building its
+// Steps 1-3 closure when the state moved since the last build. The state
+// is read under cacheMu, so the entry's generation only ever moves
+// forward. With no votes there is nothing to build or cache: the entry
+// carries the generation alone.
+func (s *Server) current() (genEntry, error) {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	votes, gen := s.snapshot()
+	if len(votes) == 0 {
+		return genEntry{gen: gen}, nil
+	}
+	if s.entry.closure != nil && s.entry.gen == gen {
+		return s.entry, nil
+	}
+	opts := core.DefaultOptions()
+	opts.SAPS.Parallelism = s.cfg.Parallelism
+	opts.Propagate.Parallelism = s.cfg.Parallelism
+	rng := newPipelineRNG(s.cfg.Seed)
+	//lint:ignore lockcheck cacheMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker channels) so identical generations are computed once and served from cache
+	cl, err := core.BuildClosure(s.cfg.N, s.cfg.M, votes, opts, rng)
+	if err != nil {
+		return genEntry{}, fmt.Errorf("serve: building closure: %w", err)
+	}
+	// Stage histograms record rebuild cost only: a cache hit spent no
+	// time in Steps 1-3, and observing zeros would flatten the latency
+	// distribution the histogram exists to expose.
+	s.met.stageSeconds[stageTruth].ObserveDuration(cl.Timings.TruthDiscovery)
+	s.met.stageSeconds[stageSmooth].ObserveDuration(cl.Timings.Smoothing)
+	s.met.stageSeconds[stagePropagate].ObserveDuration(cl.Timings.Propagation)
+	s.entry = genEntry{gen: gen, votes: len(votes), closure: cl.Closure}
+	return s.entry, nil
+}
+
+// remember offers a freshly searched result to the cache. The cache is
+// upgrade-only: r replaces the cached answer only when the entry still
+// belongs to r's generation and r's rung is strictly better.
+func (s *Server) remember(r RankResult) {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	if s.entry.closure == nil || s.entry.gen != r.Gen {
+		return // a newer generation took the entry while r was searched
+	}
+	if s.entry.best == nil || rung(r.Algorithm) > rung(s.entry.best.Algorithm) {
+		s.entry.best = &r
+	}
+}
+
+// cachedETag returns the entity tag of the ranking cached for the newest
+// vote state, if a search has answered there yet.
+func (s *Server) cachedETag() (string, bool) {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	_, gen := s.snapshot()
+	if s.entry.best == nil || s.entry.gen != gen {
+		return "", false
+	}
+	return s.entry.best.etag(), true
 }

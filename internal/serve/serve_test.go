@@ -9,10 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"crowdrank/internal/crowd"
+	"crowdrank/internal/feq"
 	"crowdrank/internal/obs"
 )
 
@@ -521,7 +524,13 @@ func TestHTTPTinyDeadlineStillAnswers(t *testing.T) {
 		t.Fatalf("unexpected algorithm %q for n=%d at 50ms", rr.Algorithm, n)
 	}
 	// At 1ms even SAPS is unaffordable: the greedy floor must answer and
-	// the response must say the ladder degraded.
+	// the response must say the ladder degraded. One new vote moves the
+	// generation first, so the better answer cached above does not apply.
+	flipped := noisyVotes(n, 5, 23)[0]
+	flipped.PrefersI = !flipped.PrefersI
+	if resp := postVotes(t, ts.URL, []crowd.Vote{flipped}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
 	resp2, err := http.Get(ts.URL + "/rank?deadline_ms=1")
 	if err != nil {
 		t.Fatal(err)
@@ -540,6 +549,120 @@ func TestHTTPTinyDeadlineStillAnswers(t *testing.T) {
 	}
 	if rr2.Algorithm != AlgoGreedy {
 		t.Fatalf("1ms deadline should hit the greedy floor, got %s", rr2.Algorithm)
+	}
+}
+
+// getRank fetches GET /rank at the given deadline and decodes the body.
+func getRank(t *testing.T, url string, deadlineMS int) (RankResult, http.Header) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/rank?deadline_ms=%d", url, deadlineMS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a %dms-deadline rank must answer 200, got %d", deadlineMS, resp.StatusCode)
+	}
+	var rr RankResult
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	return rr, resp.Header
+}
+
+// TestHTTPTinyDeadlineGetsCachedRung is the sibling of
+// TestHTTPTinyDeadlineStillAnswers at an unchanged generation: the 1ms
+// request cannot afford SAPS itself, but the better answer an earlier
+// request cached at this generation is what it gets.
+func TestHTTPTinyDeadlineGetsCachedRung(t *testing.T) {
+	n := 60
+	cfg := DefaultConfig(n, 5)
+	cfg.Seed = 23
+	_, ts := httpServer(t, cfg)
+	if resp := postVotes(t, ts.URL, noisyVotes(n, 5, 23)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	first, _ := getRank(t, ts.URL, 2000)
+	if first.Algorithm == AlgoGreedy {
+		t.Fatalf("a 2s deadline should reach SAPS or exact search, got %s", first.Algorithm)
+	}
+	tight, _ := getRank(t, ts.URL, 1)
+	if tight.Algorithm != first.Algorithm || tight.Degraded != first.Degraded || tight.Gen != first.Gen {
+		t.Fatalf("1ms rank at an unchanged generation got %s (degraded=%v, gen %d), want the cached %s (degraded=%v, gen %d)",
+			tight.Algorithm, tight.Degraded, tight.Gen, first.Algorithm, first.Degraded, first.Gen)
+	}
+	if !slices.Equal(tight.Ranking, first.Ranking) || !feq.Eq(tight.LogProb, first.LogProb) {
+		t.Fatalf("cached answer differs: %v (%g) vs %v (%g)", tight.Ranking, tight.LogProb, first.Ranking, first.LogProb)
+	}
+}
+
+// TestHTTPRankConditionalGet: /rank tags every answer with its generation
+// and rung, a matching If-None-Match is answered 304 without a body, and
+// an upgraded or invalidated cache entry changes the tag.
+func TestHTTPRankConditionalGet(t *testing.T) {
+	cfg := DefaultConfig(6, 2)
+	cfg.Seed = 19
+	s, ts := httpServer(t, cfg)
+	if resp := postVotes(t, ts.URL, agreeingVotes(6, 2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	// conditional sends If-None-Match: inm; a 304 must carry the cached
+	// tag, which is the last one in every list sent below.
+	conditional := func(inm string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/rank", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("If-None-Match", inm)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		if tag := resp.Header.Get("ETag"); resp.StatusCode == http.StatusNotModified && (tag == "" || !strings.HasSuffix(inm, tag)) {
+			t.Fatalf("304 must carry the matched tag from %s, got %q", inm, tag)
+		}
+		return resp.StatusCode
+	}
+
+	// With the breaker open the ladder caches SAPS.
+	for i := 0; i < cfg.BreakerThreshold; i++ {
+		s.breaker.failure()
+	}
+	saps, h := getRank(t, ts.URL, 1000)
+	sapsTag := h.Get("ETag")
+	if saps.Algorithm != AlgoSAPS || sapsTag != fmt.Sprintf(`"%d-saps"`, saps.Gen) {
+		t.Fatalf("want a SAPS answer tagged with its generation, got %s with ETag %q", saps.Algorithm, sapsTag)
+	}
+	if code := conditional(sapsTag); code != http.StatusNotModified {
+		t.Fatalf("If-None-Match with the cached tag should 304, got %d", code)
+	}
+	if code := conditional(`"other", W/` + sapsTag); code != http.StatusNotModified {
+		t.Fatalf("a tag list naming the cached tag (weakly) should 304, got %d", code)
+	}
+
+	// Closing the breaker lets the next full request upgrade the entry to
+	// exact search; the SAPS tag is stale from then on.
+	s.breaker.success()
+	exact, h := getRank(t, ts.URL, 1000)
+	if exact.Algorithm != AlgoExactHeldKarp || exact.Gen != saps.Gen {
+		t.Fatalf("want an exact upgrade at generation %d, got %s at %d", saps.Gen, exact.Algorithm, exact.Gen)
+	}
+	if code := conditional(sapsTag); code != http.StatusOK {
+		t.Fatalf("a tag naming the replaced rung must not 304, got %d", code)
+	}
+	exactTag := h.Get("ETag")
+	if code := conditional(exactTag); code != http.StatusNotModified {
+		t.Fatalf("If-None-Match with the upgraded tag should 304, got %d", code)
+	}
+
+	// New votes move the generation: nothing is cached for it yet.
+	if resp := postVotes(t, ts.URL, []crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: false}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	if code := conditional(exactTag); code != http.StatusOK {
+		t.Fatalf("a tag from an older generation must not 304, got %d", code)
 	}
 }
 
@@ -670,39 +793,36 @@ func TestClosureCacheInvalidation(t *testing.T) {
 	if _, err := s.Ingest(agreeingVotes(5, 1)); err != nil {
 		t.Fatal(err)
 	}
-	votes, gen := s.snapshot()
-	c1, err := s.closure(votes, gen)
+	e1, err := s.current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.closure(votes, gen)
+	e2, err := s.current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != c2 {
+	if e1.closure != e2.closure {
 		t.Fatal("unchanged state must reuse the cached closure")
 	}
 	// A duplicate-only batch must not invalidate the cache...
 	if _, err := s.Ingest(agreeingVotes(5, 1)); err != nil {
 		t.Fatal(err)
 	}
-	votes, gen2 := s.snapshot()
-	if gen2 != gen {
+	if _, gen2 := s.snapshot(); gen2 != e1.gen {
 		t.Fatal("duplicate-only batch should not bump the generation")
 	}
 	// ...but new votes must.
 	if _, err := s.Ingest([]crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: false}}); err != nil {
 		t.Fatal(err)
 	}
-	votes, gen3 := s.snapshot()
-	if gen3 == gen {
-		t.Fatal("new votes must bump the generation")
-	}
-	c3, err := s.closure(votes, gen3)
+	e3, err := s.current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3 == c1 {
+	if e3.gen == e1.gen {
+		t.Fatal("new votes must bump the generation")
+	}
+	if e3.closure == e1.closure {
 		t.Fatal("new generation must rebuild the closure")
 	}
 }

@@ -25,6 +25,12 @@ go build ./...
 echo "== go test -race ./... =="
 go test -race ./...
 
+echo "== benchmark module: go -C cmd/crowdload test -short ./... =="
+# cmd/crowdload is its own module (replace crowdrank => ../..), so the
+# root ./... patterns above skip it; this keeps serve and client changes
+# from silently breaking the benchmark.
+go -C cmd/crowdload test -short ./...
+
 echo "== chaos: SIGKILL mid-ingest and mid-snapshot recovery =="
 go test -count=1 -run 'TestChaos' ./internal/serve
 
