@@ -48,12 +48,13 @@
 // on it) ingests vote batches into a checksummed, segment-rotated
 // write-ahead journal — batches are acknowledged only once durable — and
 // serves rankings under request deadlines, degrading from exact search
-// through SAPS annealing to a greedy floor instead of failing. Periodic
-// state snapshots compact the journal so restart recovery is bounded by
-// the time since the last snapshot, not by lifetime ingest; after a disk
-// write or fsync failure the journal is permanently poisoned and the
-// daemon stops acknowledging rather than overstate durability. See
-// cmd/crowdrankd and the README's Serving and Operations sections.
+// to a polished floor (the net-score order refined to an insertion local
+// optimum) instead of failing. Periodic state snapshots compact the
+// journal so restart recovery is bounded by the time since the last
+// snapshot, not by lifetime ingest; after a disk write or fsync failure
+// the journal is permanently poisoned and the daemon stops acknowledging
+// rather than overstate durability. See cmd/crowdrankd and the README's
+// Serving and Operations sections.
 //
 // The package also exposes the paper's evaluation apparatus: simulated
 // crowds with Gaussian/Uniform quality distributions, a synthetic

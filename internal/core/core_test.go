@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"crowdrank/internal/crowd"
@@ -322,4 +324,70 @@ func TestSAPSMatchesBranchAndBoundOnRealClosure(t *testing.T) {
 	if gap > 5.0 {
 		t.Errorf("SAPS trails the optimum by %v log units", gap)
 	}
+}
+
+// TestPolishedFloorOnRealClosure: on a seeded n=200 pipeline closure the
+// floor (search.Greedy) is an insertion local optimum — no single move of
+// one object to another position raises its all-pairs log probability —
+// and it scores at least the unpolished net-score order it starts from.
+func TestPolishedFloorOnRealClosure(t *testing.T) {
+	const n, m = 200, 30
+	votes, _ := simulateRound(t, n, m, 10, 0.1, simulate.Gaussian, simulate.MediumQuality, 571)
+	cl, err := BuildClosure(n, m, votes, DefaultOptions(), newRNG(572))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cl.Closure
+	floor, err := search.Greedy(g, search.ObjectiveAllPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := search.Certify(g, floor.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(cert.Score-floor.LogProb) > 1e-6 {
+		t.Fatalf("floor reports log_prob %v, certified score %v", floor.LogProb, cert.Score)
+	}
+
+	// Moving floor[from] to position to flips its order against every
+	// object it crosses; the gains add up crossing by crossing.
+	lw := func(i, j int) float64 { return math.Log(g.Weight(i, j)) }
+	for from, x := range floor.Path {
+		gain := 0.0
+		for to := from - 1; to >= 0; to-- {
+			y := floor.Path[to]
+			if gain += lw(x, y) - lw(y, x); gain > 1e-9 {
+				t.Fatalf("moving object %d from %d to %d gains %v", x, from, to, gain)
+			}
+		}
+		gain = 0.0
+		for to := from + 1; to < n; to++ {
+			y := floor.Path[to]
+			if gain += lw(y, x) - lw(x, y); gain > 1e-9 {
+				t.Fatalf("moving object %d from %d to %d gains %v", x, from, to, gain)
+			}
+		}
+	}
+
+	// The unpolished start: objects by net weight sum_j w_ij - w_ji.
+	net := make([]float64, n)
+	start := make([]int, n)
+	for i := range start {
+		start[i] = i
+		for j := 0; j < n; j++ {
+			if j != i {
+				net[i] += g.Weight(i, j) - g.Weight(j, i)
+			}
+		}
+	}
+	sort.SliceStable(start, func(a, b int) bool { return net[start[a]] > net[start[b]] })
+	raw, err := search.Certify(g, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor.LogProb < raw.Score-1e-9 {
+		t.Fatalf("floor %v scores below its unpolished start %v", floor.LogProb, raw.Score)
+	}
+	t.Logf("net-score order %.1f, polished floor %.1f nats", raw.Score, floor.LogProb)
 }

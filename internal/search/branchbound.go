@@ -8,6 +8,14 @@ import (
 	"crowdrank/internal/graph"
 )
 
+// bbPollSteps is how many pair steps (one candidate extension scored
+// against one object) branch-and-bound works between context polls.
+// Polling by work rather than by node count keeps the overrun past a
+// deadline bounded at any n: a node costs O(n^2) pair steps, so a fixed
+// node interval that is cheap at n = 20 overruns a deadline by tens of
+// milliseconds at n = 200.
+const bbPollSteps = 1 << 16
+
 // BranchAndBoundParams tunes the exact all-pairs search.
 type BranchAndBoundParams struct {
 	// MaxNodes caps the number of search-tree nodes expanded; the search
@@ -27,8 +35,9 @@ type BranchAndBoundParams struct {
 // The bound: a prefix's score plus, for every not-yet-ordered pair, the
 // larger of the two orientations' log-weights — attainable only if all
 // remaining pairwise preferences are simultaneously satisfiable, hence an
-// upper bound. The incumbent starts at the insertion-polished score-ranked
-// order, so pruning is strong from the first node.
+// upper bound. The incumbent starts at the polished floor (Greedy), so
+// pruning is strong from the first node. Result.Evaluations counts the
+// pair steps the DFS spent scoring candidate extensions.
 //
 // Only ObjectiveAllPairs is supported: the consecutive objective lacks a
 // comparably tight prefix bound (use HeldKarp for it).
@@ -37,9 +46,9 @@ func BranchAndBound(g *graph.PreferenceGraph, p BranchAndBoundParams) (*Result, 
 }
 
 // BranchAndBoundContext is BranchAndBound with cancellation: the DFS polls
-// ctx every 1024 expanded nodes and abandons the search with ctx's error as
-// soon as it is cancelled or its deadline passes. An already-cancelled
-// context returns promptly without searching.
+// ctx after every bbPollSteps pair steps of work and abandons the search
+// with ctx's error as soon as it is cancelled or its deadline passes. An
+// already-cancelled context returns promptly without searching.
 func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p BranchAndBoundParams) (*Result, error) {
 	maxNodes := p.MaxNodes
 	if maxNodes <= 0 {
@@ -57,11 +66,8 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 		return newResult([]int{0}, 0, 1), nil
 	}
 
-	// Incumbent: insertion-polished score-ranked order.
-	start, err := InsertionPolish(g, scoreRankedOrder(g), ObjectiveAllPairs, 0)
-	if err != nil {
-		return nil, err
-	}
+	// Incumbent: the polished floor.
+	start := polishedFloor(g, logw, ObjectiveAllPairs)
 	best := append([]int(nil), start.Path...)
 	bestScore := start.LogProb
 
@@ -91,6 +97,7 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 	prefix := make([]int, 0, n)
 	used := make([]bool, n)
 	nodes := 0
+	steps, nextPoll := 0, bbPollSteps
 
 	// The DFS carries two running quantities:
 	//   score    — exact score of all pairs with at least one endpoint
@@ -103,11 +110,6 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 		nodes++
 		if nodes > maxNodes {
 			return fmt.Errorf("search: BranchAndBound exceeded %d nodes; instance too hard, use SAPS", maxNodes)
-		}
-		if nodes&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 		}
 		if len(prefix) == n {
 			if score > bestScore {
@@ -134,6 +136,13 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 				slackLoss += pairGain[v][w]
 				exactGain += logw[v][w]
 			}
+			steps += n
+			if steps >= nextPoll {
+				nextPoll += bbPollSteps
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
 			newScore := score + exactGain
 			newSlack := slack - slackLoss
 			if newScore+newSlack <= bestScore+1e-12 {
@@ -153,8 +162,7 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 	if err := dfs(0, totalOptimistic); err != nil {
 		return nil, err
 	}
-	res := newResult(best, bestScore, nodes)
-	return res, nil
+	return newResult(best, bestScore, steps), nil
 }
 
 // Certificate bounds how far a ranking can be from the all-pairs optimum

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -96,5 +97,57 @@ func TestBranchAndBoundContextBackgroundMatchesPlain(t *testing.T) {
 	}
 	if a.LogProb != b.LogProb {
 		t.Errorf("context wrapper changed result: %v vs %v", a.LogProb, b.LogProb)
+	}
+}
+
+// flipCtx is a context whose Err reports DeadlineExceeded from call
+// after+1 on, and counts every call: a deterministic stand-in for a
+// deadline expiring mid-search, with no timers or sleeps.
+type flipCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestBranchAndBoundPollsByWork: between two context polls the DFS does
+// exactly bbPollSteps pair steps, whatever n is, so a full run polls once
+// up front and once per bbPollSteps of the work it reports.
+func TestBranchAndBoundPollsByWork(t *testing.T) {
+	ctx := &flipCtx{Context: context.Background(), after: math.MaxInt}
+	res, err := BranchAndBoundContext(ctx, randomTournament(t, 13, newRNG(11)), BranchAndBoundParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := res.Evaluations / bbPollSteps
+	if polls < 2 {
+		t.Fatalf("instance too easy to exercise polling: %d pair steps", res.Evaluations)
+	}
+	if ctx.calls != 1+polls {
+		t.Fatalf("%d pair steps polled ctx %d times, want %d", res.Evaluations, ctx.calls, 1+polls)
+	}
+}
+
+// TestBranchAndBoundStopsAtFirstPollAfterDeadline: at n = 200, where one
+// node costs tens of thousands of pair steps, the search still returns at
+// the first poll after the deadline passes — so, with the cadence above,
+// within bbPollSteps pair steps of it — and reports the deadline.
+func TestBranchAndBoundStopsAtFirstPollAfterDeadline(t *testing.T) {
+	g := randomTournament(t, 200, newRNG(12))
+	for _, after := range []int{1, 2, 5} {
+		ctx := &flipCtx{Context: context.Background(), after: after}
+		_, err := BranchAndBoundContext(ctx, g, BranchAndBoundParams{MaxNodes: math.MaxInt})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("after %d polls: err = %v, want context.DeadlineExceeded", after, err)
+		}
+		if ctx.calls != after+1 {
+			t.Fatalf("deadline passed at poll %d, search stopped at poll %d", after+1, ctx.calls)
+		}
 	}
 }

@@ -2,23 +2,24 @@ package search
 
 import (
 	"fmt"
-	"sort"
 
 	"crowdrank/internal/graph"
 )
 
-// Greedy orders the objects by their net preference score over the closure
-// — sum over j of log w_ij - log w_ji, the Borda-like construction SAPS
-// uses for its score-ranked initial path — and returns that single path
-// scored under the objective, with no search at all.
+// Greedy is the polished floor: the net-score order of the closure (every
+// object ranked by sum over j of w_ij - w_ji, the score-ranked construction
+// SAPS starts from) refined by InsertionPolish to an insertion local
+// optimum, with no randomness and no search beyond that descent.
 //
-// It is the bottom rung of the daemon's degradation ladder: one O(n^2)
-// pass over the closure with an O(n log n) sort, so it meets any deadline
-// the closure itself could be built under. On near-consistent closures the
-// net-score order is close to optimal; on noisy ones it trades accuracy
-// for a bounded, deterministic response time.
-//
-//lint:ignore ctxloop single O(n^2) accumulation pass with no iterative search to cancel; it exists to answer after deadlines have already expired
+// It is the daemon's floor rung and branch-and-bound's initial incumbent,
+// so the two can never disagree. One O(n^2) scoring pass, an O(n log n)
+// sort and a bounded number of O(n^2) insertion sweeps keep it well inside
+// any deadline the closure itself could be built under. Under the
+// all-pairs objective (the Linear Ordering Problem) the insertion
+// neighbourhood is strictly larger than SAPS's swap moves, and on the
+// pipeline's closures the polished floor scores above an 8-start SAPS run
+// at a fraction of its cost. It takes no context: it exists to answer
+// after deadlines have already expired.
 func Greedy(g *graph.PreferenceGraph, obj Objective) (*Result, error) {
 	if !obj.valid() {
 		return nil, fmt.Errorf("search: unknown objective %d", obj)
@@ -27,23 +28,10 @@ func Greedy(g *graph.PreferenceGraph, obj Objective) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := g.N()
-	score := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			score[i] += logw[i][j] - logw[j][i]
-		}
-	}
-	path := make([]int, n)
-	for i := range path {
-		path[i] = i
-	}
-	// Descending score; ties resolve by object id for determinism.
-	sort.SliceStable(path, func(a, b int) bool {
-		return score[path[a]] > score[path[b]]
-	})
-	return newResult(path, scorePath(logw, path, obj), n), nil
+	return polishedFloor(g, logw, obj), nil
+}
+
+// polishedFloor is Greedy over precomputed log-weights.
+func polishedFloor(g *graph.PreferenceGraph, logw [][]float64, obj Objective) *Result {
+	return insertionPolish(logw, scoreRankedOrder(g), obj, 0)
 }

@@ -39,10 +39,16 @@ func InsertionPolish(g *graph.PreferenceGraph, path []int, obj Objective, maxSwe
 		}
 		seen[v] = true
 	}
+	return insertionPolish(logw, path, obj, maxSweeps), nil
+}
+
+// insertionPolish is InsertionPolish over precomputed log-weights and an
+// already-validated permutation.
+func insertionPolish(logw [][]float64, path []int, obj Objective, maxSweeps int) *Result {
 	if maxSweeps <= 0 {
 		maxSweeps = 16
 	}
-
+	n := len(path)
 	cur := append([]int(nil), path...)
 	evals := 0
 
@@ -97,7 +103,7 @@ func InsertionPolish(g *graph.PreferenceGraph, path []int, obj Objective, maxSwe
 			break
 		}
 	}
-	return newResult(cur, scorePath(logw, cur, obj), evals), nil
+	return newResult(cur, scorePath(logw, cur, obj), evals)
 }
 
 // consecutiveInsertionDelta computes the exact consecutive-objective change

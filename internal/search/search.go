@@ -17,6 +17,12 @@
 //   - SAPS: the paper's simulated-annealing path search (Algorithms 2-3),
 //     the scalable heuristic used in all large experiments.
 //
+// Beyond the paper, BranchAndBound proves all-pairs optimality on
+// near-consistent closures past Held-Karp's reach, InsertionPolish
+// refines any ranking to an insertion local optimum, and Greedy — the
+// net-score order so refined — is the deterministic floor the ranking
+// daemon serves when exact search cannot answer.
+//
 // All searchers maximize the product of edge weights, equivalently minimize
 // sum of log(1/w); they require a complete graph with strictly positive
 // weights, which Step 3's closure guarantees.

@@ -9,9 +9,9 @@ import (
 
 // breaker is the exact-rung circuit breaker. Repeated deadline overruns of
 // exact search mean the instance is too hard for the budgets requests are
-// carrying; paying for more doomed attempts only eats into the SAPS
-// budget. After threshold consecutive overruns the breaker opens and the
-// ladder starts at SAPS. After the cooldown a single half-open probe lets
+// carrying; paying for more doomed attempts only delays the floor every
+// such request ends up with. After threshold consecutive overruns the
+// breaker opens and the ladder goes straight to the floor. After the cooldown a single half-open probe lets
 // one request try exact search again: success closes the breaker, another
 // overrun re-opens it for a fresh cooldown.
 type breaker struct {

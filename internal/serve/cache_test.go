@@ -52,9 +52,10 @@ func cacheCounts(s *Server) (hits, misses, searches uint64) {
 	return s.met.rankCacheHit.Value(), s.met.rankCacheMiss.Value(), s.met.stageSeconds[stageSearch].Count()
 }
 
-// TestRankCacheUpgradeOnly walks one generation up the ladder — greedy,
-// then SAPS, then exact — and checks that each better rung replaces the
-// cached answer while no later, tighter request ever gets a worse one.
+// TestRankCacheUpgradeOnly walks one generation up the ladder — the
+// floor, then exact — and checks that exact replaces the cached floor
+// while no later, tighter request ever gets a worse answer, and that an
+// open breaker serves the cached floor without searching again.
 func TestRankCacheUpgradeOnly(t *testing.T) {
 	s, clock := cacheServer(t, 6, 42)
 	if _, err := s.Ingest(noisyVotes(6, 2, 5)); err != nil {
@@ -68,12 +69,10 @@ func TestRankCacheUpgradeOnly(t *testing.T) {
 		wantAlgo    string
 		wantHit     bool
 	}{
-		{"expired deadline searches the greedy floor", -time.Second, false, AlgoGreedy, false},
-		{"expired deadline again is a greedy hit", -time.Second, false, AlgoGreedy, true},
-		{"open breaker upgrades greedy to SAPS", 10 * time.Second, true, AlgoSAPS, false},
-		{"open breaker again is a SAPS hit", 10 * time.Second, false, AlgoSAPS, true},
-		{"expired deadline gets the cached SAPS", -time.Second, false, AlgoSAPS, true},
-		{"closed breaker upgrades SAPS to exact", 10 * time.Second, false, AlgoExactHeldKarp, false},
+		{"expired deadline searches the floor", -time.Second, false, AlgoGreedy, false},
+		{"expired deadline again is a floor hit", -time.Second, false, AlgoGreedy, true},
+		{"open breaker gets the cached floor", 10 * time.Second, true, AlgoGreedy, true},
+		{"closed breaker upgrades the floor to exact", 10 * time.Second, false, AlgoExactHeldKarp, false},
 		{"expired deadline gets the cached exact", -time.Second, false, AlgoExactHeldKarp, true},
 		{"open breaker gets the cached exact", 10 * time.Second, true, AlgoExactHeldKarp, true},
 	}
@@ -132,9 +131,9 @@ func newOverrunCtx(clock *obs.FakeClock) overrunCtx {
 }
 
 // TestRankCacheNeverDowngrades covers the races the ladder cannot show
-// sequentially: a slower request that searched a lower rung, or an older
-// generation, finishing after the cache already holds something better
-// or newer.
+// sequentially: a slower request that computed the floor, or searched an
+// older generation, finishing after the cache already holds something
+// better or newer.
 func TestRankCacheNeverDowngrades(t *testing.T) {
 	s, clock := cacheServer(t, 6, 48)
 	votes := noisyVotes(6, 2, 7)
@@ -146,9 +145,14 @@ func TestRankCacheNeverDowngrades(t *testing.T) {
 		t.Fatalf("want exact, got %s", exact.Algorithm)
 	}
 	s.remember(RankResult{Ranking: []int{5, 4, 3, 2, 1, 0}, Algorithm: AlgoGreedy, Degraded: true, Gen: exact.Gen, Votes: exact.Votes})
-	s.remember(RankResult{Ranking: []int{5, 4, 3, 2, 1, 0}, Algorithm: AlgoSAPS, Degraded: true, Gen: exact.Gen, Votes: exact.Votes})
 	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactHeldKarp || !slices.Equal(rr.Ranking, exact.Ranking) {
-		t.Fatalf("a lower rung finishing late replaced the exact answer: got %s %v", rr.Algorithm, rr.Ranking)
+		t.Fatalf("a floor finishing late replaced the exact answer: got %s %v", rr.Algorithm, rr.Ranking)
+	}
+	// Exact answers are optimal, so a second one for the same generation
+	// is no upgrade either.
+	s.remember(RankResult{Ranking: []int{5, 4, 3, 2, 1, 0}, Algorithm: AlgoExactBranchBound, Gen: exact.Gen, Votes: exact.Votes})
+	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactHeldKarp || !slices.Equal(rr.Ranking, exact.Ranking) {
+		t.Fatalf("a second exact answer replaced the first: got %s %v", rr.Algorithm, rr.Ranking)
 	}
 
 	flipped := votes[0]
@@ -158,7 +162,7 @@ func TestRankCacheNeverDowngrades(t *testing.T) {
 	}
 	greedy := rankWithin(t, s, clock, -time.Second)
 	if greedy.Algorithm != AlgoGreedy || greedy.Gen <= exact.Gen {
-		t.Fatalf("want a greedy answer at a newer generation, got %s at %d", greedy.Algorithm, greedy.Gen)
+		t.Fatalf("want the floor at a newer generation, got %s at %d", greedy.Algorithm, greedy.Gen)
 	}
 	s.remember(*exact) // an answer for the older generation arriving late
 	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoGreedy || rr.Gen != greedy.Gen {
@@ -166,11 +170,11 @@ func TestRankCacheNeverDowngrades(t *testing.T) {
 	}
 }
 
-// TestRankCacheExactFailureServesCachedSAPS: with a cached SAPS answer,
-// a request that cannot afford exact search gets it without claiming the
+// TestRankCacheExactFailureServesCachedFloor: with a cached floor, a
+// request that cannot afford exact search gets it without claiming the
 // breaker's half-open probe; the next request takes the probe, and when
-// exact fails there, the cached SAPS answer is served without a SAPS rerun.
-func TestRankCacheExactFailureServesCachedSAPS(t *testing.T) {
+// exact fails there, the cached floor is served without recomputing it.
+func TestRankCacheExactFailureServesCachedFloor(t *testing.T) {
 	clock := obs.NewFakeClock(fakeBase())
 	cfg := DefaultConfig(6, 2)
 	cfg.Seed = 43
@@ -181,9 +185,9 @@ func TestRankCacheExactFailureServesCachedSAPS(t *testing.T) {
 		t.Fatal(err)
 	}
 	tripBreaker(s)
-	saps := rankWithin(t, s, clock, 10*time.Second)
-	if saps.Algorithm != AlgoSAPS {
-		t.Fatalf("open breaker should answer SAPS, got %s", saps.Algorithm)
+	floor := rankWithin(t, s, clock, 10*time.Second)
+	if floor.Algorithm != AlgoGreedy {
+		t.Fatalf("open breaker should answer with the floor, got %s", floor.Algorithm)
 	}
 	clock.Advance(cfg.BreakerCooldown + time.Second)
 	trips := s.met.breakerTrips.Value()
@@ -191,12 +195,12 @@ func TestRankCacheExactFailureServesCachedSAPS(t *testing.T) {
 
 	// 3ms affords no exact rung (half of it is under MinRungBudget).
 	rr := rankWithin(t, s, clock, 3*time.Millisecond)
-	if rr.Algorithm != AlgoSAPS || !slices.Equal(rr.Ranking, saps.Ranking) {
-		t.Fatalf("want the cached SAPS answer, got %s %v", rr.Algorithm, rr.Ranking)
+	if rr.Algorithm != AlgoGreedy || !slices.Equal(rr.Ranking, floor.Ranking) {
+		t.Fatalf("want the cached floor, got %s %v", rr.Algorithm, rr.Ranking)
 	}
 
 	// The probe is still free: this request claims it, branch-and-bound
-	// fails, the breaker re-opens, and the cached SAPS answer is served.
+	// fails, the breaker re-opens, and the cached floor is served.
 	rr, err := s.RankContext(newOverrunCtx(clock))
 	if err != nil {
 		t.Fatal(err)
@@ -205,11 +209,11 @@ func TestRankCacheExactFailureServesCachedSAPS(t *testing.T) {
 		t.Fatalf("the failed probe should re-open the breaker, got trips %d→%d, breaker %s",
 			trips, s.met.breakerTrips.Value(), rr.Breaker)
 	}
-	if rr.Algorithm != AlgoSAPS || !rr.Degraded || !slices.Equal(rr.Ranking, saps.Ranking) {
-		t.Fatalf("a failed exact probe should serve the cached SAPS answer, got %s %v", rr.Algorithm, rr.Ranking)
+	if rr.Algorithm != AlgoGreedy || !rr.Degraded || !slices.Equal(rr.Ranking, floor.Ranking) {
+		t.Fatalf("a failed exact probe should serve the cached floor, got %s %v", rr.Algorithm, rr.Ranking)
 	}
 	if _, m, _ := cacheCounts(s); m != misses {
-		t.Fatal("serving the cached SAPS answer must not count as a fresh search")
+		t.Fatal("serving the cached floor must not count as a fresh search")
 	}
 }
 
@@ -237,8 +241,8 @@ func TestRankCacheInvalidation(t *testing.T) {
 		t.Fatalf("duplicates-only batch must keep the cached exact answer, got %s at gen %d", rr.Algorithm, rr.Gen)
 	}
 
-	// A new vote moves the generation: an expired deadline now searches
-	// the greedy floor afresh.
+	// A new vote moves the generation: an expired deadline now computes
+	// the floor afresh.
 	if _, err := s.Ingest([]crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: true}}); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +282,7 @@ func TestRankCacheMatchesFreshServer(t *testing.T) {
 		trip   bool
 	}{
 		{"greedy", -time.Second, false},
-		{"saps", 10 * time.Second, true},
+		{"greedy-open-breaker", 10 * time.Second, true},
 		{"exact", 10 * time.Second, false},
 	} {
 		t.Run(rungCase.name, func(t *testing.T) {

@@ -57,11 +57,11 @@ func TestLadderDeterministic(t *testing.T) {
 			wantAlgo: AlgoExactHeldKarp,
 		},
 		{
-			name:         "open breaker degrades to SAPS",
+			name:         "open breaker degrades to the floor",
 			votes:        agreeingVotes(6, 2),
 			budget:       10 * time.Second,
 			tripBreaker:  true,
-			wantAlgo:     AlgoSAPS,
+			wantAlgo:     AlgoGreedy,
 			wantDegraded: true,
 		},
 		{

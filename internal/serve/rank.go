@@ -22,8 +22,9 @@ import (
 const (
 	AlgoExactHeldKarp    = "exact:heldkarp"
 	AlgoExactBranchBound = "exact:branchbound"
-	AlgoSAPS             = "saps"
-	AlgoGreedy           = "greedy"
+	// AlgoGreedy is the polished floor (search.Greedy): the net-score
+	// order refined to an insertion local optimum.
+	AlgoGreedy = "greedy"
 	// AlgoUninformed is returned before any votes arrive: the identity
 	// order under the uniform 0.5 prior, where every ranking is equally
 	// likely.
@@ -38,9 +39,9 @@ type RankResult struct {
 	LogProb float64 `json:"log_prob"`
 	// Algorithm names the ladder rung that produced the ranking.
 	Algorithm string `json:"algorithm"`
-	// Degraded is true when a rung below exact search answered — because
-	// the deadline could not afford exact, exact overran, or the breaker
-	// had it tripped.
+	// Degraded is true when the floor answered instead of exact search —
+	// because the deadline could not afford exact, exact overran, or the
+	// breaker had it tripped.
 	Degraded bool `json:"degraded"`
 	// Votes is the deduplicated vote count the ranking was inferred from.
 	Votes int `json:"votes"`
@@ -71,14 +72,6 @@ func newPipelineRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xd1342543de82ef95))
 }
 
-// newSearchRNG seeds the SAPS rung. It is deliberately a separate stream:
-// the closure cache means the smoothing draws are not re-consumed per
-// request, so SAPS determinism must not depend on pipeline stream
-// position.
-func newSearchRNG(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-}
-
 // heldKarpEstimate guesses Held-Karp's runtime (O(2^n n^2) subset DP) at a
 // conservative throughput, so the uncancellable exact rung is only entered
 // when the budget clearly covers it.
@@ -98,15 +91,14 @@ func (s *Server) Rank() (*RankResult, error) {
 // RankContext serves a ranking within ctx's deadline by walking the
 // degradation ladder: exact search (Held-Karp up to ExactLimit objects,
 // branch-and-bound beyond) when the breaker is closed and the budget
-// affords it, SAPS annealing when it does not, and the greedy tournament
-// order as the floor. An expired deadline is absorbed by degradation — the
-// call still returns a ranking; only an explicit cancellation (client
-// gone) or a broken pipeline returns an error.
+// affords it, otherwise the polished floor (search.Greedy), which answers
+// even after the deadline has expired. An expired deadline is absorbed by
+// degradation — the call still returns a ranking; only an explicit
+// cancellation (client gone) or a broken pipeline returns an error.
 //
-// Every rung is deterministic at a fixed generation, so the best answer
-// produced at the current generation is cached and the ladder only climbs
-// from it: a cached exact answer is served at once, a cached degraded one
-// is served whenever the rungs this request can afford are no better.
+// Both rungs are deterministic at a fixed generation, so the best answer
+// produced at the current generation is cached: a cached exact answer is
+// served at once, a cached floor whenever exact search does not answer.
 func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 	// All request timing goes through the injected clock: Since carries
 	// the monotonic reading on the real clock (immune to wall jumps), and
@@ -166,7 +158,7 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 			Ranking:   sr.Path,
 			LogProb:   sr.LogProb,
 			Algorithm: algo,
-			Degraded:  rung(algo) < rungExact,
+			Degraded:  algo == AlgoGreedy,
 			Votes:     e.votes,
 			Seed:      s.cfg.Seed,
 			Gen:       e.gen,
@@ -181,18 +173,16 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 
 	const obj = search.ObjectiveAllPairs
 	deadline, hasDeadline := ctx.Deadline()
-	remaining := func() time.Duration {
-		if !hasDeadline {
-			return time.Hour
-		}
-		return deadline.Sub(s.clock.Now())
+	remaining := time.Hour
+	if hasDeadline {
+		remaining = deadline.Sub(s.clock.Now())
 	}
 
 	// Rung 1: exact search. Decide affordability before consulting the
 	// breaker so a half-open probe slot is never claimed and then wasted
 	// on a budget skip.
 	useHeldKarp := s.cfg.N <= s.cfg.ExactLimit
-	exactBudget := time.Duration(float64(remaining()) * s.cfg.ExactFraction)
+	exactBudget := time.Duration(float64(remaining) * s.cfg.ExactFraction)
 	affordable := exactBudget >= s.cfg.MinRungBudget
 	if useHeldKarp && hasDeadline {
 		// Held-Karp cannot be cancelled mid-flight; require the budget to
@@ -229,45 +219,20 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 			s.breaker.failure()
 		}
 	}
-	// Exact did not answer (unaffordable, breaker open, or failed): a
-	// cached SAPS answer is what rerunning SAPS would return.
-	if e.best != nil && rung(e.best.Algorithm) >= rungSAPS {
+	// Exact did not answer (unaffordable, breaker open, or failed): the
+	// cached floor is what recomputing it would return.
+	if e.best != nil {
 		return cached()
 	}
 
-	// Rung 2: SAPS annealing under what is left of the deadline.
-	if rem := remaining(); rem >= s.cfg.MinRungBudget {
-		sapsCtx, cancel := ctx, context.CancelFunc(func() {})
-		if hasDeadline {
-			sapsCtx, cancel = context.WithTimeout(ctx, time.Duration(float64(rem)*s.cfg.SAPSFraction))
-		}
-		params := search.DefaultSAPSParams()
-		params.Objective = obj
-		params.Parallelism = s.cfg.Parallelism
-		if searchStart.IsZero() {
-			searchStart = s.clock.Now()
-		}
-		sr, err := search.SAPSContext(sapsCtx, e.closure, params, newSearchRNG(s.cfg.Seed))
-		cancel()
-		if err == nil {
-			return searched(AlgoSAPS, sr)
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
-			return nil, ctxErr
-		}
-	}
-	if e.best != nil {
-		return cached() // the greedy floor, already computed at this generation
-	}
-
-	// Rung 3: greedy tournament order — the floor that answers even after
-	// the deadline has expired.
+	// Rung 2: the polished floor, which answers even after the deadline
+	// has expired.
 	if searchStart.IsZero() {
 		searchStart = s.clock.Now()
 	}
 	sr, err := search.Greedy(e.closure, obj)
 	if err != nil {
-		return nil, fmt.Errorf("serve: greedy floor failed: %w", err)
+		return nil, fmt.Errorf("serve: floor failed: %w", err)
 	}
 	return searched(AlgoGreedy, sr)
 }
@@ -280,29 +245,10 @@ type genEntry struct {
 	gen     uint64
 	votes   int
 	closure *graph.PreferenceGraph
-	// best is the highest rung answered at gen, nil until a search
-	// answers. The uninformed prior is never cached. A stored result is
-	// never mutated; responses copy it.
+	// best is the best answer at gen — exact once exact search answered,
+	// the floor before — nil until a search answers. The uninformed prior
+	// is never cached. A stored result is never mutated; responses copy it.
 	best *RankResult
-}
-
-// Ladder rungs in quality order; the cached answer only ever moves up.
-const (
-	rungGreedy = iota
-	rungSAPS
-	rungExact
-)
-
-// rung ranks a ladder outcome by quality: exact > SAPS > greedy.
-func rung(algo string) int {
-	switch algo {
-	case AlgoExactHeldKarp, AlgoExactBranchBound:
-		return rungExact
-	case AlgoSAPS:
-		return rungSAPS
-	default:
-		return rungGreedy
-	}
 }
 
 // current returns the cache entry for the newest vote state, building its
@@ -321,7 +267,6 @@ func (s *Server) current() (genEntry, error) {
 		return s.entry, nil
 	}
 	opts := core.DefaultOptions()
-	opts.SAPS.Parallelism = s.cfg.Parallelism
 	opts.Propagate.Parallelism = s.cfg.Parallelism
 	rng := newPipelineRNG(s.cfg.Seed)
 	//lint:ignore lockcheck cacheMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker channels) so identical generations are computed once and served from cache
@@ -341,14 +286,16 @@ func (s *Server) current() (genEntry, error) {
 
 // remember offers a freshly searched result to the cache. The cache is
 // upgrade-only: r replaces the cached answer only when the entry still
-// belongs to r's generation and r's rung is strictly better.
+// belongs to r's generation and r is exact where the cached answer is the
+// floor. Exact search scores at least the floor by optimality, so this is
+// the only upgrade there is.
 func (s *Server) remember(r RankResult) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if s.entry.closure == nil || s.entry.gen != r.Gen {
 		return // a newer generation took the entry while r was searched
 	}
-	if s.entry.best == nil || rung(r.Algorithm) > rung(s.entry.best.Algorithm) {
+	if s.entry.best == nil || (s.entry.best.Degraded && !r.Degraded) {
 		s.entry.best = &r
 	}
 }

@@ -9,16 +9,17 @@
 // journal to rebuild exactly the acknowledged state — a torn or corrupted
 // tail is detected, reported, and truncated rather than silently replayed.
 //
-// Rank requests carry deadlines and degrade down a ladder instead of
-// failing: an exact searcher (Held-Karp for small n, branch-and-bound
-// beyond) when the budget allows, the paper's SAPS annealer when it does
-// not, and a greedy tournament order as the floor that answers even after
-// the deadline has effectively expired. A circuit breaker trips the exact
-// rung after repeated deadline overruns and probes it again (half-open)
-// after a cooldown, so chronically slow instances stop paying for doomed
-// exact attempts. Every rung is deterministic at a fixed vote state, so
-// the best answer produced at the current state generation is cached and
-// the ladder only climbs from it until the votes change.
+// Rank requests carry deadlines and degrade instead of failing: an exact
+// searcher (Held-Karp for small n, branch-and-bound beyond) when the
+// budget allows, and otherwise the polished floor — the net-score order
+// refined to an insertion local optimum (search.Greedy) — which answers
+// even after the deadline has effectively expired. A circuit breaker
+// trips the exact rung after repeated deadline overruns and probes it
+// again (half-open) after a cooldown, so chronically slow instances stop
+// paying for doomed exact attempts. Both rungs are deterministic at a
+// fixed vote state, so the best answer produced at the current state
+// generation is cached, and only an exact answer replaces a cached floor,
+// until the votes change.
 package serve
 
 import (
@@ -71,24 +72,23 @@ type Config struct {
 	// the default 2; values below 1 are refused.
 	SnapshotKeep int
 
-	// Seed drives smoothing and SAPS, making served rankings reproducible
+	// Seed drives smoothing, making served rankings reproducible
 	// and certifiable (pass it to CertifyRanking). 0 draws a time-derived
 	// seed at startup; the effective seed is reported in every response.
 	Seed uint64
-	// Parallelism fans SAPS starts and propagation walks over this many
-	// goroutines; 0 or 1 is sequential.
+	// Parallelism fans propagation walks over this many goroutines; 0 or
+	// 1 is sequential.
 	Parallelism int
 
 	// ExactLimit is the largest n solved with Held-Karp on the exact rung;
 	// beyond it the rung uses branch-and-bound. Default 16.
 	ExactLimit int
-	// ExactFraction and SAPSFraction apportion the remaining deadline to
-	// the exact and SAPS rungs (each in (0, 1)); whatever is left after a
-	// rung fails flows to the next. Defaults 0.5 and 0.8.
+	// ExactFraction is the share of the remaining deadline the exact rung
+	// may spend, in (0, 1); the floor runs on whatever is left. Default
+	// 0.5.
 	ExactFraction float64
-	SAPSFraction  float64
-	// MinRungBudget is the smallest remaining budget worth starting a
-	// cancellable rung with; below it the ladder falls straight to greedy.
+	// MinRungBudget is the smallest exact-rung budget worth starting
+	// exact search with; below it the ladder goes straight to the floor.
 	// Default 2ms.
 	MinRungBudget time.Duration
 
@@ -155,7 +155,6 @@ func DefaultConfig(n, m int) Config {
 		SnapshotKeep:            2,
 		ExactLimit:              16,
 		ExactFraction:           0.5,
-		SAPSFraction:            0.8,
 		MinRungBudget:           2 * time.Millisecond,
 		DefaultDeadline:         2 * time.Second,
 		MaxDeadline:             60 * time.Second,
@@ -179,9 +178,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if feq.Zero(c.ExactFraction) {
 		c.ExactFraction = d.ExactFraction
-	}
-	if feq.Zero(c.SAPSFraction) {
-		c.SAPSFraction = d.SAPSFraction
 	}
 	if c.MinRungBudget == 0 {
 		c.MinRungBudget = d.MinRungBudget
@@ -244,8 +240,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("serve: need at least one worker, got M=%d", c.M)
 	case c.ExactFraction <= 0 || c.ExactFraction >= 1:
 		return c, fmt.Errorf("serve: ExactFraction %v outside (0,1)", c.ExactFraction)
-	case c.SAPSFraction <= 0 || c.SAPSFraction >= 1:
-		return c, fmt.Errorf("serve: SAPSFraction %v outside (0,1)", c.SAPSFraction)
 	case c.ExactLimit < 1:
 		return c, fmt.Errorf("serve: ExactLimit %d must be >= 1", c.ExactLimit)
 	case c.MaxBatchVotes < 1 || c.MaxConcurrentRanks < 1 || c.MaxConcurrentIngests < 1:

@@ -415,7 +415,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 0, M: 2},
 		{N: 3, M: 0},
 		{N: 3, M: 2, ExactFraction: 1.5},
-		{N: 3, M: 2, SAPSFraction: -0.1},
+		{N: 3, M: 2, ExactFraction: -0.1},
 		{N: 3, M: 2, ExactLimit: -1},
 		{N: 3, M: 2, BreakerThreshold: -2},
 	}
@@ -519,12 +519,13 @@ func TestHTTPTinyDeadlineStillAnswers(t *testing.T) {
 	}
 	assertPermutation(t, n, rr.Ranking)
 	switch rr.Algorithm {
-	case AlgoExactBranchBound, AlgoSAPS, AlgoGreedy:
+	case AlgoExactBranchBound, AlgoGreedy:
 	default:
 		t.Fatalf("unexpected algorithm %q for n=%d at 50ms", rr.Algorithm, n)
 	}
-	// At 1ms even SAPS is unaffordable: the greedy floor must answer and
-	// the response must say the ladder degraded. One new vote moves the
+	// At 1ms exact search is unaffordable and the deadline has passed by
+	// the time the closure is built: the floor must still answer, and the
+	// response must say the ladder degraded. One new vote moves the
 	// generation first, so the better answer cached above does not apply.
 	flipped := noisyVotes(n, 5, 23)[0]
 	flipped.PrefersI = !flipped.PrefersI
@@ -572,19 +573,21 @@ func getRank(t *testing.T, url string, deadlineMS int) (RankResult, http.Header)
 
 // TestHTTPTinyDeadlineGetsCachedRung is the sibling of
 // TestHTTPTinyDeadlineStillAnswers at an unchanged generation: the 1ms
-// request cannot afford SAPS itself, but the better answer an earlier
-// request cached at this generation is what it gets.
+// request cannot afford exact search itself, but the exact answer an
+// earlier request cached at this generation is what it gets. Agreeing
+// votes keep branch-and-bound at n=60 well inside the first request's
+// budget.
 func TestHTTPTinyDeadlineGetsCachedRung(t *testing.T) {
 	n := 60
 	cfg := DefaultConfig(n, 5)
 	cfg.Seed = 23
 	_, ts := httpServer(t, cfg)
-	if resp := postVotes(t, ts.URL, noisyVotes(n, 5, 23)); resp.StatusCode != http.StatusOK {
+	if resp := postVotes(t, ts.URL, agreeingVotes(n, 5)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 	first, _ := getRank(t, ts.URL, 2000)
-	if first.Algorithm == AlgoGreedy {
-		t.Fatalf("a 2s deadline should reach SAPS or exact search, got %s", first.Algorithm)
+	if first.Algorithm != AlgoExactBranchBound {
+		t.Fatalf("a 2s deadline should reach exact search, got %s", first.Algorithm)
 	}
 	tight, _ := getRank(t, ts.URL, 1)
 	if tight.Algorithm != first.Algorithm || tight.Degraded != first.Degraded || tight.Gen != first.Gen {
@@ -626,30 +629,30 @@ func TestHTTPRankConditionalGet(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// With the breaker open the ladder caches SAPS.
+	// With the breaker open the ladder caches the floor.
 	for i := 0; i < cfg.BreakerThreshold; i++ {
 		s.breaker.failure()
 	}
-	saps, h := getRank(t, ts.URL, 1000)
-	sapsTag := h.Get("ETag")
-	if saps.Algorithm != AlgoSAPS || sapsTag != fmt.Sprintf(`"%d-saps"`, saps.Gen) {
-		t.Fatalf("want a SAPS answer tagged with its generation, got %s with ETag %q", saps.Algorithm, sapsTag)
+	floor, h := getRank(t, ts.URL, 1000)
+	floorTag := h.Get("ETag")
+	if floor.Algorithm != AlgoGreedy || floorTag != fmt.Sprintf(`"%d-greedy"`, floor.Gen) {
+		t.Fatalf("want the floor tagged with its generation, got %s with ETag %q", floor.Algorithm, floorTag)
 	}
-	if code := conditional(sapsTag); code != http.StatusNotModified {
+	if code := conditional(floorTag); code != http.StatusNotModified {
 		t.Fatalf("If-None-Match with the cached tag should 304, got %d", code)
 	}
-	if code := conditional(`"other", W/` + sapsTag); code != http.StatusNotModified {
+	if code := conditional(`"other", W/` + floorTag); code != http.StatusNotModified {
 		t.Fatalf("a tag list naming the cached tag (weakly) should 304, got %d", code)
 	}
 
 	// Closing the breaker lets the next full request upgrade the entry to
-	// exact search; the SAPS tag is stale from then on.
+	// exact search; the floor's tag is stale from then on.
 	s.breaker.success()
 	exact, h := getRank(t, ts.URL, 1000)
-	if exact.Algorithm != AlgoExactHeldKarp || exact.Gen != saps.Gen {
-		t.Fatalf("want an exact upgrade at generation %d, got %s at %d", saps.Gen, exact.Algorithm, exact.Gen)
+	if exact.Algorithm != AlgoExactHeldKarp || exact.Gen != floor.Gen {
+		t.Fatalf("want an exact upgrade at generation %d, got %s at %d", floor.Gen, exact.Algorithm, exact.Gen)
 	}
-	if code := conditional(sapsTag); code != http.StatusOK {
+	if code := conditional(floorTag); code != http.StatusOK {
 		t.Fatalf("a tag naming the replaced rung must not 304, got %d", code)
 	}
 	exactTag := h.Get("ETag")

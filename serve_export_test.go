@@ -67,10 +67,10 @@ func TestRankServerCertifiable(t *testing.T) {
 }
 
 // TestRankServerCachedRankingCertifies: an answer served from the
-// per-generation cache is the one the first request searched, and it
+// per-generation cache is the one the first request computed, and it
 // certifies under WithSeed(result.Seed) with the served log_prob as its
 // score. The fake clock budgets the exact rung out (Held-Karp at n=16
-// needs a larger budget), so SAPS answers and is cached.
+// needs a larger budget), so the polished floor answers and is cached.
 func TestRankServerCachedRankingCertifies(t *testing.T) {
 	const n, m = 16, 3
 	clock := obs.NewFakeClock(time.Now().Add(1000 * time.Hour))
@@ -109,8 +109,8 @@ func TestRankServerCachedRankingCertifies(t *testing.T) {
 	}
 	first := rank()
 	cached := rank()
-	if first.Algorithm != "saps" || cached.Algorithm != first.Algorithm || cached.Gen != first.Gen {
-		t.Fatalf("want SAPS twice at one generation, got %s (gen %d) then %s (gen %d)",
+	if first.Algorithm != "greedy" || !first.Degraded || cached.Algorithm != first.Algorithm || cached.Gen != first.Gen {
+		t.Fatalf("want the floor twice at one generation, got %s (gen %d) then %s (gen %d)",
 			first.Algorithm, first.Gen, cached.Algorithm, cached.Gen)
 	}
 	if !slices.Equal(cached.Ranking, first.Ranking) || !feq.Eq(cached.LogProb, first.LogProb) {
