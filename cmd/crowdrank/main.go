@@ -279,22 +279,9 @@ func runInfer(args []string) error {
 		return fmt.Errorf("infer: %w (rerun with -clean to drop bad votes)", err)
 	}
 
-	var alg crowdrank.SearchAlgorithm
-	switch *searchName {
-	case "auto":
-		alg = crowdrank.SearchAuto
-	case "saps":
-		alg = crowdrank.SearchSAPS
-	case "taps":
-		alg = crowdrank.SearchTAPS
-	case "heldkarp":
-		alg = crowdrank.SearchHeldKarp
-	case "bruteforce":
-		alg = crowdrank.SearchBruteForce
-	case "branchbound":
-		alg = crowdrank.SearchBranchBound
-	default:
-		return fmt.Errorf("infer: unknown searcher %q", *searchName)
+	alg, err := parseSearch(*searchName)
+	if err != nil {
+		return err
 	}
 
 	start := time.Now()
@@ -337,6 +324,16 @@ func runInfer(args []string) error {
 		fmt.Printf("vs simulated ground truth: accuracy %.4f, Kendall tau %.4f\n", acc, tau)
 	}
 	return nil
+}
+
+// parseSearch maps a -search name to the searcher whose String it is.
+func parseSearch(name string) (crowdrank.SearchAlgorithm, error) {
+	for alg := crowdrank.SearchAuto; alg <= crowdrank.SearchBranchBound; alg++ {
+		if alg.String() == name {
+			return alg, nil
+		}
+	}
+	return 0, fmt.Errorf("infer: unknown searcher %q", name)
 }
 
 // runCalibrate searches for the smallest budget reaching a target accuracy

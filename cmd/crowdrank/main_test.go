@@ -161,3 +161,15 @@ func TestRunSimulateWithFaults(t *testing.T) {
 		t.Errorf("-clean infer failed: %v", err)
 	}
 }
+
+func TestParseSearch(t *testing.T) {
+	for _, name := range []string{"auto", "saps", "taps", "heldkarp", "bruteforce", "branchbound"} {
+		alg, err := parseSearch(name)
+		if err != nil || alg.String() != name {
+			t.Errorf("parseSearch(%q) = %v, %v", name, alg, err)
+		}
+	}
+	if _, err := parseSearch("annealing"); err == nil || err.Error() != `infer: unknown searcher "annealing"` {
+		t.Errorf("unknown name: err = %v", err)
+	}
+}

@@ -3,7 +3,6 @@ package crowdrank
 import (
 	"bytes"
 	"errors"
-	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -160,8 +159,7 @@ func FuzzPipelineInvariants(f *testing.F) {
 			return
 		}
 
-		rng := rand.New(rand.NewPCG(1, 0xd1342543de82ef95))
-		cl, err := core.BuildClosure(n, m, toInternalVotes(clean), core.DefaultOptions(), rng)
+		cl, err := core.BuildClosure(n, m, toInternalVotes(clean), core.DefaultOptions(), core.NewPipelineRNG(1))
 		if err != nil {
 			return // graceful rejection is fine; invariants apply to successes
 		}

@@ -3,12 +3,10 @@ package crowdrank
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"time"
 
 	"crowdrank/internal/core"
-	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
 	"crowdrank/internal/search"
 	"crowdrank/internal/serve"
@@ -43,25 +41,6 @@ const (
 	// answer).
 	SearchBranchBound
 )
-
-func (s SearchAlgorithm) core() (core.Searcher, error) {
-	switch s {
-	case SearchAuto:
-		return core.SearcherAuto, nil
-	case SearchSAPS:
-		return core.SearcherSAPS, nil
-	case SearchTAPS:
-		return core.SearcherTAPS, nil
-	case SearchHeldKarp:
-		return core.SearcherHeldKarp, nil
-	case SearchBruteForce:
-		return core.SearcherBruteForce, nil
-	case SearchBranchBound:
-		return core.SearcherBranchBound, nil
-	default:
-		return 0, fmt.Errorf("crowdrank: unknown search algorithm %d", int(s))
-	}
-}
 
 // options carries the assembled inference configuration.
 type options struct {
@@ -133,16 +112,10 @@ func WithObjective(obj PathObjective) Option {
 	}
 }
 
-// WithSearch selects the Step 4 algorithm.
+// WithSearch selects the Step 4 algorithm; an unknown one fails
+// inference before any step runs.
 func WithSearch(alg SearchAlgorithm) Option {
-	return func(o *options) {
-		s, err := alg.core()
-		if err != nil {
-			o.err = err
-			return
-		}
-		o.core.Searcher = s
-	}
+	return func(o *options) { o.core.Searcher = core.Searcher(alg) }
 }
 
 // WithSAPS tunes the simulated-annealing searcher: iterations per start,
@@ -276,34 +249,11 @@ func Infer(n, m int, votes []Vote, opts ...Option) (*Result, error) {
 // branch-and-bound), so an expired deadline or an explicit cancel abandons
 // inference promptly with ctx's error.
 func InferContext(ctx context.Context, n, m int, votes []Vote, opts ...Option) (*Result, error) {
-	o := &options{core: core.DefaultOptions(), seed: uint64(time.Now().UnixNano())}
-	for _, opt := range opts {
-		opt(o)
-	}
-	if o.err != nil {
-		return nil, o.err
-	}
-	if err := ctx.Err(); err != nil {
+	o, votes, report, err := resolveOptions(n, m, votes, opts)
+	if err != nil {
 		return nil, err
 	}
-
-	var report SanitizeReport
-	if o.strict {
-		if err := ValidateVotes(n, m, votes); err != nil {
-			return nil, err
-		}
-		report = SanitizeReport{Input: len(votes), Kept: len(votes)}
-	} else {
-		votes, report = SanitizeVotes(n, m, votes)
-	}
-	coverage := MeasureCoverage(n, votes)
-
-	internalVotes := make([]crowd.Vote, len(votes))
-	for i, v := range votes {
-		internalVotes[i] = crowd.Vote{Worker: v.Worker, I: v.I, J: v.J, PrefersI: v.PrefersI}
-	}
-	rng := rand.New(rand.NewPCG(o.seed, o.seed^0xd1342543de82ef95))
-	res, err := core.InferContext(ctx, n, m, internalVotes, o.core, rng)
+	res, err := core.InferContext(ctx, n, m, toInternalVotes(votes), o.core, core.NewPipelineRNG(o.seed))
 	if err != nil {
 		return nil, err
 	}
@@ -317,35 +267,34 @@ func InferContext(ctx context.Context, n, m int, votes []Vote, opts ...Option) (
 		UninformedPairs: res.UninformedPairs,
 		Seed:            o.seed,
 		Sanitization:    report,
-		Coverage:        coverage,
-		Timings: StepTimings{
-			TruthDiscovery: res.Timings.TruthDiscovery,
-			Smoothing:      res.Timings.Smoothing,
-			Propagation:    res.Timings.Propagation,
-			Search:         res.Timings.Search,
-		},
+		Coverage:        MeasureCoverage(n, votes),
+		Timings:         StepTimings(res.Timings),
 	}, nil
 }
 
-// String names the search algorithm for logs and CLI output.
-func (s SearchAlgorithm) String() string {
-	switch s {
-	case SearchAuto:
-		return "auto"
-	case SearchSAPS:
-		return "saps"
-	case SearchTAPS:
-		return "taps"
-	case SearchHeldKarp:
-		return "heldkarp"
-	case SearchBruteForce:
-		return "bruteforce"
-	case SearchBranchBound:
-		return "branchbound"
-	default:
-		return fmt.Sprintf("SearchAlgorithm(%d)", int(s))
+// resolveOptions applies opts over the pipeline defaults and sanitizes
+// votes as opts ask. Infer and CertifyRanking both go through it, so a
+// certificate sees exactly the input and seed rule its ranking did.
+func resolveOptions(n, m int, votes []Vote, opts []Option) (*options, []Vote, SanitizeReport, error) {
+	o := &options{core: core.DefaultOptions(), seed: uint64(time.Now().UnixNano())}
+	for _, opt := range opts {
+		opt(o)
 	}
+	if o.err != nil {
+		return nil, nil, SanitizeReport{}, o.err
+	}
+	if !o.strict {
+		votes, report := SanitizeVotes(n, m, votes)
+		return o, votes, report, nil
+	}
+	if err := ValidateVotes(n, m, votes); err != nil {
+		return nil, nil, SanitizeReport{}, err
+	}
+	return o, votes, SanitizeReport{Input: len(votes), Kept: len(votes)}, nil
 }
+
+// String names the search algorithm for logs and CLI output.
+func (s SearchAlgorithm) String() string { return core.Searcher(s).String() }
 
 // String names the objective for logs and CLI output.
 func (o PathObjective) String() string {
@@ -382,22 +331,11 @@ type Certificate struct {
 // sanitizes them (lenient by default, strict under WithStrictVotes), again
 // so both calls see identical input.
 func CertifyRanking(n, m int, votes []Vote, ranking []int, opts ...Option) (*Certificate, error) {
-	o := &options{core: core.DefaultOptions(), seed: uint64(time.Now().UnixNano())}
-	for _, opt := range opts {
-		opt(o)
+	o, votes, _, err := resolveOptions(n, m, votes, opts)
+	if err != nil {
+		return nil, err
 	}
-	if o.err != nil {
-		return nil, o.err
-	}
-	if o.strict {
-		if err := ValidateVotes(n, m, votes); err != nil {
-			return nil, err
-		}
-	} else {
-		votes, _ = SanitizeVotes(n, m, votes)
-	}
-	rng := rand.New(rand.NewPCG(o.seed, o.seed^0xd1342543de82ef95))
-	cl, err := core.BuildClosure(n, m, toInternalVotes(votes), o.core, rng)
+	cl, err := core.BuildClosure(n, m, toInternalVotes(votes), o.core, core.NewPipelineRNG(o.seed))
 	if err != nil {
 		return nil, err
 	}

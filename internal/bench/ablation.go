@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -126,11 +127,11 @@ func ablateObjective(w io.Writer, n int, ratio float64) error {
 	t := newTable(w, "objective", "iterations", "accuracy", "tau", "logProb")
 	for _, obj := range []search.Objective{search.ObjectiveAllPairs, search.ObjectiveConsecutive} {
 		for _, iters := range []int{1, 200, 1000} {
-			params := cfg.Opts.SAPS
-			params.Objective = obj
-			params.Iterations = iters
-			res, err := core.InferFromClosure(cl.Closure, core.SearcherSAPS, params,
-				rand.New(rand.NewPCG(9, 9)))
+			opts := cfg.Opts
+			opts.Searcher = core.SearcherSAPS
+			opts.Objective = obj
+			opts.SAPS.Iterations = iters
+			res, _, err := core.Search(context.Background(), cl.Closure, opts, rand.New(rand.NewPCG(9, 9)))
 			if err != nil {
 				return fmt.Errorf("ablation objective=%v: %w", obj, err)
 			}

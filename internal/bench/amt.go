@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -137,22 +138,21 @@ func amtSearchBoth(n, m int, votes []crowd.Vote, opts core.Options, rng *rand.Ra
 	if err != nil {
 		return nil, nil, "", err
 	}
-	sapsParams := opts.SAPS
-	sapsParams.Objective = opts.Objective
-	sapsRun, err := core.InferFromClosure(cl.Closure, core.SearcherSAPS, sapsParams, rand.New(rand.NewPCG(11, 17)))
+	opts.Searcher = core.SearcherSAPS
+	sapsRun, _, err := core.Search(context.Background(), cl.Closure, opts, rand.New(rand.NewPCG(11, 17)))
 	if err != nil {
 		return nil, nil, "", err
 	}
 
 	// TAPS's factorial lists fit only up to ~8 objects under the all-pairs
 	// objective; the 20-image setting uses the exact Held-Karp DP.
-	exactSearcher := core.SearcherHeldKarp
+	opts.Searcher = core.SearcherHeldKarp
 	exactName = "HeldKarp"
 	if n <= 8 {
-		exactSearcher = core.SearcherTAPS
+		opts.Searcher = core.SearcherTAPS
 		exactName = "TAPS"
 	}
-	exactRun, err := core.InferFromClosure(cl.Closure, exactSearcher, sapsParams, rand.New(rand.NewPCG(11, 19)))
+	exactRun, _, err := core.Search(context.Background(), cl.Closure, opts, nil)
 	if err != nil {
 		return nil, nil, "", err
 	}

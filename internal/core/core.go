@@ -1,9 +1,12 @@
 // Package core glues the paper's result-inference pipeline (Section V) into
 // a single call: truth discovery (Step 1), preference smoothing (Step 2),
 // preference propagation into the transitive closure (Step 3), and
-// best-ranking search (Step 4). It records per-step wall-clock timings —
-// the breakdown Figure 4 discusses — and per-step diagnostics such as the
-// 1-edge count and truth-discovery iterations.
+// best-ranking search (Step 4). Infer is BuildClosure's Steps 1-3 followed
+// by one Search over the closure; callers that rank one closure several
+// ways call the two halves themselves. Options.Objective governs every
+// Step 4 searcher, SAPS included. The pipeline records per-step wall-clock
+// timings — the breakdown Figure 4 discusses — and per-step diagnostics
+// such as the 1-edge count and truth-discovery iterations.
 package core
 
 import (
@@ -21,7 +24,8 @@ import (
 	"crowdrank/internal/truth"
 )
 
-// Searcher selects the Step 4 algorithm.
+// Searcher selects the Step 4 algorithm Search runs; each one optimizes
+// Options.Objective.
 type Searcher int
 
 const (
@@ -62,6 +66,9 @@ func (s Searcher) String() string {
 	}
 }
 
+// valid reports whether s is one of the searchers above.
+func (s Searcher) valid() bool { return s >= SearcherAuto && s <= SearcherBranchBound }
+
 // autoExactLimit is the largest instance SearcherAuto solves exactly.
 const autoExactLimit = 16
 
@@ -71,10 +78,14 @@ type Options struct {
 	Truth     truth.Params
 	Smooth    smooth.Params
 	Propagate propagate.Params
-	SAPS      search.SAPSParams
-	Searcher  Searcher
-	// Objective selects the Step 4 path-preference reading for every
-	// searcher (see search.Objective); it overrides SAPS.Objective.
+	// SAPS tunes the annealer; its Objective is ignored in favor of
+	// Options.Objective.
+	SAPS     search.SAPSParams
+	Searcher Searcher
+	// Objective selects the Step 4 path-preference reading (see
+	// search.Objective) for every searcher: Search overrides
+	// SAPS.Objective with it, and branch-and-bound rejects anything but
+	// the all-pairs objective.
 	Objective search.Objective
 	// PolishSweeps, when positive, refines the Step 4 result with up to
 	// this many insertion-move local-search sweeps (search.InsertionPolish)
@@ -111,13 +122,10 @@ func (t StepTimings) Total() time.Duration {
 	return t.TruthDiscovery + t.Smoothing + t.Propagation + t.Search
 }
 
-// Result is the pipeline output.
-type Result struct {
-	// Ranking is the inferred full ranking, best-first.
-	Ranking []int
-	// LogProb is the preference log-probability of the winning Hamiltonian
-	// path over the normalized closure.
-	LogProb float64
+// ClosureResult carries the Step 1-3 output: the complete normalized
+// closure that Search ranks, and the per-step diagnostics.
+type ClosureResult struct {
+	Closure *graph.PreferenceGraph
 	// WorkerQuality holds the Step 1 quality estimates, indexed by worker.
 	WorkerQuality []float64
 	// TruthIterations and TruthConverged report the Step 1 loop behavior.
@@ -127,10 +135,31 @@ type Result struct {
 	OneEdges int
 	// UninformedPairs counts pairs that fell back to 0.5/0.5 in Step 3.
 	UninformedPairs int
+	// Timings breaks the build down by step (Search stays zero: Step 4
+	// is the caller's). The serving layer feeds these into its per-stage
+	// latency histograms.
+	Timings StepTimings
+}
+
+// Result is the pipeline output: the Step 1-3 closure and diagnostics
+// (whose Timings.Search Infer fills in) plus the Step 4 ranking.
+type Result struct {
+	ClosureResult
+	// Ranking is the inferred full ranking, best-first.
+	Ranking []int
+	// LogProb is the preference log-probability of the winning Hamiltonian
+	// path over the normalized closure.
+	LogProb float64
 	// SearcherUsed reports which Step 4 algorithm actually ran.
 	SearcherUsed Searcher
-	// Timings is the per-step wall-clock breakdown.
-	Timings StepTimings
+}
+
+// NewPipelineRNG returns the random source the pipeline runs on for seed.
+// Infer, CertifyRanking and the ranking daemon all seed through it, so a
+// ranking inferred or served under a seed certifies against the closure
+// rebuilt under the same seed.
+func NewPipelineRNG(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0xd1342543de82ef95))
 }
 
 // Infer runs the four-step inference pipeline over the votes of m workers
@@ -145,6 +174,32 @@ func Infer(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*Result,
 // branch-and-bound), so an expired deadline or an explicit cancel abandons
 // inference promptly with ctx's error.
 func InferContext(ctx context.Context, n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*Result, error) {
+	if !opts.Searcher.valid() {
+		return nil, fmt.Errorf("core: unknown searcher %d", int(opts.Searcher))
+	}
+	cl, err := buildClosure(ctx, n, m, votes, opts, rng)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	sr, used, err := Search(ctx, cl.Closure, opts, rng)
+	if err != nil {
+		return nil, err
+	}
+	cl.Timings.Search = time.Since(start)
+	return &Result{ClosureResult: *cl, Ranking: sr.Path, LogProb: sr.LogProb, SearcherUsed: used}, nil
+}
+
+// BuildClosure runs Steps 1-3 only (truth discovery, smoothing,
+// propagation) and returns the complete normalized closure together with
+// the per-step diagnostics. rng drives the smoothing draws.
+func BuildClosure(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
+	return buildClosure(context.Background(), n, m, votes, opts, rng)
+}
+
+// buildClosure is BuildClosure with ctx checked before each step and after
+// the last.
+func buildClosure(ctx context.Context, n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: nil random source")
 	}
@@ -162,7 +217,7 @@ func InferContext(ctx context.Context, n, m int, votes []crowd.Vote, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("core: step 1 (preference graph): %w", err)
 	}
-	res := &Result{
+	res := &ClosureResult{
 		WorkerQuality:   discovered.Quality,
 		TruthIterations: discovered.Iterations,
 		TruthConverged:  discovered.Converged,
@@ -195,23 +250,32 @@ func InferContext(ctx context.Context, n, m int, votes []crowd.Vote, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("core: step 3 (propagation): %w", err)
 	}
+	res.Closure = closure
 	res.UninformedPairs = propStats.UninformedPairs
 	res.Timings.Propagation = time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
 
-	// Step 4: best-ranking search.
-	start = time.Now()
+// Search runs Step 4 over a complete normalized closure and reports the
+// searcher that ran. It resolves SearcherAuto (Held-Karp up to 16 objects,
+// SAPS beyond), optimizes opts.Objective with every searcher (overriding
+// opts.SAPS.Objective), and refines the result with opts.PolishSweeps
+// insertion sweeps when positive. rng drives SAPS only. ctx is polled
+// inside SAPS and branch-and-bound; a cancellation returns ctx's error.
+func Search(ctx context.Context, closure *graph.PreferenceGraph, opts Options, rng *rand.Rand) (*search.Result, Searcher, error) {
 	searcher := opts.Searcher
 	if searcher == SearcherAuto {
-		if n <= autoExactLimit {
+		if closure.N() <= autoExactLimit {
 			searcher = SearcherHeldKarp
 		} else {
 			searcher = SearcherSAPS
 		}
 	}
 	var sr *search.Result
+	var err error
 	switch searcher {
 	case SearcherSAPS:
 		sapsParams := opts.SAPS
@@ -229,127 +293,28 @@ func InferContext(ctx context.Context, n, m int, votes []crowd.Vote, opts Option
 		sr, err = search.BruteForce(closure, 0, opts.Objective)
 	case SearcherBranchBound:
 		if opts.Objective != search.ObjectiveAllPairs {
-			return nil, fmt.Errorf("core: branch-and-bound supports only the all-pairs objective")
+			return nil, searcher, fmt.Errorf("core: branch-and-bound supports only the all-pairs objective")
 		}
 		sr, err = search.BranchAndBoundContext(ctx, closure, search.BranchAndBoundParams{})
 	default:
-		return nil, fmt.Errorf("core: unknown searcher %d", int(searcher))
+		return nil, searcher, fmt.Errorf("core: unknown searcher %d", int(searcher))
 	}
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr // cancellation, not a search failure
+			return nil, searcher, ctxErr // cancellation, not a search failure
 		}
-		return nil, fmt.Errorf("core: step 4 (%v search): %w", searcher, err)
+		return nil, searcher, fmt.Errorf("core: step 4 (%v search): %w", searcher, err)
 	}
 	if opts.PolishSweeps > 0 {
 		polished, err := search.InsertionPolish(closure, sr.Path, opts.Objective, opts.PolishSweeps)
 		if err != nil {
-			return nil, fmt.Errorf("core: step 4 (insertion polish): %w", err)
+			return nil, searcher, fmt.Errorf("core: step 4 (insertion polish): %w", err)
 		}
 		sr = polished
 	}
 	// Stage-boundary assertion (no-op unless built with
 	// -tags crowdrank_invariants): every searcher must return a
 	// permutation of the n objects.
-	invariant.CheckRanking(n, sr.Path)
-	res.SearcherUsed = searcher
-	res.Ranking = sr.Path
-	res.LogProb = sr.LogProb
-	res.Timings.Search = time.Since(start)
-	return res, nil
-}
-
-// ClosureResult carries the Step 1-3 output for callers that want to run
-// multiple Step 4 searchers over identical inputs.
-type ClosureResult struct {
-	Closure         *graph.PreferenceGraph
-	WorkerQuality   []float64
-	TruthIterations int
-	TruthConverged  bool
-	OneEdges        int
-	UninformedPairs int
-	// Timings breaks the build down by step (Search stays zero: Step 4
-	// is the caller's). The serving layer feeds these into its per-stage
-	// latency histograms.
-	Timings StepTimings
-}
-
-// BuildClosure runs Steps 1-3 only (truth discovery, smoothing,
-// propagation) and returns the complete normalized closure together with
-// the per-step diagnostics. rng drives the smoothing draws.
-func BuildClosure(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("core: nil random source")
-	}
-	var timings StepTimings
-	start := time.Now()
-	discovered, err := truth.Discover(n, m, votes, opts.Truth)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 1 (truth discovery): %w", err)
-	}
-	gp, err := truth.BuildPreferenceGraph(n, discovered.Preference)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 1 (preference graph): %w", err)
-	}
-	timings.TruthDiscovery = time.Since(start)
-	start = time.Now()
-	workersByPair := make(map[graph.Pair][]int)
-	for _, v := range votes {
-		p := v.Pair()
-		workersByPair[p] = append(workersByPair[p], v.Worker)
-	}
-	smoothed, smoothStats, err := smooth.Smooth(gp, discovered.Quality, workersByPair, rng, opts.Smooth)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 2 (smoothing): %w", err)
-	}
-	timings.Smoothing = time.Since(start)
-	start = time.Now()
-	closure, propStats, err := propagate.Closure(smoothed, opts.Propagate)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 3 (propagation): %w", err)
-	}
-	timings.Propagation = time.Since(start)
-	return &ClosureResult{
-		Closure:         closure,
-		WorkerQuality:   discovered.Quality,
-		TruthIterations: discovered.Iterations,
-		TruthConverged:  discovered.Converged,
-		OneEdges:        smoothStats.OneEdges,
-		UninformedPairs: propStats.UninformedPairs,
-		Timings:         timings,
-	}, nil
-}
-
-// InferFromClosure runs only Step 4 over an existing complete closure,
-// allowing callers (examples, ablations) to compare searchers on identical
-// inputs. The objective is taken from sapsParams.Objective for every
-// searcher.
-func InferFromClosure(closure *graph.PreferenceGraph, searcher Searcher, sapsParams search.SAPSParams, rng *rand.Rand) (*search.Result, error) {
-	obj := sapsParams.Objective
-	switch searcher {
-	case SearcherSAPS:
-		return search.SAPS(closure, sapsParams, rng)
-	case SearcherTAPS:
-		tr, err := search.TAPS(closure, search.TAPSParams{Objective: obj})
-		if err != nil {
-			return nil, err
-		}
-		return &tr.Result, nil
-	case SearcherHeldKarp:
-		return search.HeldKarp(closure, 0, obj)
-	case SearcherBruteForce:
-		return search.BruteForce(closure, 0, obj)
-	case SearcherBranchBound:
-		if obj != search.ObjectiveAllPairs {
-			return nil, fmt.Errorf("core: branch-and-bound supports only the all-pairs objective")
-		}
-		return search.BranchAndBound(closure, search.BranchAndBoundParams{})
-	case SearcherAuto:
-		if closure.N() <= autoExactLimit {
-			return search.HeldKarp(closure, 0, obj)
-		}
-		return search.SAPS(closure, sapsParams, rng)
-	default:
-		return nil, fmt.Errorf("core: unknown searcher %d", int(searcher))
-	}
+	invariant.CheckRanking(closure.N(), sr.Path)
+	return sr, searcher, nil
 }

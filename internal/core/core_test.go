@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"crowdrank/internal/crowd"
@@ -181,10 +184,12 @@ func TestInferValidation(t *testing.T) {
 	if _, err := Infer(2, 1, nil, DefaultOptions(), newRNG(1)); err == nil {
 		t.Error("no votes should fail")
 	}
+	// An unknown searcher is rejected before Step 1 runs: Step 1 would
+	// report the missing votes instead.
 	opts := DefaultOptions()
 	opts.Searcher = Searcher(99)
-	if _, err := Infer(2, 1, votes, opts, newRNG(1)); err == nil {
-		t.Error("unknown searcher should fail")
+	if _, err := Infer(2, 1, nil, opts, newRNG(1)); err == nil || !strings.Contains(err.Error(), "unknown searcher") {
+		t.Errorf("unknown searcher: err = %v", err)
 	}
 }
 
@@ -249,7 +254,10 @@ func TestInferObjectiveOption(t *testing.T) {
 	}
 }
 
-func TestInferFromClosure(t *testing.T) {
+// TestSearch runs Step 4 alone over a hand-built closure: every searcher
+// finds the consistent order, Auto resolves to Held-Karp, opts.Objective
+// overrides the SAPS params' own, and an unknown searcher is an error.
+func TestSearch(t *testing.T) {
 	g, err := graph.NewPreferenceGraph(5)
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +273,10 @@ func TestInferFromClosure(t *testing.T) {
 		}
 	}
 	opts := DefaultOptions()
-	for _, s := range []Searcher{SearcherAuto, SearcherSAPS, SearcherTAPS, SearcherHeldKarp, SearcherBruteForce} {
-		r, err := InferFromClosure(g, s, opts.SAPS, newRNG(7))
+	opts.SAPS.Objective = 99 // invalid, but Search must use opts.Objective
+	for _, s := range []Searcher{SearcherAuto, SearcherSAPS, SearcherTAPS, SearcherHeldKarp, SearcherBruteForce, SearcherBranchBound} {
+		opts.Searcher = s
+		r, used, err := Search(context.Background(), g, opts, newRNG(7))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -275,8 +285,16 @@ func TestInferFromClosure(t *testing.T) {
 				t.Fatalf("%v: path %v should be identity", s, r.Path)
 			}
 		}
+		want := s
+		if s == SearcherAuto {
+			want = SearcherHeldKarp
+		}
+		if used != want {
+			t.Errorf("%v: used %v, want %v", s, used, want)
+		}
 	}
-	if _, err := InferFromClosure(g, Searcher(99), opts.SAPS, newRNG(7)); err == nil {
+	opts.Searcher = Searcher(99)
+	if _, _, err := Search(context.Background(), g, opts, newRNG(7)); err == nil {
 		t.Error("unknown searcher should fail")
 	}
 }
@@ -390,4 +408,81 @@ func TestPolishedFloorOnRealClosure(t *testing.T) {
 		t.Fatalf("floor %v scores below its unpolished start %v", floor.LogProb, raw.Score)
 	}
 	t.Logf("net-score order %.1f, polished floor %.1f nats", raw.Score, floor.LogProb)
+}
+
+// TestInferGolden pins the pipeline's output bit for bit: one rng feeds
+// Step 2's smoothing draws first and SAPS second, and every searcher reads
+// opts.Objective. A refactor of the Steps 1-3 build or the Step 4 dispatch
+// must leave these rankings, log-probabilities and searcher choices
+// unchanged; so must EXPERIMENTS.md's tables and every served certificate.
+func TestInferGolden(t *testing.T) {
+	// exact30 is the proven all-pairs optimum of the n=30 closure.
+	exact30 := []int{27, 22, 29, 18, 20, 26, 9, 21, 2, 17, 12, 14, 10, 13, 6, 4, 23, 5, 1, 25, 8, 0, 28, 15, 7, 16, 11, 19, 3, 24}
+	tests := []struct {
+		name     string
+		n        int
+		opts     func(*Options)
+		ranking  []int
+		logBits  uint64
+		searcher Searcher
+	}{
+		{
+			name: "auto heldkarp n=12", n: 12, opts: func(*Options) {},
+			ranking:  []int{8, 5, 6, 11, 1, 4, 2, 7, 0, 10, 3, 9},
+			logBits:  0xc037f5c70d424f7f,
+			searcher: SearcherHeldKarp,
+		},
+		{
+			name: "saps n=30", n: 30, opts: func(o *Options) { o.Searcher = SearcherSAPS },
+			ranking:  []int{27, 22, 18, 29, 26, 20, 9, 21, 17, 12, 2, 14, 10, 13, 6, 1, 23, 4, 25, 5, 8, 0, 28, 15, 7, 16, 11, 19, 3, 24},
+			logBits:  0xc062d61d3067e110,
+			searcher: SearcherSAPS,
+		},
+		{
+			name: "branchbound n=30", n: 30, opts: func(o *Options) { o.Searcher = SearcherBranchBound },
+			ranking:  exact30,
+			logBits:  0xc062add11d92533d,
+			searcher: SearcherBranchBound,
+		},
+		{
+			name: "saps polish n=30", n: 30,
+			opts: func(o *Options) {
+				o.Searcher = SearcherSAPS
+				o.PolishSweeps = 4
+			},
+			ranking:  exact30,
+			logBits:  0xc062add11d92533d,
+			searcher: SearcherSAPS,
+		},
+		{
+			name: "saps consecutive n=30", n: 30,
+			opts: func(o *Options) {
+				o.Searcher = SearcherSAPS
+				o.Objective = search.ObjectiveConsecutive
+			},
+			ranking:  []int{27, 6, 5, 28, 15, 23, 0, 7, 1, 26, 9, 29, 18, 21, 13, 25, 8, 2, 20, 14, 4, 16, 19, 3, 11, 22, 17, 12, 10, 24},
+			logBits:  0xc02d20f75d2e5a12,
+			searcher: SearcherSAPS,
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			votes, _ := simulateRound(t, tc.n, 12, 6, 0.4, simulate.Gaussian, simulate.MediumQuality, 901)
+			opts := DefaultOptions()
+			tc.opts(&opts)
+			res, err := Infer(tc.n, 12, votes, opts, newRNG(902))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Ranking, tc.ranking) {
+				t.Errorf("ranking = %#v, want %#v", res.Ranking, tc.ranking)
+			}
+			if got := math.Float64bits(res.LogProb); got != tc.logBits {
+				t.Errorf("log prob bits = %#x, want %#x", got, tc.logBits)
+			}
+			if res.SearcherUsed != tc.searcher {
+				t.Errorf("searcher used = %v, want %v", res.SearcherUsed, tc.searcher)
+			}
+		})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"slices"
 	"strconv"
 	"time"
@@ -63,13 +62,6 @@ type RankResult struct {
 // without the generation moving.
 func (r *RankResult) etag() string {
 	return `"` + strconv.FormatUint(r.Gen, 10) + "-" + r.Algorithm + `"`
-}
-
-// newPipelineRNG seeds the closure pipeline exactly as the public
-// Infer/CertifyRanking do, so a served ranking certifies against the
-// closure CertifyRanking(..., WithSeed(seed)) rebuilds.
-func newPipelineRNG(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0xd1342543de82ef95))
 }
 
 // heldKarpEstimate guesses Held-Karp's runtime (O(2^n n^2) subset DP) at a
@@ -268,7 +260,7 @@ func (s *Server) current() (genEntry, error) {
 	}
 	opts := core.DefaultOptions()
 	opts.Propagate.Parallelism = s.cfg.Parallelism
-	rng := newPipelineRNG(s.cfg.Seed)
+	rng := core.NewPipelineRNG(s.cfg.Seed)
 	//lint:ignore lockcheck cacheMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker channels) so identical generations are computed once and served from cache
 	cl, err := core.BuildClosure(s.cfg.N, s.cfg.M, votes, opts, rng)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -246,6 +247,62 @@ func TestInferContextCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("cancelled InferContext took %v", elapsed)
+	}
+}
+
+// cancelFromCtx is a context whose Err reports context.Canceled from its
+// k-th call onward (never when k is 0); calls counts every Err call.
+type cancelFromCtx struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+func (c *cancelFromCtx) Err() error {
+	if n := c.calls.Add(1); c.k > 0 && n >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestInferContextChecksBetweenSteps: whichever ctx check first sees the
+// cancellation — before Step 1, between steps, or inside a Step 4
+// searcher — InferContext returns context.Canceled and never a ranking.
+func TestInferContextChecksBetweenSteps(t *testing.T) {
+	plan, err := PlanTasksRatio(14, 0.4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round, err := SimulateVotes(plan, DefaultSimConfig(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"heldkarp", []Option{WithSearch(SearchHeldKarp)}},
+		{"saps", []Option{WithSearch(SearchSAPS), WithSAPS(10, 1.0, 0.97, 2)}},
+		{"branchbound", []Option{WithSearch(SearchBranchBound)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{WithSeed(7)}, tc.opts...)
+			full := &cancelFromCtx{Context: context.Background()}
+			if _, err := InferContext(full, plan.N, 30, round.Votes, opts...); err != nil {
+				t.Fatal(err)
+			}
+			calls := full.calls.Load()
+			if calls < 4 {
+				t.Fatalf("ctx checked %d times, want at least once before each step", calls)
+			}
+			for k := int64(1); k <= calls; k++ {
+				ctx := &cancelFromCtx{Context: context.Background(), k: k}
+				res, err := InferContext(ctx, plan.N, 30, round.Votes, opts...)
+				if !errors.Is(err, context.Canceled) || res != nil {
+					t.Fatalf("cancelled at check %d of %d: res = %v, err = %v", k, calls, res, err)
+				}
+			}
+		})
 	}
 }
 
