@@ -11,10 +11,12 @@ import (
 	"io"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"crowdrank/internal/bench"
 	"crowdrank/internal/core"
 	"crowdrank/internal/search"
+	"crowdrank/internal/truth"
 )
 
 func benchExperiment(b *testing.B, fn func(io.Writer, bench.Scale) error) {
@@ -145,6 +147,69 @@ func BenchmarkSAPSSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkBuildClosure times Steps 1-3 at crowdrankd's scale (n=200,
+// m=30, one r=0.1 round of 19,900 votes) and reports the per-step means.
+// cold indexes every vote and builds, as core.BuildClosure does; fold20
+// adds 20 votes to an index already holding the rest and builds, as
+// crowdrankd does when a rank follows a 20-vote batch.
+func BenchmarkBuildClosure(b *testing.B) {
+	const n = 200
+	plan, err := PlanTasksRatio(n, 0.1, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultSimConfig(10)
+	round, err := SimulateVotes(plan, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	votes := toInternalVotes(round.Votes)
+	opts := core.DefaultOptions()
+	report := func(b *testing.B, sum core.StepTimings) {
+		perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+		b.ReportMetric(perOp(sum.TruthDiscovery), "truth_ms")
+		b.ReportMetric(perOp(sum.Smoothing), "smooth_ms")
+		b.ReportMetric(perOp(sum.Propagation), "propagate_ms")
+	}
+	add := func(sum *core.StepTimings, t core.StepTimings) {
+		sum.TruthDiscovery += t.TruthDiscovery
+		sum.Smoothing += t.Smoothing
+		sum.Propagation += t.Propagation
+	}
+	b.Run("cold", func(b *testing.B) {
+		var sum core.StepTimings
+		for i := 0; i < b.N; i++ {
+			cl, err := core.BuildClosure(plan.N, cfg.Workers, votes, opts, core.NewPipelineRNG(uint64(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			add(&sum, cl.Timings)
+		}
+		report(b, sum)
+	})
+	b.Run("fold20", func(b *testing.B) {
+		loaded, fresh := votes[:len(votes)-20], votes[len(votes)-20:]
+		var sum core.StepTimings
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			idx, err := truth.NewIndex(plan.N, cfg.Workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := idx.Add(loaded); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			cl, err := core.BuildClosureFrom(idx, fresh, opts, core.NewPipelineRNG(uint64(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			add(&sum, cl.Timings)
+		}
+		report(b, sum)
 	})
 }
 

@@ -197,9 +197,29 @@ func BuildClosure(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*
 	return buildClosure(context.Background(), n, m, votes, opts, rng)
 }
 
+// BuildClosureFrom adds votes to idx, then runs Steps 1-3 over every vote
+// idx holds. A caller whose votes only grow keeps one index and passes the
+// votes that arrived since its last build (idx.Len() counts those it
+// holds; they stay added even when a later step fails): the result
+// equals, bit for bit, BuildClosure over all of them. Each call returns a
+// fresh closure; idx must not be used concurrently.
+func BuildClosureFrom(idx *truth.Index, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
+	return closureFrom(context.Background(), idx, votes, opts, rng)
+}
+
 // buildClosure is BuildClosure with ctx checked before each step and after
 // the last.
 func buildClosure(ctx context.Context, n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
+	idx, err := truth.NewIndex(n, m)
+	if err != nil {
+		return nil, fmt.Errorf("core: step 1 (truth discovery): %w", err)
+	}
+	return closureFrom(ctx, idx, votes, opts, rng)
+}
+
+// closureFrom is the one Steps 1-3 implementation. Indexing the new votes
+// counts as truth discovery time.
+func closureFrom(ctx context.Context, idx *truth.Index, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: nil random source")
 	}
@@ -209,11 +229,14 @@ func buildClosure(ctx context.Context, n, m int, votes []crowd.Vote, opts Option
 
 	// Step 1: truth discovery.
 	start := time.Now()
-	discovered, err := truth.Discover(n, m, votes, opts.Truth)
+	if err := idx.Add(votes); err != nil {
+		return nil, fmt.Errorf("core: step 1 (truth discovery): %w", err)
+	}
+	discovered, err := truth.Discover(idx, opts.Truth)
 	if err != nil {
 		return nil, fmt.Errorf("core: step 1 (truth discovery): %w", err)
 	}
-	gp, err := truth.BuildPreferenceGraph(n, discovered.Preference)
+	gp, err := truth.BuildPreferenceGraph(idx, discovered.Preference)
 	if err != nil {
 		return nil, fmt.Errorf("core: step 1 (preference graph): %w", err)
 	}
@@ -227,14 +250,9 @@ func buildClosure(ctx context.Context, n, m int, votes []crowd.Vote, opts Option
 		return nil, err
 	}
 
-	// Step 2: preference smoothing.
+	// Step 2: preference smoothing, in place: G_P is this build's own.
 	start = time.Now()
-	workersByPair := make(map[graph.Pair][]int)
-	for _, v := range votes {
-		p := v.Pair()
-		workersByPair[p] = append(workersByPair[p], v.Worker)
-	}
-	smoothed, smoothStats, err := smooth.Smooth(gp, discovered.Quality, workersByPair, rng, opts.Smooth)
+	smoothStats, err := smooth.Smooth(gp, discovered.Quality, idx, rng, opts.Smooth)
 	if err != nil {
 		return nil, fmt.Errorf("core: step 2 (smoothing): %w", err)
 	}
@@ -246,7 +264,7 @@ func buildClosure(ctx context.Context, n, m int, votes []crowd.Vote, opts Option
 
 	// Step 3: preference propagation into the normalized closure.
 	start = time.Now()
-	closure, propStats, err := propagate.Closure(smoothed, opts.Propagate)
+	closure, propStats, err := propagate.Closure(gp, opts.Propagate)
 	if err != nil {
 		return nil, fmt.Errorf("core: step 3 (propagation): %w", err)
 	}

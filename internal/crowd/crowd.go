@@ -71,26 +71,6 @@ func ByWorker(votes []Vote) map[int][]Vote {
 	return out
 }
 
-// Pairs returns the distinct canonical pairs covered by votes in sorted
-// order.
-func Pairs(votes []Vote) []graph.Pair {
-	set := make(map[graph.Pair]bool)
-	for _, v := range votes {
-		set[v.Pair()] = true
-	}
-	out := make([]graph.Pair, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
-	})
-	return out
-}
-
 // Workers returns the distinct worker ids appearing in votes, sorted.
 func Workers(votes []Vote) []int {
 	set := make(map[int]bool)

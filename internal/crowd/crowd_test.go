@@ -73,13 +73,8 @@ func TestByPairAndByWorker(t *testing.T) {
 	}
 }
 
-func TestPairsAndWorkersSorted(t *testing.T) {
-	votes := sampleVotes()
-	pairs := Pairs(votes)
-	if len(pairs) != 2 || pairs[0] != (graph.Pair{I: 0, J: 1}) || pairs[1] != (graph.Pair{I: 1, J: 2}) {
-		t.Errorf("Pairs = %v", pairs)
-	}
-	workers := Workers(votes)
+func TestWorkersSorted(t *testing.T) {
+	workers := Workers(sampleVotes())
 	if len(workers) != 3 || workers[0] != 0 || workers[2] != 2 {
 		t.Errorf("Workers = %v", workers)
 	}

@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"crowdrank/internal/feq"
 )
@@ -28,17 +29,78 @@ func NewPreferenceGraph(n int) (*PreferenceGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("graph: preference graph needs at least one vertex, got n=%d", n)
 	}
-	w := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for i := range w {
-		w[i], backing = backing[:n:n], backing[n:]
-	}
 	return &PreferenceGraph{
 		n:   n,
-		w:   w,
+		w:   NewMatrix(n),
 		out: make([][]int, n),
 		in:  make([][]int, n),
 	}, nil
+}
+
+// NewMatrix returns a zeroed n x n matrix whose rows share one backing
+// array.
+func NewMatrix(n int) [][]float64 {
+	rows := make([][]float64, n)
+	backing := make([]float64, n*n)
+	for i := range rows {
+		rows[i], backing = backing[:n:n], backing[n:]
+	}
+	return rows
+}
+
+// FromWeights assembles a preference graph from a dense n x n weight
+// matrix in one pass, taking ownership of w. Every adjacency list comes
+// out ascending — the order SetWeight produces when edges are inserted
+// pair by pair in (i, j) order — without growing lists one edge at a time.
+// The diagonal must be zero and every weight in [0, 1].
+func FromWeights(w [][]float64) (*PreferenceGraph, error) {
+	n := len(w)
+	if n < 1 {
+		return nil, fmt.Errorf("graph: preference graph needs at least one vertex, got n=%d", n)
+	}
+	inDeg := make([]int, n)
+	edges := 0
+	for i, row := range w {
+		if len(row) != n {
+			return nil, fmt.Errorf("graph: weight row %d has %d entries, want %d", i, len(row), n)
+		}
+		for j, x := range row {
+			if x < 0 || x > 1 || math.IsNaN(x) {
+				return nil, fmt.Errorf("graph: weight %v for edge (%d,%d) outside [0,1]", x, i, j)
+			}
+			if x > 0 {
+				if i == j {
+					return nil, fmt.Errorf("graph: self-loop (%d,%d) is not a valid preference", i, j)
+				}
+				inDeg[j]++
+				edges++
+			}
+		}
+	}
+	// One backing array per direction; capped sub-slices keep a later
+	// SetWeight append from spilling into the next vertex's list.
+	outBacking := make([]int, 0, edges)
+	inBacking := make([]int, edges)
+	inEnd := make([]int, n) // next free offset of each in-list
+	for j := 1; j < n; j++ {
+		inEnd[j] = inEnd[j-1] + inDeg[j-1]
+	}
+	g := &PreferenceGraph{n: n, w: w, out: make([][]int, n), in: make([][]int, n)}
+	for i, row := range w {
+		start := len(outBacking)
+		for j, x := range row {
+			if x > 0 {
+				outBacking = append(outBacking, j)
+				inBacking[inEnd[j]] = i
+				inEnd[j]++
+			}
+		}
+		g.out[i] = outBacking[start:len(outBacking):len(outBacking)]
+	}
+	for j := range g.in {
+		g.in[j] = inBacking[inEnd[j]-inDeg[j] : inEnd[j] : inEnd[j]]
+	}
+	return g, nil
 }
 
 // N returns the number of vertices.
@@ -50,6 +112,16 @@ func (g *PreferenceGraph) Weight(i, j int) float64 {
 		return 0
 	}
 	return g.w[i][j]
+}
+
+// Row returns the weights w_i· of i's out-edges, indexed by target (0
+// where there is no edge). The slice is shared with internal state;
+// callers must not modify it.
+func (g *PreferenceGraph) Row(i int) []float64 {
+	if i < 0 || i >= g.n {
+		return nil
+	}
+	return g.w[i]
 }
 
 // HasEdge reports whether the directed edge i->j exists (w_ij > 0).
@@ -162,11 +234,11 @@ func (g *PreferenceGraph) OneEdges() []Pair {
 			}
 		}
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].I != edges[b].I {
-			return edges[a].I < edges[b].I
+	slices.SortFunc(edges, func(a, b Pair) int {
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
 		}
-		return edges[a].J < edges[b].J
+		return cmp.Compare(a.J, b.J)
 	})
 	return edges
 }
@@ -218,30 +290,4 @@ func (g *PreferenceGraph) IsComplete() bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of the preference graph.
-func (g *PreferenceGraph) Clone() *PreferenceGraph {
-	c, err := NewPreferenceGraph(g.n)
-	if err != nil {
-		//lint:ignore panics cloning a graph that was itself constructed via NewPreferenceGraph cannot fail; an error here is memory corruption
-		panic("graph: clone of invalid graph: " + err.Error())
-	}
-	for i := 0; i < g.n; i++ {
-		copy(c.w[i], g.w[i])
-		c.out[i] = append([]int(nil), g.out[i]...)
-		c.in[i] = append([]int(nil), g.in[i]...)
-	}
-	return c
-}
-
-// WeightsMatrix returns a deep copy of the full n x n weight matrix.
-func (g *PreferenceGraph) WeightsMatrix() [][]float64 {
-	out := make([][]float64, g.n)
-	backing := make([]float64, g.n*g.n)
-	for i := range out {
-		out[i], backing = backing[:g.n:g.n], backing[g.n:]
-		copy(out[i], g.w[i])
-	}
-	return out
 }

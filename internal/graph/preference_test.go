@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,21 +150,6 @@ func TestIsComplete(t *testing.T) {
 	}
 }
 
-func TestCloneAndWeightsMatrix(t *testing.T) {
-	g := mustPrefGraph(t, 3)
-	setW(t, g, 0, 1, 0.9)
-	c := g.Clone()
-	setW(t, c, 1, 2, 0.3)
-	if g.HasEdge(1, 2) {
-		t.Error("clone should be independent")
-	}
-	m := g.WeightsMatrix()
-	m[0][1] = 0.1
-	if g.Weight(0, 1) != 0.9 {
-		t.Error("WeightsMatrix should be a copy")
-	}
-}
-
 func TestStronglyConnected(t *testing.T) {
 	g := mustPrefGraph(t, 3)
 	setW(t, g, 0, 1, 0.5)
@@ -273,5 +260,59 @@ func TestStronglyConnectedQuickAgainstReachability(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestFromWeightsMatchesSetWeight(t *testing.T) {
+	// Inserting pairs in (i, j) order with SetWeight, both directions per
+	// pair, yields the same weights and adjacency order as FromWeights.
+	w := [][]float64{
+		{0, 0.7, 1, 0},
+		{0.3, 0, 0, 0.5},
+		{0, 0, 0, 0.2},
+		{0, 0.5, 0.8, 0},
+	}
+	g := mustPrefGraph(t, 4)
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			setW(t, g, i, j, w[i][j])
+			setW(t, g, j, i, w[j][i])
+		}
+	}
+	m := make([][]float64, len(w))
+	for i := range w {
+		m[i] = slices.Clone(w[i])
+	}
+	h, err := FromWeights(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 4; v++ {
+		if !slices.Equal(h.Out(v), g.Out(v)) || !slices.Equal(h.In(v), g.In(v)) {
+			t.Errorf("vertex %d: out %v in %v, want %v %v", v, h.Out(v), h.In(v), g.Out(v), g.In(v))
+		}
+		if !slices.Equal(h.Row(v), g.Row(v)) {
+			t.Errorf("row %d = %v, want %v", v, h.Row(v), g.Row(v))
+		}
+	}
+	// Growing one list must not spill into its neighbor's.
+	setW(t, h, 0, 3, 0.4)
+	if !slices.Equal(h.Out(1), []int{0, 3}) || !slices.Equal(h.Out(0), []int{1, 2, 3}) || !slices.Equal(h.In(3), []int{1, 2, 0}) {
+		t.Errorf("after SetWeight: Out(1) = %v, In(3) = %v", h.Out(1), h.In(3))
+	}
+}
+
+func TestFromWeightsRejectsBadMatrices(t *testing.T) {
+	for name, w := range map[string][][]float64{
+		"empty":        {},
+		"ragged":       {{0, 1}, {0}},
+		"self-loop":    {{0.5, 0}, {0, 0}},
+		"above one":    {{0, 1.5}, {0, 0}},
+		"negative":     {{0, -0.1}, {0, 0}},
+		"not a number": {{0, math.NaN()}, {0, 0}},
+	} {
+		if _, err := FromWeights(w); err == nil {
+			t.Errorf("%s: want an error", name)
+		}
 	}
 }

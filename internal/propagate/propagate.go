@@ -115,8 +115,6 @@ func Closure(g *graph.PreferenceGraph, p Params) (*graph.PreferenceGraph, Stats,
 		return nil, Stats{}, fmt.Errorf("propagate: nil preference graph")
 	}
 	n := g.N()
-	direct := g.WeightsMatrix()
-
 	hops := p.MaxHops
 	if hops > n-1 {
 		hops = n - 1
@@ -124,12 +122,8 @@ func Closure(g *graph.PreferenceGraph, p Params) (*graph.PreferenceGraph, Stats,
 	if hops < 1 {
 		hops = 1
 	}
-	indirect, indirectPairs := walkSums(g, direct, hops, p.PruneEpsilon, p.Parallelism)
+	indirect, indirectPairs := walkSums(g, hops, p.PruneEpsilon, p.Parallelism)
 
-	closure, err := graph.NewPreferenceGraph(n)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("propagate: %w", err)
-	}
 	var stats Stats
 	stats.IndirectPairs = indirectPairs
 	stats.HopsUsed = hops
@@ -151,6 +145,10 @@ func Closure(g *graph.PreferenceGraph, p Params) (*graph.PreferenceGraph, Stats,
 		meanMass /= float64(informed)
 	}
 
+	// The blend reads both directions of a pair before writing them, so
+	// it overwrites the walk sums in place: the matrix is this build's own
+	// and becomes the closure's.
+	weights := indirect
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			// Direct and indirect evidence live on different scales: direct
@@ -160,7 +158,8 @@ func Closure(g *graph.PreferenceGraph, p Params) (*graph.PreferenceGraph, Stats,
 			// keeps its meaning; the paper's final normalization
 			// w_ij / (w_ij + w_ji) makes the two formulations agree up to
 			// this per-source scaling. See DESIGN.md.
-			dTotal := direct[i][j] + direct[j][i]
+			dij, dji := g.Row(i)[j], g.Row(j)[i]
+			dTotal := dij + dji
 			iTotal := indirect[i][j] + indirect[j][i]
 			var indRatio float64
 			if iTotal > 0 {
@@ -173,9 +172,9 @@ func Closure(g *graph.PreferenceGraph, p Params) (*graph.PreferenceGraph, Stats,
 			var wij float64
 			switch {
 			case dTotal > 0 && iTotal > 0:
-				wij = p.Alpha*direct[i][j]/dTotal + (1-p.Alpha)*indRatio
+				wij = p.Alpha*dij/dTotal + (1-p.Alpha)*indRatio
 			case dTotal > 0:
-				wij = direct[i][j] / dTotal
+				wij = dij / dTotal
 			case iTotal > 0:
 				wij = indRatio
 			default:
@@ -183,13 +182,12 @@ func Closure(g *graph.PreferenceGraph, p Params) (*graph.PreferenceGraph, Stats,
 				wij = 0.5
 			}
 			wij = clampWeight(wij, p.WeightFloor)
-			if err := closure.SetWeight(i, j, wij); err != nil {
-				return nil, Stats{}, fmt.Errorf("propagate: %w", err)
-			}
-			if err := closure.SetWeight(j, i, 1-wij); err != nil {
-				return nil, Stats{}, fmt.Errorf("propagate: %w", err)
-			}
+			weights[i][j], weights[j][i] = wij, 1-wij
 		}
+	}
+	closure, err := graph.FromWeights(weights)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("propagate: %w", err)
 	}
 	// Stage-boundary assertion (no-op unless built with
 	// -tags crowdrank_invariants): the closure is a complete tournament
@@ -212,74 +210,75 @@ func clampWeight(w, floor float64) float64 {
 // walkSums accumulates, for every ordered pair (i, j), the sum over
 // 2..hops-hop walks of the product of edge weights: indirect[i][j] =
 // sum_{h=2..hops} (W^h)_ij, with diagonal contributions discarded at every
-// step so cycles through the source do not feed back. The multiplication
-// exploits sparsity by skipping zero entries of the current power.
-func walkSums(g *graph.PreferenceGraph, direct [][]float64, hops int, prune float64, parallelism int) ([][]float64, int) {
+// step so cycles through the source do not feed back. Row i of W^h needs
+// only row i of W^(h-1), so each source row runs all its hops on two
+// scratch rows, walking g's out-edges in compressed sparse row form and
+// skipping zero entries. Each row[j] sums its k terms in ascending k, so
+// the result does not depend on the order of g's adjacency lists.
+func walkSums(g *graph.PreferenceGraph, hops int, prune float64, parallelism int) ([][]float64, int) {
 	n := g.N()
-	indirect := newMatrix(n)
+	indirect := graph.NewMatrix(n)
 	if hops < 2 {
 		return indirect, 0
 	}
+	adj := newCSR(g)
 
-	cur := newMatrix(n) // current power W^h, starting at W^1 = direct
-	for i := 0; i < n; i++ {
-		copy(cur[i], direct[i])
-	}
-	next := newMatrix(n)
-
-	// Each source row i is independent of every other row, so the per-hop
-	// update shards trivially across goroutines with identical results.
-	updateRow := func(i int) {
-		row := next[i]
-		for j := range row {
-			row[j] = 0
-		}
-		curRow := cur[i]
-		for k := 0; k < n; k++ {
-			w := curRow[k]
-			if w <= prune || k == i {
-				continue
-			}
-			for _, j := range g.Out(k) {
-				if j == i {
+	// walkRow fills indirect[i]; a and b are the caller's scratch rows.
+	walkRow := func(i int, a, b []float64) {
+		cur, next := g.Row(i), a
+		ind := indirect[i]
+		for h := 2; h <= hops; h++ {
+			clear(next)
+			for k, w := range cur {
+				if w <= prune || k == i {
 					continue
 				}
-				row[j] += w * direct[k][j]
+				vals := adj.vals[adj.start[k]:adj.start[k+1]]
+				for t, j := range adj.cols[adj.start[k]:adj.start[k+1]] {
+					next[j] += w * vals[t]
+				}
 			}
-		}
-		for j := 0; j < n; j++ {
-			indirect[i][j] += row[j]
+			next[i] = 0 // walks that return to the source are discarded
+			for j, x := range next {
+				ind[j] += x
+			}
+			if h == 2 {
+				cur, next = next, b
+			} else {
+				cur, next = next, cur
+			}
 		}
 	}
 
-	for h := 2; h <= hops; h++ {
-		if parallelism <= 1 || n < 64 {
-			for i := 0; i < n; i++ {
-				updateRow(i)
-			}
-		} else {
-			workers := parallelism
-			if workers > n {
-				workers = n
-			}
-			var wg sync.WaitGroup
-			rowCh := make(chan int)
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for i := range rowCh {
-						updateRow(i)
-					}
-				}()
-			}
-			for i := 0; i < n; i++ {
-				rowCh <- i
-			}
-			close(rowCh)
-			wg.Wait()
+	// Source rows are independent of each other, so they shard across
+	// goroutines with identical results.
+	if parallelism <= 1 || n < 64 {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			walkRow(i, a, b)
 		}
-		cur, next = next, cur
+	} else {
+		workers := parallelism
+		if workers > n {
+			workers = n
+		}
+		var wg sync.WaitGroup
+		rowCh := make(chan int)
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				a, b := make([]float64, n), make([]float64, n)
+				for i := range rowCh {
+					walkRow(i, a, b)
+				}
+			}()
+		}
+		for i := 0; i < n; i++ {
+			rowCh <- i
+		}
+		close(rowCh)
+		wg.Wait()
 	}
 
 	pairs := 0
@@ -293,11 +292,29 @@ func walkSums(g *graph.PreferenceGraph, direct [][]float64, hops int, prune floa
 	return indirect, pairs
 }
 
-func newMatrix(n int) [][]float64 {
-	rows := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for i := range rows {
-		rows[i], backing = backing[:n:n], backing[n:]
+// csr holds a graph's out-edges in compressed sparse row form: vertex k's
+// targets are cols[start[k]:start[k+1]], with weights at the same offsets
+// of vals.
+type csr struct {
+	start []int
+	cols  []int
+	vals  []float64
+}
+
+func newCSR(g *graph.PreferenceGraph) csr {
+	n := g.N()
+	adj := csr{start: make([]int, n+1)}
+	for k := 0; k < n; k++ {
+		adj.start[k+1] = adj.start[k] + len(g.Out(k))
 	}
-	return rows
+	adj.cols = make([]int, 0, adj.start[n])
+	adj.vals = make([]float64, 0, adj.start[n])
+	for k := 0; k < n; k++ {
+		row := g.Row(k)
+		for _, j := range g.Out(k) {
+			adj.cols = append(adj.cols, j)
+			adj.vals = append(adj.vals, row[j])
+		}
+	}
+	return adj
 }

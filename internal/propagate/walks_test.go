@@ -64,7 +64,7 @@ func TestWalkSumsMatchEnumeration(t *testing.T) {
 			}
 		}
 		for _, hops := range []int{2, 3, 4} {
-			indirect, _ := walkSums(g, g.WeightsMatrix(), hops, 0, 1)
+			indirect, _ := walkSums(g, hops, 0, 1)
 			for src := 0; src < n; src++ {
 				for dst := 0; dst < n; dst++ {
 					if src == dst {
@@ -93,7 +93,7 @@ func TestWalkSumsExcludesDirectEdge(t *testing.T) {
 	if err := g.SetWeight(0, 1, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	indirect, pairs := walkSums(g, g.WeightsMatrix(), 3, 0, 1)
+	indirect, pairs := walkSums(g, 3, 0, 1)
 	if indirect[0][1] != 0 || pairs != 0 {
 		t.Errorf("lone direct edge leaked into indirect sums: %v (pairs=%d)", indirect[0][1], pairs)
 	}
@@ -113,11 +113,11 @@ func TestWalkSumsPruning(t *testing.T) {
 	if err := g.SetWeight(1, 2, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	unpruned, _ := walkSums(g, g.WeightsMatrix(), 2, 0, 1)
+	unpruned, _ := walkSums(g, 2, 0, 1)
 	if unpruned[0][2] == 0 {
 		t.Fatal("unpruned walk should exist")
 	}
-	pruned, _ := walkSums(g, g.WeightsMatrix(), 2, 1e-3, 1)
+	pruned, _ := walkSums(g, 2, 1e-3, 1)
 	if pruned[0][2] != 0 {
 		t.Errorf("pruning should drop the tiny-product walk, got %v", pruned[0][2])
 	}
@@ -142,8 +142,8 @@ func TestWalkSumsParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	seq, _ := walkSums(g, g.WeightsMatrix(), 3, 0, 1)
-	par, _ := walkSums(g, g.WeightsMatrix(), 3, 0, 8)
+	seq, _ := walkSums(g, 3, 0, 1)
+	par, _ := walkSums(g, 3, 0, 8)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if seq[i][j] != par[i][j] {

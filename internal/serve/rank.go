@@ -13,6 +13,7 @@ import (
 	"crowdrank/internal/graph"
 	"crowdrank/internal/invariant"
 	"crowdrank/internal/search"
+	"crowdrank/internal/truth"
 )
 
 // Algorithm names reported in RankResult.Algorithm. The acceptance
@@ -246,8 +247,9 @@ type genEntry struct {
 // current returns the cache entry for the newest vote state, building its
 // Steps 1-3 closure when the state moved since the last build. The state
 // is read under cacheMu, so the entry's generation only ever moves
-// forward. With no votes there is nothing to build or cache: the entry
-// carries the generation alone.
+// forward. The build folds the new votes into the server's vote index;
+// time spent indexing them counts as truth discovery. With no votes there
+// is nothing to build or cache: the entry carries the generation alone.
 func (s *Server) current() (genEntry, error) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
@@ -258,11 +260,21 @@ func (s *Server) current() (genEntry, error) {
 	if s.entry.closure != nil && s.entry.gen == gen {
 		return s.entry, nil
 	}
+	if s.index == nil {
+		idx, err := truth.NewIndex(s.cfg.N, s.cfg.M)
+		if err != nil {
+			return genEntry{}, fmt.Errorf("serve: building closure: %w", err)
+		}
+		s.index = idx
+	}
 	opts := core.DefaultOptions()
 	opts.Propagate.Parallelism = s.cfg.Parallelism
 	rng := core.NewPipelineRNG(s.cfg.Seed)
+	// s.votes only grows once the server is open, so the index holds a
+	// prefix of votes and folds in just the votes that arrived since the
+	// last build.
 	//lint:ignore lockcheck cacheMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker channels) so identical generations are computed once and served from cache
-	cl, err := core.BuildClosure(s.cfg.N, s.cfg.M, votes, opts, rng)
+	cl, err := core.BuildClosureFrom(s.index, votes[s.index.Len():], opts, rng)
 	if err != nil {
 		return genEntry{}, fmt.Errorf("serve: building closure: %w", err)
 	}

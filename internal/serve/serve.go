@@ -37,6 +37,7 @@ import (
 	"crowdrank/internal/journal"
 	"crowdrank/internal/obs"
 	"crowdrank/internal/snapshot"
+	"crowdrank/internal/truth"
 )
 
 // Config configures the daemon. Zero-valued fields take the documented
@@ -314,10 +315,12 @@ type Server struct {
 	lastSnapGen  uint64
 	lastSnapPath string
 
-	// cacheMu guards entry, the per-generation closure and ranking cache
-	// (rank.go).
+	// cacheMu guards entry, the per-generation closure and ranking cache,
+	// and index, the Steps 1-3 vote index the builds fold new votes into
+	// (rank.go). index holds a prefix of votes; nil until the first build.
 	cacheMu sync.Mutex
 	entry   genEntry
+	index   *truth.Index
 
 	breaker   *breaker
 	rankSem   chan struct{}

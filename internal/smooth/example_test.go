@@ -5,8 +5,10 @@ import (
 	"log"
 	"math/rand/v2"
 
+	"crowdrank/internal/crowd"
 	"crowdrank/internal/graph"
 	"crowdrank/internal/smooth"
+	"crowdrank/internal/truth"
 )
 
 // ExampleSmooth relaxes the 1-edges of a unanimous chain so the graph
@@ -24,21 +26,28 @@ func ExampleSmooth() {
 	if err := g.SetWeight(1, 2, 1); err != nil {
 		log.Fatal(err)
 	}
-	workers := map[graph.Pair][]int{
-		{I: 0, J: 1}: {0, 1},
-		{I: 1, J: 2}: {0, 1},
+	// Two workers answered both pairs, unanimously.
+	votes, err := truth.NewIndex(3, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := votes.Add([]crowd.Vote{
+		{Worker: 0, I: 0, J: 1, PrefersI: true}, {Worker: 1, I: 0, J: 1, PrefersI: true},
+		{Worker: 0, I: 1, J: 2, PrefersI: true}, {Worker: 1, I: 1, J: 2, PrefersI: true},
+	}); err != nil {
+		log.Fatal(err)
 	}
 	quality := []float64{0.98, 0.95}
 	rng := rand.New(rand.NewPCG(1, 2))
 
-	smoothed, stats, err := smooth.Smooth(g, quality, workers, rng, smooth.DefaultParams())
+	fmt.Println("before: strongly connected =", g.StronglyConnected())
+	stats, err := smooth.Smooth(g, quality, votes, rng, smooth.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("before: strongly connected =", g.StronglyConnected())
 	fmt.Println("1-edges smoothed:", stats.Smoothed)
-	fmt.Println("after: strongly connected =", smoothed.StronglyConnected())
-	fmt.Println("majority direction kept:", smoothed.Weight(0, 1) > 0.5)
+	fmt.Println("after: strongly connected =", g.StronglyConnected())
+	fmt.Println("majority direction kept:", g.Weight(0, 1) > 0.5)
 	// Output:
 	// before: strongly connected = false
 	// 1-edges smoothed: 2

@@ -20,6 +20,7 @@ import (
 
 	"crowdrank/internal/graph"
 	"crowdrank/internal/invariant"
+	"crowdrank/internal/truth"
 )
 
 // Params tunes smoothing. The zero value is not usable; call DefaultParams.
@@ -62,39 +63,50 @@ type Stats struct {
 	MeanDelta float64
 }
 
-// Smooth returns a smoothed copy of the preference graph g. quality[k] is
-// worker k's estimated quality in (0, 1] (from Step 1); workersByPair maps
-// each canonical compared pair to the workers who answered it. rng drives
-// the error draws, so a fixed source makes smoothing reproducible.
-func Smooth(g *graph.PreferenceGraph, quality []float64, workersByPair map[graph.Pair][]int, rng *rand.Rand, p Params) (*graph.PreferenceGraph, Stats, error) {
+// Smooth relaxes every 1-edge of the preference graph g in place, as the
+// paper's w_ij <- w_ij - delta, w_ji <- w_ji + delta does; on error g may
+// be partly smoothed. quality[k] is worker k's estimated quality in (0, 1]
+// (from Step 1); votes is the Step 1 vote index, which names the workers
+// who answered each pair. rng drives the error draws, one per answering
+// worker in vote order, 1-edges taken in (source, target) order, so a
+// fixed source makes smoothing reproducible.
+func Smooth(g *graph.PreferenceGraph, quality []float64, votes *truth.Index, rng *rand.Rand, p Params) (Stats, error) {
 	if err := p.validate(); err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	if g == nil {
-		return nil, Stats{}, fmt.Errorf("smooth: nil preference graph")
+		return Stats{}, fmt.Errorf("smooth: nil preference graph")
+	}
+	if votes == nil {
+		return Stats{}, fmt.Errorf("smooth: nil vote index")
 	}
 	if rng == nil {
-		return nil, Stats{}, fmt.Errorf("smooth: nil random source")
+		return Stats{}, fmt.Errorf("smooth: nil random source")
+	}
+	// sigma_k = -log(q_k), once per worker rather than once per vote.
+	sigma := make([]float64, len(quality))
+	for w, q := range quality {
+		if q > 0 && q <= 1 {
+			sigma[w] = -math.Log(q)
+		}
 	}
 
-	smoothed := g.Clone()
-	oneEdges := smoothed.OneEdges()
+	oneEdges := g.OneEdges()
 	var stats Stats
 	stats.OneEdges = len(oneEdges)
 	var totalDelta float64
 
 	for _, e := range oneEdges {
-		workers := workersByPair[graph.Pair{I: e.I, J: e.J}.Canon()]
-		delta, err := errorEstimate(workers, quality, rng, p)
+		delta, err := errorEstimate(votes.Voters(e.I, e.J), quality, sigma, rng, p)
 		if err != nil {
-			return nil, Stats{}, fmt.Errorf("smooth: edge %v: %w", e, err)
+			return Stats{}, fmt.Errorf("smooth: edge %v: %w", e, err)
 		}
 		// w_ij <- w_ij - delta, w_ji <- w_ji + delta (Section V-B).
-		if err := smoothed.SetWeight(e.I, e.J, 1-delta); err != nil {
-			return nil, Stats{}, fmt.Errorf("smooth: edge %v: %w", e, err)
+		if err := g.SetWeight(e.I, e.J, 1-delta); err != nil {
+			return Stats{}, fmt.Errorf("smooth: edge %v: %w", e, err)
 		}
-		if err := smoothed.SetWeight(e.J, e.I, delta); err != nil {
-			return nil, Stats{}, fmt.Errorf("smooth: reverse of edge %v: %w", e, err)
+		if err := g.SetWeight(e.J, e.I, delta); err != nil {
+			return Stats{}, fmt.Errorf("smooth: reverse of edge %v: %w", e, err)
 		}
 		stats.Smoothed++
 		totalDelta += delta
@@ -105,8 +117,8 @@ func Smooth(g *graph.PreferenceGraph, quality []float64, workersByPair map[graph
 	// Stage-boundary assertion (no-op unless built with
 	// -tags crowdrank_invariants): no surviving 1-edges, bidirectional
 	// pairs, and strong connectivity on connected support (Theorem 5.1).
-	invariant.CheckSmoothed(smoothed)
-	return smoothed, stats, nil
+	invariant.CheckSmoothed(g)
+	return stats, nil
 }
 
 // errorEstimate computes the smoothing adjustment for one 1-edge: the mean
@@ -114,7 +126,7 @@ func Smooth(g *graph.PreferenceGraph, quality []float64, workersByPair map[graph
 // sigma_k = -log(q_k). The magnitude is clamped into [MinDelta, MaxDelta];
 // the absolute value is taken because a signed draw could push a weight
 // outside (0, 1), and the clamp keeps the unanimous direction dominant.
-func errorEstimate(workers []int, quality []float64, rng *rand.Rand, p Params) (float64, error) {
+func errorEstimate(workers []int32, quality, sigma []float64, rng *rand.Rand, p Params) (float64, error) {
 	if len(workers) == 0 {
 		// No recorded workers for this edge (possible when the caller
 		// smooths a hand-built graph): fall back to the minimum adjustment.
@@ -122,15 +134,13 @@ func errorEstimate(workers []int, quality []float64, rng *rand.Rand, p Params) (
 	}
 	var sum float64
 	for _, w := range workers {
-		if w < 0 || w >= len(quality) {
+		if int(w) >= len(quality) {
 			return 0, fmt.Errorf("worker %d outside quality table of size %d", w, len(quality))
 		}
-		q := quality[w]
-		if q <= 0 || q > 1 {
+		if q := quality[w]; q <= 0 || q > 1 {
 			return 0, fmt.Errorf("worker %d has quality %v outside (0,1]", w, q)
 		}
-		sigma := -math.Log(q)
-		sum += math.Abs(rng.NormFloat64() * sigma)
+		sum += math.Abs(rng.NormFloat64() * sigma[w])
 	}
 	delta := sum / float64(len(workers))
 	switch {

@@ -5,7 +5,6 @@ import (
 	"log"
 
 	"crowdrank/internal/crowd"
-	"crowdrank/internal/graph"
 	"crowdrank/internal/truth"
 )
 
@@ -23,11 +22,19 @@ func ExampleDiscover() {
 		{Worker: 2, I: 1, J: 2, PrefersI: true},
 		{Worker: 3, I: 1, J: 2, PrefersI: false}, // dissenter again
 	}
-	res, err := truth.Discover(3, 4, votes, truth.DefaultParams())
+	idx, err := truth.NewIndex(3, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	x01 := res.Preference[graph.Pair{I: 0, J: 1}]
+	if err := idx.Add(votes); err != nil {
+		log.Fatal(err)
+	}
+	res, err := truth.Discover(idx, truth.DefaultParams())
+	if err != nil {
+		log.Fatal(err)
+	}
+	id, _ := idx.PairID(0, 1)
+	x01 := res.Preference[id]
 	fmt.Printf("preference 0<1 decisively above 1/2: %v\n", x01 > 0.9)
 	fmt.Printf("dissenter quality below the majority's: %v\n",
 		res.Quality[3] < res.Quality[0])

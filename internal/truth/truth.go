@@ -17,7 +17,6 @@ import (
 	"math"
 	"sort"
 
-	"crowdrank/internal/crowd"
 	"crowdrank/internal/graph"
 	"crowdrank/internal/stat"
 )
@@ -71,9 +70,9 @@ func (p Params) validate() error {
 
 // Result holds the discovered truths and worker qualities.
 type Result struct {
-	// Preference maps each canonical pair (I < J) to x̂_IJ, the estimated
-	// probability that O_I ≺ O_J.
-	Preference map[graph.Pair]float64
+	// Preference holds x̂_IJ per pair id of the index discovered over: the
+	// estimated probability that O_I ≺ O_J for the canonical pair (I < J).
+	Preference []float64
 	// Weight holds each worker's CRH aggregation weight (Equation 5),
 	// normalized so the best worker has weight 1. These weights drive the
 	// weighted average of Equation 4; their *ratios* are meaningful but
@@ -97,63 +96,41 @@ type Result struct {
 	Converged bool
 }
 
-// observation is a decoded vote: a pair index, the worker, and the paper's
-// 0/1 vote value with respect to the canonical pair orientation.
-type observation struct {
-	pair   int
-	worker int
-	value  float64
-}
-
-// Discover runs iterative truth discovery over the votes of m workers on n
-// objects. Every vote is validated; the vote set must be non-empty.
-func Discover(n, m int, votes []crowd.Vote, p Params) (*Result, error) {
+// Discover runs iterative truth discovery over the votes idx holds; there
+// must be at least one. Every sum runs in vote order — each pair's
+// Equation 4 average over the pair's votes, each worker's squared error
+// over the worker's votes — so the result is the same bit for bit however
+// the votes were split across Add calls.
+func Discover(idx *Index, p Params) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if n < 2 {
-		return nil, fmt.Errorf("truth: need at least two objects, got n=%d", n)
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("truth: need at least one worker, got m=%d", m)
-	}
-	if len(votes) == 0 {
+	if idx.Len() == 0 {
 		return nil, fmt.Errorf("truth: no votes to aggregate")
 	}
-	for idx, v := range votes {
-		if err := v.Validate(n, m); err != nil {
-			return nil, fmt.Errorf("truth: vote %d: %w", idx, err)
-		}
-	}
-
-	// Index votes once: per canonical pair, the (worker, value) list; per
-	// worker, the list of pair indices and values.
-	pairs := crowd.Pairs(votes)
-	pairIndex := make(map[graph.Pair]int, len(pairs))
-	for i, pr := range pairs {
-		pairIndex[pr] = i
-	}
-	observations := make([]observation, len(votes))
+	m := idx.M()
 	taskCounts := make([]int, m)
-	for i, v := range votes {
-		observations[i] = observation{pair: pairIndex[v.Pair()], worker: v.Worker, value: v.Value()}
-		taskCounts[v.Worker]++
+	for w := range taskCounts {
+		taskCounts[w] = len(idx.byWorker[w].pairs)
 	}
 
-	// Chi-square percentiles are needed once per distinct task count.
+	// Each worker's chi-square percentile χ²(α/2, |T_k|), computed once
+	// per distinct task count.
+	chi := make([]float64, m)
 	chiByCount := make(map[int]float64)
-	for _, c := range taskCounts {
+	for w, c := range taskCounts {
 		if c == 0 {
 			continue
 		}
-		if _, ok := chiByCount[c]; ok {
-			continue
+		q, ok := chiByCount[c]
+		if !ok {
+			var err error
+			if q, err = stat.ChiSquareQuantile(p.Alpha/2, float64(c)); err != nil {
+				return nil, fmt.Errorf("truth: chi-square percentile for df=%d: %w", c, err)
+			}
+			chiByCount[c] = q
 		}
-		q, err := stat.ChiSquareQuantile(p.Alpha/2, float64(c))
-		if err != nil {
-			return nil, fmt.Errorf("truth: chi-square percentile for df=%d: %w", c, err)
-		}
-		chiByCount[c] = q
+		chi[w] = q
 	}
 
 	weight := make([]float64, m)
@@ -162,9 +139,10 @@ func Discover(n, m int, votes []crowd.Vote, p Params) (*Result, error) {
 			weight[w] = 1 // paper: start with equal quality
 		}
 	}
-	pref := make([]float64, len(pairs))
-	prevPref := make([]float64, len(pairs))
+	pref := make([]float64, idx.Pairs())
+	prevPref := make([]float64, len(pref))
 	prevWeight := make([]float64, m)
+	sqErr := make([]float64, m)
 
 	iterations := 0
 	converged := false
@@ -173,8 +151,9 @@ func Discover(n, m int, votes []crowd.Vote, p Params) (*Result, error) {
 		copy(prevPref, pref)
 		copy(prevWeight, weight)
 
-		updatePreferences(observations, weight, pref)
-		updateWeights(observations, pref, taskCounts, chiByCount, weight, p.QualityFloor)
+		updatePreferences(idx, weight, pref)
+		squaredErrors(idx, pref, sqErr)
+		updateWeights(sqErr, taskCounts, chi, weight, p.QualityFloor)
 
 		if iterations > 1 && maxDelta(pref, prevPref) < p.Tolerance && maxDelta(weight, prevWeight) < p.Tolerance {
 			converged = true
@@ -182,14 +161,11 @@ func Discover(n, m int, votes []crowd.Vote, p Params) (*Result, error) {
 		}
 	}
 
-	preference := make(map[graph.Pair]float64, len(pairs))
-	for i, pr := range pairs {
-		preference[pr] = pref[i]
-	}
+	squaredErrors(idx, pref, sqErr)
 	return &Result{
-		Preference: preference,
+		Preference: pref,
 		Weight:     weight,
-		Quality:    boundedQualities(observations, pref, taskCounts, p.QualityFloor),
+		Quality:    boundedQualities(sqErr, taskCounts, p.QualityFloor),
 		TaskCounts: taskCounts,
 		Iterations: iterations,
 		Converged:  converged,
@@ -199,13 +175,8 @@ func Discover(n, m int, votes []crowd.Vote, p Params) (*Result, error) {
 // boundedQualities derives the calibrated per-worker quality
 // q_k = 1 - sqErr_k/|T_k| in [floor, 1], the complement of the mean squared
 // deviation from the discovered truths.
-func boundedQualities(observations []observation, pref []float64, taskCounts []int, floor float64) []float64 {
+func boundedQualities(sqErr []float64, taskCounts []int, floor float64) []float64 {
 	quality := make([]float64, len(taskCounts))
-	sqErr := make([]float64, len(taskCounts))
-	for _, o := range observations {
-		d := o.value - pref[o.pair]
-		sqErr[o.worker] += d * d
-	}
 	for w := range quality {
 		if taskCounts[w] == 0 {
 			continue
@@ -222,21 +193,36 @@ func boundedQualities(observations []observation, pref []float64, taskCounts []i
 	return quality
 }
 
-// updatePreferences applies Equation 4: the weight-averaged vote per pair.
-func updatePreferences(observations []observation, weight, pref []float64) {
-	num := make([]float64, len(pref))
-	den := make([]float64, len(pref))
-	for _, o := range observations {
-		q := weight[o.worker]
-		num[o.pair] += o.value * q
-		den[o.pair] += q
-	}
-	for i := range pref {
-		if den[i] > 0 {
-			pref[i] = num[i] / den[i]
-		} else {
-			pref[i] = 0.5 // no usable votes: maximal uncertainty
+// updatePreferences applies Equation 4: the weight-averaged vote per pair,
+// summed over the pair's votes in vote order.
+func updatePreferences(idx *Index, weight, pref []float64) {
+	for id := range idx.pairs {
+		pv := &idx.pairs[id]
+		var num, den float64
+		for t, w := range pv.workers {
+			q := weight[w]
+			num += float64(pv.values[t]) * q
+			den += q
 		}
+		if den > 0 {
+			pref[id] = num / den
+		} else {
+			pref[id] = 0.5 // no usable votes: maximal uncertainty
+		}
+	}
+}
+
+// squaredErrors fills sqErr[k] with Σ (x^k - x̂)² over worker k's votes,
+// summed in vote order.
+func squaredErrors(idx *Index, pref, sqErr []float64) {
+	for w := range idx.byWorker {
+		wv := &idx.byWorker[w]
+		var sum float64
+		for t, id := range wv.pairs {
+			d := float64(wv.values[t]) - pref[id]
+			sum += d * d
+		}
+		sqErr[w] = sum
 	}
 }
 
@@ -245,12 +231,7 @@ func updatePreferences(observations []observation, weight, pref []float64) {
 // error is floored at a quarter of one full disagreement so a
 // perfectly-agreeing worker's weight stays finite without dwarfing everyone
 // else by orders of magnitude.
-func updateWeights(observations []observation, pref []float64, taskCounts []int, chiByCount map[int]float64, weight []float64, floor float64) {
-	sqErr := make([]float64, len(weight))
-	for _, o := range observations {
-		d := o.value - pref[o.pair]
-		sqErr[o.worker] += d * d
-	}
+func updateWeights(sqErr []float64, taskCounts []int, chi, weight []float64, floor float64) {
 	maxW := 0.0
 	for w := range weight {
 		if taskCounts[w] == 0 {
@@ -258,7 +239,7 @@ func updateWeights(observations []observation, pref []float64, taskCounts []int,
 			continue
 		}
 		denom := math.Max(sqErr[w], 0.25)
-		weight[w] = chiByCount[taskCounts[w]] / denom
+		weight[w] = chi[w] / denom
 		if weight[w] > maxW {
 			maxW = weight[w]
 		}
@@ -313,40 +294,28 @@ func (r *Result) SuspectWorkers(threshold float64) []int {
 	return suspects
 }
 
-// BuildPreferenceGraph converts discovered direct preferences into the
-// weighted directed preference graph G_P: for each canonical pair (i, j)
-// with preference x̂, edge i->j gets weight x̂ and edge j->i gets 1-x̂; a
-// weight of zero means no edge, per the paper's convention. Unanimous
-// preferences therefore produce the 1-edges that Step 2 smooths.
-func BuildPreferenceGraph(n int, preference map[graph.Pair]float64) (*graph.PreferenceGraph, error) {
-	g, err := graph.NewPreferenceGraph(n)
-	if err != nil {
-		return nil, fmt.Errorf("truth: %w", err)
+// BuildPreferenceGraph converts discovered direct preferences, indexed by
+// the pair ids of idx, into the weighted directed preference graph G_P:
+// for each canonical pair (i, j) with preference x̂, edge i->j gets weight
+// x̂ and edge j->i gets 1-x̂; a weight of zero means no edge, per the
+// paper's convention. Unanimous preferences therefore produce the 1-edges
+// that Step 2 smooths. Adjacency lists come out ascending, so every
+// downstream float summation and randomness consumption order is fixed.
+func BuildPreferenceGraph(idx *Index, preference []float64) (*graph.PreferenceGraph, error) {
+	if len(preference) != idx.Pairs() {
+		return nil, fmt.Errorf("truth: %d preferences for %d pairs", len(preference), idx.Pairs())
 	}
-	// Insert in sorted pair order so the graph's adjacency lists (and thus
-	// every downstream float summation and randomness consumption order)
-	// are deterministic regardless of map iteration.
-	pairs := make([]graph.Pair, 0, len(preference))
-	for pr := range preference {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].I != pairs[b].I {
-			return pairs[a].I < pairs[b].I
-		}
-		return pairs[a].J < pairs[b].J
-	})
-	for _, pr := range pairs {
-		x := preference[pr]
+	w := graph.NewMatrix(idx.N())
+	for id, x := range preference {
+		pr := idx.Pair(id)
 		if x < 0 || x > 1 || math.IsNaN(x) {
 			return nil, fmt.Errorf("truth: preference %v for pair %v outside [0,1]", x, pr)
 		}
-		if err := g.SetWeight(pr.I, pr.J, x); err != nil {
-			return nil, fmt.Errorf("truth: %w", err)
-		}
-		if err := g.SetWeight(pr.J, pr.I, 1-x); err != nil {
-			return nil, fmt.Errorf("truth: %w", err)
-		}
+		w[pr.I][pr.J], w[pr.J][pr.I] = x, 1-x
+	}
+	g, err := graph.FromWeights(w)
+	if err != nil {
+		return nil, fmt.Errorf("truth: %w", err)
 	}
 	return g, nil
 }

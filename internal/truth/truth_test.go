@@ -3,49 +3,62 @@ package truth
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"crowdrank/internal/crowd"
-	"crowdrank/internal/graph"
 )
 
 func vote(w, i, j int, prefersI bool) crowd.Vote {
 	return crowd.Vote{Worker: w, I: i, J: j, PrefersI: prefersI}
 }
 
+// discover indexes votes over n objects and m workers and runs Discover.
+func discover(n, m int, votes []crowd.Vote, p Params) (*Result, *Index, error) {
+	idx, err := NewIndex(n, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := idx.Add(votes); err != nil {
+		return nil, nil, err
+	}
+	res, err := Discover(idx, p)
+	return res, idx, err
+}
+
 func TestDiscoverValidation(t *testing.T) {
 	p := DefaultParams()
-	if _, err := Discover(1, 1, []crowd.Vote{vote(0, 0, 1, true)}, p); err == nil {
+	if _, _, err := discover(1, 1, []crowd.Vote{vote(0, 0, 1, true)}, p); err == nil {
 		t.Error("n=1 should fail")
 	}
-	if _, err := Discover(3, 0, []crowd.Vote{vote(0, 0, 1, true)}, p); err == nil {
+	if _, _, err := discover(3, 0, []crowd.Vote{vote(0, 0, 1, true)}, p); err == nil {
 		t.Error("m=0 should fail")
 	}
-	if _, err := Discover(3, 1, nil, p); err == nil {
+	if _, _, err := discover(3, 1, nil, p); err == nil {
 		t.Error("no votes should fail")
 	}
-	if _, err := Discover(3, 1, []crowd.Vote{vote(2, 0, 1, true)}, p); err == nil {
+	if _, _, err := discover(3, 1, []crowd.Vote{vote(2, 0, 1, true)}, p); err == nil {
 		t.Error("invalid worker should fail")
 	}
 	bad := p
 	bad.Alpha = 0
-	if _, err := Discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
+	if _, _, err := discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
 		t.Error("alpha=0 should fail")
 	}
 	bad = p
 	bad.MaxIterations = 0
-	if _, err := Discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
+	if _, _, err := discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
 		t.Error("MaxIterations=0 should fail")
 	}
 	bad = p
 	bad.QualityFloor = 0
-	if _, err := Discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
+	if _, _, err := discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
 		t.Error("QualityFloor=0 should fail")
 	}
 	bad = p
 	bad.Tolerance = -1
-	if _, err := Discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
+	if _, _, err := discover(3, 1, []crowd.Vote{vote(0, 0, 1, true)}, bad); err == nil {
 		t.Error("negative tolerance should fail")
 	}
 }
@@ -55,12 +68,12 @@ func TestDiscoverUnanimous(t *testing.T) {
 		vote(0, 0, 1, true), vote(1, 0, 1, true), vote(2, 0, 1, true),
 		vote(0, 1, 2, true), vote(1, 1, 2, true), vote(2, 1, 2, true),
 	}
-	res, err := Discover(3, 3, votes, DefaultParams())
+	res, idx, err := discover(3, 3, votes, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pr, x := range res.Preference {
-		if x != 1 {
+	for id, x := range res.Preference {
+		if pr := idx.Pair(id); x != 1 {
 			t.Errorf("unanimous pair %v has preference %v, want 1", pr, x)
 		}
 	}
@@ -88,7 +101,7 @@ func TestDiscoverIdentifiesBadWorker(t *testing.T) {
 		}
 		votes = append(votes, vote(4, pr[0], pr[1], false))
 	}
-	res, err := Discover(4, 5, votes, DefaultParams())
+	res, idx, err := discover(4, 5, votes, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +116,16 @@ func TestDiscoverIdentifiesBadWorker(t *testing.T) {
 		}
 	}
 	// Majority truth must prevail decisively on every pair.
-	for pr, x := range res.Preference {
+	for id, x := range res.Preference {
 		if x < 0.8 {
-			t.Errorf("pair %v preference %v should be near 1", pr, x)
+			t.Errorf("pair %v preference %v should be near 1", idx.Pair(id), x)
 		}
 	}
 }
 
 func TestDiscoverInactiveWorker(t *testing.T) {
 	votes := []crowd.Vote{vote(0, 0, 1, true), vote(1, 0, 1, true)}
-	res, err := Discover(2, 3, votes, DefaultParams())
+	res, _, err := discover(2, 3, votes, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +139,12 @@ func TestDiscoverSplitVote(t *testing.T) {
 	// Two equally active workers disagree on a single pair: the estimate
 	// must remain at maximal uncertainty.
 	votes := []crowd.Vote{vote(0, 0, 1, true), vote(1, 0, 1, false)}
-	res, err := Discover(2, 2, votes, DefaultParams())
+	res, idx, err := discover(2, 2, votes, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := res.Preference[graph.Pair{I: 0, J: 1}]
+	id, _ := idx.PairID(0, 1)
+	x := res.Preference[id]
 	if math.Abs(x-0.5) > 1e-9 {
 		t.Errorf("split vote preference = %v, want 0.5", x)
 	}
@@ -155,7 +169,7 @@ func TestDiscoverConvergesWithinTen(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.MaxIterations = 50
-	res, err := Discover(n, m, votes, p)
+	res, _, err := discover(n, m, votes, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +187,7 @@ func TestDiscoverWorkerPermutationEquivariant(t *testing.T) {
 		vote(0, 0, 1, true), vote(1, 0, 1, true), vote(2, 0, 1, false),
 		vote(0, 1, 2, true), vote(1, 1, 2, false), vote(2, 1, 2, true),
 	}
-	res1, err := Discover(3, 3, votes, DefaultParams())
+	res1, _, err := discover(3, 3, votes, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +203,7 @@ func TestDiscoverWorkerPermutationEquivariant(t *testing.T) {
 		}
 		swapped[i] = sw
 	}
-	res2, err := Discover(3, 3, swapped, DefaultParams())
+	res2, idx, err := discover(3, 3, swapped, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +211,10 @@ func TestDiscoverWorkerPermutationEquivariant(t *testing.T) {
 		math.Abs(res1.Quality[2]-res2.Quality[0]) > 1e-12 {
 		t.Errorf("quality not equivariant: %v vs %v", res1.Quality, res2.Quality)
 	}
-	for pr, x := range res1.Preference {
-		if math.Abs(res2.Preference[pr]-x) > 1e-12 {
-			t.Errorf("preference changed under worker relabeling at %v", pr)
+	// Relabeling workers keeps the vote order, so pair ids agree.
+	for id, x := range res1.Preference {
+		if math.Abs(res2.Preference[id]-x) > 1e-12 {
+			t.Errorf("preference changed under worker relabeling at %v", idx.Pair(id))
 		}
 	}
 }
@@ -227,7 +242,7 @@ func TestDiscoverRangesQuick(t *testing.T) {
 		if len(votes) == 0 {
 			return true
 		}
-		res, err := Discover(n, m, votes, DefaultParams())
+		res, _, err := discover(n, m, votes, DefaultParams())
 		if err != nil {
 			return false
 		}
@@ -256,26 +271,43 @@ func TestDiscoverRangesQuick(t *testing.T) {
 }
 
 func TestBuildPreferenceGraph(t *testing.T) {
-	pref := map[graph.Pair]float64{
-		{I: 0, J: 1}: 1,   // 1-edge, only forward direction exists
-		{I: 1, J: 2}: 0.7, // both directions
-		{I: 0, J: 2}: 0,   // only reverse direction exists
+	idx, err := NewIndex(3, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g, err := BuildPreferenceGraph(3, pref)
+	// Pair ids follow first-seen order, not (I, J) order.
+	if err := idx.Add([]crowd.Vote{vote(0, 2, 1, true), vote(0, 0, 1, true), vote(0, 2, 0, true)}); err != nil {
+		t.Fatal(err)
+	}
+	pref := []float64{
+		0.3, // (1,2): both directions
+		1,   // (0,1): 1-edge, only forward direction exists
+		0,   // (0,2): only reverse direction exists
+	}
+	g, err := BuildPreferenceGraph(idx, pref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Weight(0, 1) != 1 || g.HasEdge(1, 0) {
 		t.Error("1-edge should be one-directional")
 	}
-	if g.Weight(1, 2) != 0.7 || math.Abs(g.Weight(2, 1)-0.3) > 1e-12 {
+	if g.Weight(1, 2) != 0.3 || math.Abs(g.Weight(2, 1)-0.7) > 1e-12 {
 		t.Error("conflicting pair should have both directions")
 	}
 	if g.HasEdge(0, 2) || g.Weight(2, 0) != 1 {
 		t.Error("zero preference should produce only the reverse edge")
 	}
-	if _, err := BuildPreferenceGraph(3, map[graph.Pair]float64{{I: 0, J: 1}: 1.5}); err == nil {
+	// Adjacency lists come out ascending whatever the pair ids.
+	for v, want := range [][]int{{1}, {2}, {0, 1}} {
+		if got := g.Out(v); !slices.Equal(got, want) {
+			t.Errorf("Out(%d) = %v, want %v", v, got, want)
+		}
+	}
+	if _, err := BuildPreferenceGraph(idx, []float64{0.3, 1.5, 0}); err == nil {
 		t.Error("out-of-range preference should fail")
+	}
+	if _, err := BuildPreferenceGraph(idx, []float64{0.3}); err == nil {
+		t.Error("a preference count that is not the pair count should fail")
 	}
 }
 
@@ -289,7 +321,7 @@ func TestSuspectWorkers(t *testing.T) {
 		}
 		votes = append(votes, vote(3, pr[0], pr[1], false))
 	}
-	res, err := Discover(4, 5, votes, DefaultParams())
+	res, _, err := discover(4, 5, votes, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,12 +50,15 @@ go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime=20s ./internal/serve
 echo "== fuzz smoke: snapshot load =="
 go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/snapshot
 
+echo "== fuzz smoke: vote index folded in chunks equals a cold build =="
+go test -run='^$' -fuzz=FuzzIndexFold -fuzztime=20s ./internal/core
+
 echo "== go test -tags crowdrank_invariants ./... =="
 go test -tags crowdrank_invariants ./...
 
-echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch run once =="
+echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch / BenchmarkBuildClosure run once =="
 # Execution only, no timing gate: performance is compared end to end with
 # bash cmd/crowdload/bench.sh -compare cmd/crowdload/results/BENCH_seed.json.
-go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch)$' -benchtime 1x .
+go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch|BenchmarkBuildClosure)$' -benchtime 1x .
 
 echo "== all checks passed =="
