@@ -31,6 +31,14 @@ func (p Pair) Valid() bool {
 
 func (p Pair) String() string { return fmt.Sprintf("(%d,%d)", p.I, p.J) }
 
+// Slot returns the index of the canonical pair p (I < J) among the
+// n(n-1)/2 pairs of n objects, counting in (I, J) order: (0,1) is slot 0
+// and (n-2,n-1) is slot n(n-1)/2 - 1. Dense per-pair tables address their
+// entries with it instead of hashing the pair.
+func (p Pair) Slot(n int) int {
+	return p.I*(2*n-p.I-1)/2 + p.J - p.I - 1
+}
+
 // TaskGraph is the unweighted, undirected task graph G_T: one vertex per
 // object and one edge per pairwise comparison task.
 type TaskGraph struct {

@@ -36,6 +36,40 @@ func TestPairCanon(t *testing.T) {
 	}
 }
 
+// TestPairSlotBijection checks that Slot maps the canonical pairs of n
+// objects one-to-one onto [0, n(n-1)/2), in (I, J) order, and that the
+// inverse walk recovers every pair.
+func TestPairSlotBijection(t *testing.T) {
+	for n := 2; n <= 8; n++ {
+		size := n * (n - 1) / 2
+		pairAt := make([]Pair, size)
+		filled := make([]bool, size)
+		want := 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				p := Pair{I: i, J: j}
+				got := p.Slot(n)
+				if got != want {
+					t.Fatalf("n=%d: slot of %v = %d, want %d", n, p, got, want)
+				}
+				if filled[got] {
+					t.Fatalf("n=%d: slot %d reused by %v after %v", n, got, p, pairAt[got])
+				}
+				filled[got], pairAt[got] = true, p
+				want++
+			}
+		}
+		if want != size {
+			t.Fatalf("n=%d: %d pairs for %d slots", n, want, size)
+		}
+		for s, p := range pairAt {
+			if !filled[s] || p.Slot(n) != s || p.I >= p.J {
+				t.Fatalf("n=%d: slot %d maps back to %v", n, s, p)
+			}
+		}
+	}
+}
+
 func TestTaskGraphBasics(t *testing.T) {
 	if _, err := NewTaskGraph(0); err == nil {
 		t.Error("n=0 should fail")

@@ -260,6 +260,12 @@ func TestProxyDribble(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("dribbled bytes corrupted")
 	}
+	// The proxy counts the fault after the write that crosses FaultAfter
+	// returns, which can be after the echo already reached the client.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().Dribbles == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if s := p.Stats(); s.Dribbles != 1 {
 		t.Fatalf("stats = %s, want one dribble", s)
 	}

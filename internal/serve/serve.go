@@ -257,24 +257,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// submissionKey canonicalizes one (worker, pair, answer) submission so a
-// re-submission with swapped object order still collides — the same
-// dedup rule lenient Infer applies via SanitizeVotes.
-type submissionKey struct {
-	worker     int
-	lo, hi     int
-	prefersLow bool
-}
-
-func keyOf(v crowd.Vote) submissionKey {
-	lo, hi, prefersLow := v.I, v.J, v.PrefersI
-	if lo > hi {
-		lo, hi = hi, lo
-		prefersLow = !prefersLow
-	}
-	return submissionKey{worker: v.Worker, lo: lo, hi: hi, prefersLow: prefersLow}
-}
-
 // Server is the daemon engine: journaled vote state plus the degradation
 // ladder. Create with New or NewContext, serve HTTP via Handler, and stop
 // with Close.
@@ -304,7 +286,7 @@ type Server struct {
 
 	mu           sync.RWMutex
 	votes        []crowd.Vote
-	seen         map[submissionKey]bool
+	seen         *dedupSet
 	acks         map[string]IngestResult // batch idempotency window
 	ackOrder     []string                // FIFO eviction order for acks
 	gen          uint64                  // bumped whenever votes change; keys the per-generation cache
@@ -352,7 +334,7 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 		logf:      cfg.Logf,
 		clock:     cfg.Clock,
 		met:       newMetrics(cfg.Metrics),
-		seen:      make(map[submissionKey]bool),
+		seen:      newDedupSet(cfg.N, cfg.M),
 		acks:      make(map[string]IngestResult),
 		breaker:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
 		rankSem:   make(chan struct{}, cfg.MaxConcurrentRanks),
@@ -388,6 +370,9 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 		return fmt.Errorf("serve: listing snapshots: %w", err)
 	}
 	var corrupt []string
+	// Each phase's time is summed over every candidate tried, so refused
+	// snapshots show up where they cost.
+	var loadDur, seedDur, replayDur time.Duration
 	refuse := func(path string, why error) {
 		corrupt = append(corrupt, fmt.Sprintf("%s: %v", filepath.Base(path), why))
 		s.logf("serve: refusing snapshot %s: %v", path, why)
@@ -426,7 +411,9 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 		var path string
 		if i < len(entries) {
 			path = entries[i].Path
+			loadStart := s.clock.Now()
 			st, err = snapshot.Load(path)
+			loadDur += s.clock.Since(loadStart)
 			if err != nil {
 				refuse(path, err)
 				continue
@@ -436,7 +423,10 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 				continue
 			}
 		}
-		if err := s.seedFromSnapshot(st); err != nil {
+		seedStart := s.clock.Now()
+		err = s.seedFromSnapshot(st)
+		seedDur += s.clock.Since(seedStart)
+		if err != nil {
 			refuse(path, err)
 			continue
 		}
@@ -447,7 +437,9 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 			Faults:       testJournalFaults,
 			Metrics:      s.met.journal,
 		}
+		replayStart := s.clock.Now()
 		jnl, stats, err := journal.Open(cfg.JournalPath, opts, replay)
+		replayDur += s.clock.Since(replayStart)
 		switch {
 		case err == nil:
 			s.jnl = jnl
@@ -458,6 +450,9 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 				SnapshotGen:      st.Gen,
 				SnapshotVotes:    len(st.Votes),
 				CorruptSnapshots: corrupt,
+				SnapshotLoad:     loadDur,
+				Seed:             seedDur,
+				Replay:           replayDur,
 			}
 			s.mu.Lock()
 			s.lastSnapSeq, s.lastSnapGen, s.lastSnapPath = st.Seq, st.Gen, path
@@ -484,15 +479,16 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 // seedFromSnapshot resets the in-memory state to exactly what the snapshot
 // captured (the zero State resets to empty). The dedup set is not
 // serialized — it is recomputed from the votes, and a collision means the
-// snapshot does not describe a state apply could have produced.
+// snapshot does not describe a state apply could have produced. The set is
+// sized from the configured universe, never from st: the zero State of a
+// full replay carries N=0, and recover refuses any snapshot whose
+// universe differs from the configured one before seeding from it.
 func (s *Server) seedFromSnapshot(st snapshot.State) error {
-	seen := make(map[submissionKey]bool, len(st.Votes))
+	seen := newDedupSet(s.cfg.N, s.cfg.M)
 	for _, v := range st.Votes {
-		k := keyOf(v)
-		if seen[k] {
+		if !seen.add(v) {
 			return fmt.Errorf("duplicate submission %+v in snapshot", v)
 		}
-		seen[k] = true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -572,12 +568,10 @@ func (s *Server) apply(votes []crowd.Vote) (added, dups int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, v := range votes {
-		k := keyOf(v)
-		if s.seen[k] {
+		if !s.seen.add(v) {
 			dups++
 			continue
 		}
-		s.seen[k] = true
 		s.votes = append(s.votes, v)
 		added++
 	}
@@ -918,6 +912,18 @@ type Stats struct {
 	// make them negative or wrong.
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	RecoverySeconds float64 `json:"recovery_seconds"`
+	// RecoveryPhasesMS splits the startup recovery into its phases.
+	RecoveryPhasesMS RecoveryPhases `json:"recovery_phases_ms"`
+}
+
+// RecoveryPhases is where startup recovery spent its time, in
+// milliseconds: loading and verifying snapshot files, seeding the dedup
+// set and ack window from the chosen snapshot, and opening the journal
+// and replaying its suffix.
+type RecoveryPhases struct {
+	Snapshot float64 `json:"snapshot"`
+	Seed     float64 `json:"seed"`
+	Replay   float64 `json:"replay"`
 }
 
 // StatsSnapshot assembles the current Stats.
@@ -940,6 +946,11 @@ func (s *Server) StatsSnapshot() Stats {
 		Closing:           s.closing.Load(),
 		UptimeSeconds:     s.clock.Since(s.started).Seconds(),
 		RecoverySeconds:   s.recoveryDur.Seconds(),
+		RecoveryPhasesMS: RecoveryPhases{
+			Snapshot: ms(s.recovered.SnapshotLoad),
+			Seed:     ms(s.recovered.Seed),
+			Replay:   ms(s.recovered.Replay),
+		},
 	}
 	s.mu.RUnlock()
 	st.Breaker = s.breaker.state()
@@ -970,6 +981,10 @@ type RecoveryStats struct {
 	// CorruptSnapshots lists "file: reason" for every snapshot refused
 	// during recovery — never silently, always here and in the log.
 	CorruptSnapshots []string
+	// SnapshotLoad, Seed and Replay time the recovery phases, each summed
+	// over every candidate tried: snapshot.Load, seedFromSnapshot, and
+	// the journal open with its suffix replay.
+	SnapshotLoad, Seed, Replay time.Duration
 }
 
 // String summarizes the recovery for startup logs.
@@ -984,8 +999,13 @@ func (r RecoveryStats) String() string {
 		fmt.Fprintf(&b, "; refused %d snapshot(s): %s",
 			len(r.CorruptSnapshots), strings.Join(r.CorruptSnapshots, "; "))
 	}
+	fmt.Fprintf(&b, "; phases: snapshot %.1fms, seed %.1fms, replay %.1fms",
+		ms(r.SnapshotLoad), ms(r.Seed), ms(r.Replay))
 	return b.String()
 }
+
+// ms converts d to fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Recovered reports the snapshot-load and journal replay performed at
 // startup.

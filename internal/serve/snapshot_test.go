@@ -348,6 +348,54 @@ func TestHealthzReportsDiskUsage(t *testing.T) {
 	}
 }
 
+// TestRecoveryPhasesReported checks that startup recovery splits its time
+// into snapshot load, dedup seeding and journal replay, and reports the
+// split in RecoveryStats, its log line and /healthz.
+func TestRecoveryPhasesReported(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	cfg := snapCfg(t, dir)
+	s := newTestServer(t, cfg)
+	for i := 0; i < 4; i++ {
+		ingestOne(t, s, i)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ingestOne(t, s, 4)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts := httpServer(t, cfg)
+	rec := s2.Recovered()
+	if rec.SnapshotPath == "" || rec.SnapshotLoad <= 0 || rec.Seed < 0 || rec.Replay <= 0 {
+		t.Fatalf("recovery phases not timed: %+v", rec)
+	}
+	if !strings.Contains(rec.String(), "phases: snapshot ") {
+		t.Fatalf("startup log line lacks the phase split: %s", rec)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var body struct {
+		Phases map[string]float64 `json:"recovery_phases_ms"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"snapshot": ms(rec.SnapshotLoad), "seed": ms(rec.Seed), "replay": ms(rec.Replay)}
+	if len(body.Phases) != len(want) {
+		t.Fatalf("recovery_phases_ms = %v, want keys of %v", body.Phases, want)
+	}
+	for k, v := range want {
+		if got, ok := body.Phases[k]; !ok || got != v {
+			t.Fatalf("recovery_phases_ms[%q] = %v, want %v (%v)", k, got, v, body.Phases)
+		}
+	}
+}
+
 // TestRetryAfterParseable pins the 429 contract: both bounded queues must
 // reject with a Retry-After header that strconv can parse, because naive
 // clients do exactly that.

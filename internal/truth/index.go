@@ -80,7 +80,7 @@ func (x *Index) PairID(i, j int) (int, bool) {
 	if i < 0 || j < 0 || i >= x.n || j >= x.n || i == j {
 		return 0, false
 	}
-	id := x.slot[x.slotOf(graph.Pair{I: i, J: j}.Canon())]
+	id := x.slot[graph.Pair{I: i, J: j}.Canon().Slot(x.n)]
 	return int(id) - 1, id > 0
 }
 
@@ -95,12 +95,6 @@ func (x *Index) Voters(i, j int) []int32 {
 	return x.pairs[id].workers
 }
 
-// slotOf returns the triangle slot of the canonical pair p: slots run in
-// (I, J) order.
-func (x *Index) slotOf(p graph.Pair) int {
-	return p.I*(2*x.n-p.I-1)/2 + p.J - p.I - 1
-}
-
 // Add validates votes and files them after those already held. Nothing is
 // added when any vote is invalid.
 func (x *Index) Add(votes []crowd.Vote) error {
@@ -111,7 +105,7 @@ func (x *Index) Add(votes []crowd.Vote) error {
 	}
 	for _, v := range votes {
 		p := v.Pair()
-		s := x.slotOf(p)
+		s := p.Slot(x.n)
 		id := x.slot[s] - 1
 		if id < 0 {
 			id = int32(len(x.pairs))

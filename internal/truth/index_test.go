@@ -63,17 +63,28 @@ func TestIndexSlotsCoverTheTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One vote per pair in (I, J) order files every pair under its own
+	// triangle slot, so pair ids follow that order in either orientation.
+	var votes []crowd.Vote
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			votes = append(votes, crowd.Vote{I: j, J: i})
+		}
+	}
+	if err := idx.Add(votes); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.slot) != len(votes) || idx.Pairs() != len(votes) {
+		t.Fatalf("%d slots and %d pairs for %d distinct pairs", len(idx.slot), idx.Pairs(), len(votes))
+	}
 	want := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if got := idx.slotOf(graph.Pair{I: i, J: j}); got != want {
-				t.Fatalf("slot of (%d,%d) = %d, want %d", i, j, got, want)
+			if id, ok := idx.PairID(j, i); !ok || id != want || idx.Pair(id) != (graph.Pair{I: i, J: j}) {
+				t.Fatalf("pair (%d,%d): id %d (%v), want %d", i, j, id, ok, want)
 			}
 			want++
 		}
-	}
-	if want != len(idx.slot) {
-		t.Fatalf("%d slots for %d pairs", len(idx.slot), want)
 	}
 }
 

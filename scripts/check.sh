@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full local gate: formatting, vet, the domain linter, builds, race-enabled
-# tests, and the invariant-tagged test variant. CI and pre-commit both run
-# exactly this.
+# tests, the invariant-tagged test variant, fuzz and bench smokes, and a
+# final check that no test or benchmark process was orphaned. CI and
+# pre-commit both run exactly this.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,6 +48,9 @@ go test -count=1 -run 'TestChaosFailoverExactlyOnce' ./internal/replica
 echo "== fuzz smoke: journal replay =="
 go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime=20s ./internal/serve
 
+echo "== fuzz smoke: bitset dedup set equals the map reference =="
+go test -run='^$' -fuzz='^FuzzDedupSet$' -fuzztime=20s ./internal/serve
+
 echo "== fuzz smoke: snapshot load =="
 go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/snapshot
 
@@ -56,9 +60,12 @@ go test -run='^$' -fuzz=FuzzIndexFold -fuzztime=20s ./internal/core
 echo "== go test -tags crowdrank_invariants ./... =="
 go test -tags crowdrank_invariants ./...
 
-echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch / BenchmarkBuildClosure run once =="
+echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch / BenchmarkBuildClosure / BenchmarkRecover run once =="
 # Execution only, no timing gate: performance is compared end to end with
 # bash cmd/crowdload/bench.sh -compare cmd/crowdload/results/BENCH_seed.json.
-go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch|BenchmarkBuildClosure)$' -benchtime 1x .
+go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch|BenchmarkBuildClosure|BenchmarkRecover)$' -benchtime 1x . ./internal/serve
+
+echo "== no orphaned crowdrankd, crowdload or test processes =="
+./scripts/check-orphans.sh
 
 echo "== all checks passed =="
