@@ -111,7 +111,7 @@ func run(args []string, out io.Writer) error {
 	fsync := fs.String("fsync", "always", "journal durability: always (fsync per ack) | os (page cache)")
 	snapshotEvery := fs.Int("snapshot-every", 0, "snapshot+compact after this many acked batches (0: default 1024, negative: disable)")
 	maxJournalBytes := fs.Int64("max-journal-bytes", 0, "snapshot+compact when the journal exceeds this many bytes (0: default 64MiB, negative: disable)")
-	parallelism := fs.Int("parallelism", 0, "inference parallelism (0: sequential)")
+	parallelism := fs.Int("parallelism", 0, "goroutines for Step 3's walk sums, the only parallel stage (0: sequential)")
 	exactLimit := fs.Int("exact-limit", 0, "largest n solved with Held-Karp (0: default)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain bound")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")

@@ -53,9 +53,9 @@ type Params struct {
 	// log-weights stay finite for Step 4's search.
 	WeightFloor float64
 	// Parallelism shards the walk-sum accumulation (each source row is
-	// independent) over this many goroutines. The result is identical to
-	// the sequential computation — rows never share accumulators. 0 or 1
-	// means sequential.
+	// independent) into this many contiguous row ranges, one per goroutine,
+	// the caller included. The result is identical to the sequential
+	// computation — rows never share accumulators. 0 or 1 means sequential.
 	Parallelism int
 }
 
@@ -251,35 +251,30 @@ func walkSums(g *graph.PreferenceGraph, hops int, prune float64, parallelism int
 	}
 
 	// Source rows are independent of each other, so they shard across
-	// goroutines with identical results.
-	if parallelism <= 1 || n < 64 {
+	// goroutines with identical results. Each worker takes one static,
+	// contiguous shard and the caller walks the last one itself: handing
+	// rows out one by one over a channel ran the workers one after another,
+	// since each receive is scheduled on the sending goroutine's P.
+	workers := 1
+	if parallelism > 1 && n >= 64 {
+		workers = min(parallelism, n)
+	}
+	walkShard := func(w int) {
 		a, b := make([]float64, n), make([]float64, n)
-		for i := 0; i < n; i++ {
+		for i := w * n / workers; i < (w+1)*n/workers; i++ {
 			walkRow(i, a, b)
 		}
-	} else {
-		workers := parallelism
-		if workers > n {
-			workers = n
-		}
-		var wg sync.WaitGroup
-		rowCh := make(chan int)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				a, b := make([]float64, n), make([]float64, n)
-				for i := range rowCh {
-					walkRow(i, a, b)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			rowCh <- i
-		}
-		close(rowCh)
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 0; w < workers-1; w++ {
+		go func() {
+			defer wg.Done()
+			walkShard(w)
+		}()
+	}
+	walkShard(workers - 1)
+	wg.Wait()
 
 	pairs := 0
 	for i := 0; i < n; i++ {

@@ -262,6 +262,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	// queueing or searching.
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if tag, ok := s.cachedETag(); ok && etagListMatches(inm, tag) {
+			s.ahead.arm() // a 304 is a served rank
 			w.Header().Set("ETag", tag)
 			w.WriteHeader(http.StatusNotModified)
 			return

@@ -12,12 +12,19 @@ import (
 // smooth, and propagate are observed when a closure is (re)built — cache
 // hits skip them by design; search is observed when a rank runs a
 // searcher, which a rank answered from the per-generation ranking cache
-// does not.
+// does not, and when the build-ahead computes a generation's floor.
 const (
 	stageTruth     = "truth"
 	stageSmooth    = "smooth"
 	stagePropagate = "propagate"
 	stageSearch    = "search"
+)
+
+// Closure build triggers: a rank that found no closure for the newest
+// generation, or the build-ahead goroutine (ahead.go).
+const (
+	triggerRank  = "rank"
+	triggerAhead = "ahead"
 )
 
 // metrics is the daemon's metric bundle: every counter, gauge, and
@@ -43,6 +50,7 @@ type metrics struct {
 	rankCacheMiss *obs.Counter // ranks answered by a fresh search
 	rankSeconds   *obs.Histogram
 	stageSeconds  map[string]*obs.Histogram
+	closureBuilds map[string]*obs.Counter // Steps 1-3 builds by trigger
 
 	slowRequests *obs.Counter
 	httpSeconds  map[string]*obs.Histogram
@@ -85,6 +93,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		rankCacheMiss: reg.Counter("crowdrankd_rank_cache_total", "Ranked responses by per-generation ranking cache outcome.", obs.L("result", "miss")),
 		rankSeconds:   reg.Histogram("crowdrankd_rank_seconds", "End-to-end rank latency.", nil),
 		stageSeconds:  make(map[string]*obs.Histogram, 4),
+		closureBuilds: make(map[string]*obs.Counter, 2),
 
 		slowRequests: reg.Counter("crowdrankd_http_slow_requests_total", "HTTP requests slower than the configured threshold."),
 		httpSeconds:  make(map[string]*obs.Histogram, len(httpRoutes)),
@@ -109,7 +118,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 		m.rankByAlgo[algo] = reg.Counter("crowdrankd_rank_requests_total", "Rank responses by the ladder rung that answered.", obs.L("algorithm", algo))
 	}
 	for _, stage := range []string{stageTruth, stageSmooth, stagePropagate, stageSearch} {
-		m.stageSeconds[stage] = reg.Histogram("crowdrankd_infer_stage_seconds", "Per-stage inference latency (truth/smooth/propagate on closure rebuilds, search when a rank runs a searcher).", nil, obs.L("stage", stage))
+		m.stageSeconds[stage] = reg.Histogram("crowdrankd_infer_stage_seconds", "Per-stage inference latency (truth/smooth/propagate on closure rebuilds, search when a rank or the build-ahead runs a searcher).", nil, obs.L("stage", stage))
+	}
+	for _, trigger := range []string{triggerRank, triggerAhead} {
+		m.closureBuilds[trigger] = reg.Counter("crowdrankd_closure_builds_total", "Steps 1-3 closure builds by trigger: a rank on the request path, or the build-ahead goroutine.", obs.L("trigger", trigger))
 	}
 	for _, route := range httpRoutes {
 		m.httpSeconds[route] = reg.Histogram("crowdrankd_http_request_seconds", "HTTP request latency by route.", nil, obs.L("route", route))

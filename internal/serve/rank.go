@@ -12,6 +12,7 @@ import (
 	"crowdrank/internal/core"
 	"crowdrank/internal/graph"
 	"crowdrank/internal/invariant"
+	"crowdrank/internal/obs"
 	"crowdrank/internal/search"
 	"crowdrank/internal/truth"
 )
@@ -125,6 +126,7 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		r.Breaker = s.breaker.state()
 		r.Elapsed = s.clock.Since(start)
 		s.met.rankByAlgo[r.Algorithm].Inc()
+		s.ahead.arm()
 		s.met.rankSeconds.ObserveDuration(r.Elapsed)
 		if r.Degraded {
 			s.met.rankDegraded.Inc()
@@ -147,15 +149,7 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		return finish(*e.best)
 	}
 	searched := func(algo string, sr *search.Result) (*RankResult, error) {
-		r := RankResult{
-			Ranking:   sr.Path,
-			LogProb:   sr.LogProb,
-			Algorithm: algo,
-			Degraded:  algo == AlgoGreedy,
-			Votes:     e.votes,
-			Seed:      s.cfg.Seed,
-			Gen:       e.gen,
-		}
+		r := s.result(e, algo, sr)
 		s.remember(r)
 		s.met.rankCacheMiss.Inc()
 		return finish(r)
@@ -244,15 +238,36 @@ type genEntry struct {
 	best *RankResult
 }
 
+// result is the cacheable RankResult of one search over e's closure.
+func (s *Server) result(e genEntry, algo string, sr *search.Result) RankResult {
+	return RankResult{
+		Ranking:   sr.Path,
+		LogProb:   sr.LogProb,
+		Algorithm: algo,
+		Degraded:  algo == AlgoGreedy,
+		Votes:     e.votes,
+		Seed:      s.cfg.Seed,
+		Gen:       e.gen,
+	}
+}
+
 // current returns the cache entry for the newest vote state, building its
-// Steps 1-3 closure when the state moved since the last build. The state
-// is read under cacheMu, so the entry's generation only ever moves
-// forward. The build folds the new votes into the server's vote index;
-// time spent indexing them counts as truth discovery. With no votes there
-// is nothing to build or cache: the entry carries the generation alone.
+// Steps 1-3 closure on the request path when the state moved since the
+// last build.
 func (s *Server) current() (genEntry, error) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
+	//lint:ignore lockcheck cacheMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker goroutines) so identical generations are computed once and served from cache
+	return s.currentLocked(s.met.closureBuilds[triggerRank])
+}
+
+// currentLocked is current for a caller holding cacheMu; builds counts the
+// closure build, if one is needed. The state is read under cacheMu, so the
+// entry's generation only ever moves forward. The build folds the new
+// votes into the server's vote index; time spent indexing them counts as
+// truth discovery. With no votes there is nothing to build or cache: the
+// entry carries the generation alone.
+func (s *Server) currentLocked(builds *obs.Counter) (genEntry, error) {
 	votes, gen := s.snapshot()
 	if len(votes) == 0 {
 		return genEntry{gen: gen}, nil
@@ -273,11 +288,11 @@ func (s *Server) current() (genEntry, error) {
 	// s.votes only grows once the server is open, so the index holds a
 	// prefix of votes and folds in just the votes that arrived since the
 	// last build.
-	//lint:ignore lockcheck cacheMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker channels) so identical generations are computed once and served from cache
 	cl, err := core.BuildClosureFrom(s.index, votes[s.index.Len():], opts, rng)
 	if err != nil {
 		return genEntry{}, fmt.Errorf("serve: building closure: %w", err)
 	}
+	builds.Inc()
 	// Stage histograms record rebuild cost only: a cache hit spent no
 	// time in Steps 1-3, and observing zeros would flatten the latency
 	// distribution the histogram exists to expose.

@@ -19,7 +19,9 @@
 // paying for doomed exact attempts. Both rungs are deterministic at a
 // fixed vote state, so the best answer produced at the current state
 // generation is cached, and only an exact answer replaces a cached floor,
-// until the votes change.
+// until the votes change. After a served rank, a build-ahead goroutine
+// prepares the next generation's closure and floor as soon as new votes
+// arrive, so the rank that follows an ingest finds them cached.
 package serve
 
 import (
@@ -77,8 +79,9 @@ type Config struct {
 	// and certifiable (pass it to CertifyRanking). 0 draws a time-derived
 	// seed at startup; the effective seed is reported in every response.
 	Seed uint64
-	// Parallelism fans propagation walks over this many goroutines; 0 or
-	// 1 is sequential.
+	// Parallelism shards Step 3's walk sums (propagate.Params.Parallelism)
+	// over this many goroutines; 0 or 1 is sequential. No other stage runs
+	// in parallel.
 	Parallelism int
 
 	// ExactLimit is the largest n solved with Held-Karp on the exact rung;
@@ -304,6 +307,10 @@ type Server struct {
 	entry   genEntry
 	index   *truth.Index
 
+	// ahead is the build-ahead goroutine's wake-up and lifecycle
+	// (ahead.go).
+	ahead ahead
+
 	breaker   *breaker
 	rankSem   chan struct{}
 	ingestSem chan struct{}
@@ -336,6 +343,7 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 		met:       newMetrics(cfg.Metrics),
 		seen:      newDedupSet(cfg.N, cfg.M),
 		acks:      make(map[string]IngestResult),
+		ahead:     newAhead(),
 		breaker:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
 		rankSem:   make(chan struct{}, cfg.MaxConcurrentRanks),
 		ingestSem: make(chan struct{}, cfg.MaxConcurrentIngests),
@@ -354,6 +362,7 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 		s.logf("journal %s: %s in %v", cfg.JournalPath, s.recovered, s.recoveryDur.Round(time.Millisecond))
 	}
 	s.registerGauges()
+	go s.runAhead()
 	return s, nil
 }
 
@@ -561,10 +570,17 @@ func (s *Server) ackWindowLocked() []snapshot.AckEntry {
 }
 
 // apply folds one validated batch into the in-memory state, suppressing
-// exact duplicate submissions, and returns what was added. Both live
-// ingest and journal replay go through apply, so recovery rebuilds the
-// identical vote set.
+// exact duplicate submissions, and returns what was added. Live ingest,
+// replicated records and journal replay all go through apply, so recovery
+// rebuilds the identical vote set. A batch that moves the generation after
+// a served rank wakes the build-ahead; recovery replay never does, since
+// no rank is served before NewContext returns.
 func (s *Server) apply(votes []crowd.Vote) (added, dups int) {
+	defer func() {
+		if added > 0 {
+			s.ahead.fire()
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, v := range votes {
@@ -1154,6 +1170,9 @@ func (s *Server) Close() error {
 	if s.closing.Swap(true) {
 		return nil
 	}
+	// Stop the build-ahead first: it holds closeMu shared while it builds.
+	close(s.ahead.stop)
+	<-s.ahead.done
 	// Wait for every in-flight ingest and inference to release its shared
 	// lock, then close (and thereby sync) the journal.
 	s.closeMu.Lock()

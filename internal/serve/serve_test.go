@@ -660,7 +660,8 @@ func TestHTTPRankConditionalGet(t *testing.T) {
 		t.Fatalf("If-None-Match with the upgraded tag should 304, got %d", code)
 	}
 
-	// New votes move the generation: nothing is cached for it yet.
+	// New votes move the generation, so the exact tag is stale whether or
+	// not the build-ahead has cached the new generation's floor yet.
 	if resp := postVotes(t, ts.URL, []crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: false}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
