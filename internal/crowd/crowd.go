@@ -4,6 +4,8 @@
 package crowd
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -48,6 +50,49 @@ func (v Vote) Validate(n, m int) error {
 		return fmt.Errorf("crowd: worker %d outside range [0,%d)", v.Worker, m)
 	}
 	return nil
+}
+
+// AppendVote appends v's binary encoding to dst: uvarint worker, i and j,
+// then one preference byte, 1 when PrefersI. Journal batch records and
+// snapshot files both store votes this way.
+func AppendVote(dst []byte, v Vote) []byte {
+	dst = binary.AppendUvarint(dst, uint64(v.Worker))
+	dst = binary.AppendUvarint(dst, uint64(v.I))
+	dst = binary.AppendUvarint(dst, uint64(v.J))
+	if v.PrefersI {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// voteFields names AppendVote's varint fields, in order, for errors.
+var voteFields = [3]string{"worker", "object i", "object j"}
+
+// ReadVote decodes one AppendVote encoding from the front of data and
+// returns the bytes after it. An error means structural damage: a field
+// is unreadable, or the preference byte is missing or not 0 or 1. An id
+// too large for the int32 id space decodes as -1, so the vote fails
+// Validate and the caller applies its own policy to it.
+func ReadVote(data []byte) (Vote, []byte, error) {
+	var ids [3]int
+	for f := range ids {
+		x, k := binary.Uvarint(data)
+		if k <= 0 {
+			return Vote{}, data, fmt.Errorf("%s unreadable", voteFields[f])
+		}
+		data = data[k:]
+		ids[f] = -1
+		if x < 1<<31 {
+			ids[f] = int(x)
+		}
+	}
+	if len(data) == 0 {
+		return Vote{}, data, errors.New("missing preference byte")
+	}
+	if data[0] > 1 {
+		return Vote{}, data, fmt.Errorf("preference byte %d", data[0])
+	}
+	return Vote{Worker: ids[0], I: ids[1], J: ids[2], PrefersI: data[0] == 1}, data[1:], nil
 }
 
 // ByPair groups votes by canonical pair, preserving input order within each

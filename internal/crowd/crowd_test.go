@@ -93,3 +93,15 @@ func TestMajorityPreference(t *testing.T) {
 		t.Errorf("pref(1,2) = %v, want 1", got)
 	}
 }
+
+// TestReadVoteOutOfIDSpace: an id beyond the int32 id space decodes as -1,
+// which Validate rejects, so journal replay drops the vote and a snapshot
+// refuses the file. Round trips and structural damage are covered by the
+// batch and snapshot codec tests.
+func TestReadVoteOutOfIDSpace(t *testing.T) {
+	data := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 1, 1} // worker 2^35, 0, 1, prefers i
+	v, rest, err := ReadVote(data)
+	if err != nil || len(rest) != 0 || v.Worker != -1 || v.Validate(4, 4) == nil {
+		t.Fatalf("ReadVote = %+v, %d bytes left, %v", v, len(rest), err)
+	}
+}

@@ -28,9 +28,9 @@
 // mid-stream after older segments have been compacted away, and lets Open
 // detect a gap (missing segment) instead of silently replaying a hole.
 //
-// The version-1 format — a single "CRWDWAL\x01" file — is migrated in
-// place on Open: the file becomes segment 1 of a directory at the same
-// path, with its implicit first sequence of 0.
+// The record framing is package record's, shared with the replication
+// stream. Open refuses the retired version-1 format, a single
+// "CRWDWAL\x01" file, and leaves it untouched.
 //
 // Replay walks segments in index order and records from each header until
 // the segment ends. A record that cannot be read in full, claims an
@@ -57,7 +57,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -68,41 +67,23 @@ import (
 	"time"
 
 	"crowdrank/internal/obs"
+	"crowdrank/internal/record"
 )
 
 // segMagic identifies a crowdrank journal segment; the final byte is the
-// format version. v1Magic is the retired single-file format, still
-// accepted (and migrated) on Open.
-var (
-	segMagic = []byte("CRWDSEG\x01")
-	v1Magic  = []byte("CRWDWAL\x01")
-)
+// format version.
+var segMagic = []byte("CRWDSEG\x01")
 
 // segHeaderSize is the segment prefix: 8-byte magic + 8-byte first
-// sequence number. v1HeaderSize is the old single-file prefix (magic
-// only; its first sequence is implicitly 0).
-const (
-	segHeaderSize = 16
-	v1HeaderSize  = 8
-)
-
-// recordHeaderSize is the per-record prefix: 4-byte length + 4-byte CRC.
-const recordHeaderSize = 8
+// sequence number.
+const segHeaderSize = 16
 
 // segPrefix names segment files inside the journal directory.
 const segPrefix = "journal."
 
-// DefaultMaxRecord caps a single record's payload. A length prefix beyond
-// it is treated as corruption, bounding the allocation a torn or hostile
-// file can force during replay.
-const DefaultMaxRecord = 16 << 20
-
 // DefaultSegmentBytes is the rotation threshold: once the active segment
 // reaches it, the next append seals it and starts a fresh segment.
 const DefaultSegmentBytes = 64 << 20
-
-// castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrPoisoned marks a journal that has seen a failed write or fsync on its
 // append path. Durability can no longer be promised (the kernel may have
@@ -160,13 +141,11 @@ type Faults struct {
 	Sync func() error
 }
 
-// Options tunes Open. The zero value is usable: fsync on every append,
-// the default record-size cap, and the default segment size.
+// Options tunes Open. The zero value is usable: fsync on every append and
+// the default segment size.
 type Options struct {
 	// Sync selects the append durability policy.
 	Sync SyncPolicy
-	// MaxRecord caps a single payload's size; 0 means DefaultMaxRecord.
-	MaxRecord int
 	// SegmentBytes is the rotation threshold; 0 means DefaultSegmentBytes.
 	SegmentBytes int64
 	// ReplayFrom skips records with sequence numbers below it during
@@ -198,13 +177,6 @@ type Metrics struct {
 	Appends           *obs.Counter
 	Rotations         *obs.Counter
 	SegmentsCompacted *obs.Counter
-}
-
-func (o Options) maxRecord() int {
-	if o.MaxRecord <= 0 {
-		return DefaultMaxRecord
-	}
-	return o.MaxRecord
 }
 
 func (o Options) segmentBytes() int64 {
@@ -297,16 +269,16 @@ type Journal struct {
 // truncates any torn tail, and leaves the journal positioned for appends.
 // The returned stats describe the replay even when fn is nil.
 //
-// A version-1 single-file journal at dir is migrated into the directory
-// format first. A directory that is not writable is refused up front —
-// the daemon must fail at startup, not on its first ingest. A non-nil
-// error from fn aborts the open with that error and leaves the files
-// untouched. A segment that does not start with a journal magic is
+// A regular file at dir (such as a version-1 single-file journal) is
+// refused and left untouched. A directory that is not writable is refused
+// up front — the daemon must fail at startup, not on its first ingest. A
+// non-nil error from fn aborts the open with that error and leaves the
+// files untouched. A segment that does not start with a journal magic is
 // refused outright — it is some other file, not a torn journal.
 func Open(dir string, opts Options, fn func(payload []byte) error) (*Journal, ReplayStats, error) {
 	var stats ReplayStats
-	if err := migrateV1(dir); err != nil {
-		return nil, stats, err
+	if info, err := os.Stat(dir); err == nil && !info.IsDir() {
+		return nil, stats, fmt.Errorf("journal: %s is a file, not a journal directory (single-file version-1 journals are not read)", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, fmt.Errorf("journal: creating directory %s: %w", dir, err)
@@ -332,40 +304,6 @@ func Open(dir string, opts Options, fn func(payload []byte) error) (*Journal, Re
 	}
 	stats.NextSeq = j.nextSeq
 	return j, stats, nil
-}
-
-// migrateV1 converts a version-1 single-file journal at path into the
-// directory format: the file becomes <path>/journal.000001. The dance is
-// crash-safe: a crash between the renames leaves a <path>.v1migrate file
-// that the next Open resumes from.
-func migrateV1(path string) error {
-	staging := path + ".v1migrate"
-	if info, err := os.Stat(path); err == nil && info.Mode().IsRegular() {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("journal: inspecting %s: %w", path, err)
-		}
-		header := make([]byte, v1HeaderSize)
-		_, readErr := io.ReadFull(f, header)
-		//lint:ignore errcheck the file was only read; a close error cannot lose data and the header verdict stands either way
-		_ = f.Close()
-		if readErr != nil || string(header) != string(v1Magic) {
-			return fmt.Errorf("journal: %s is a file but not a v1 journal; refusing to replace it", path)
-		}
-		if err := os.Rename(path, staging); err != nil {
-			return fmt.Errorf("journal: staging v1 migration: %w", err)
-		}
-	}
-	if _, err := os.Stat(staging); err != nil {
-		return nil // no migration pending
-	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return fmt.Errorf("journal: creating directory for v1 migration: %w", err)
-	}
-	if err := os.Rename(staging, filepath.Join(path, segName(1))); err != nil {
-		return fmt.Errorf("journal: completing v1 migration: %w", err)
-	}
-	return syncDirOnce(path)
 }
 
 // probeWritable proves the journal directory accepts file creation now,
@@ -436,7 +374,7 @@ func (j *Journal) scanSegments(fn func([]byte) error) (ReplayStats, error) {
 	damaged := -1       // index into segs of the first damaged segment
 	for i := range segs {
 		seg := &segs[i]
-		res, err := scanSegment(seg.path, seg.size, j.opts.maxRecord(), i == 0, expect, j.opts.ReplayFrom, fn)
+		res, err := scanSegment(seg.path, seg.size, i == 0, expect, j.opts.ReplayFrom, fn)
 		if err != nil {
 			return stats, err
 		}
@@ -519,10 +457,10 @@ type segScan struct {
 
 // scanSegment validates one segment's header and walks its records,
 // invoking fn on each valid payload at or past replayFrom. first marks
-// the journal's first live segment (the only place a v1 header or an
-// unconstrained firstSeq is legal); expect is the sequence the segment
-// must start at otherwise.
-func scanSegment(path string, size int64, maxRecord int, first bool, expect, replayFrom uint64, fn func([]byte) error) (segScan, error) {
+// the journal's first live segment (the only place an unconstrained
+// firstSeq is legal); expect is the sequence the segment must start at
+// otherwise.
+func scanSegment(path string, size int64, first bool, expect, replayFrom uint64, fn func([]byte) error) (segScan, error) {
 	var res segScan
 	f, err := os.Open(path)
 	if err != nil {
@@ -533,28 +471,14 @@ func scanSegment(path string, size int64, maxRecord int, first bool, expect, rep
 
 	header := make([]byte, segHeaderSize)
 	n, err := io.ReadFull(f, header)
-	got := header[:n]
+	magic := header[:min(n, len(segMagic))]
 	// A header prefix torn mid-write (a crash while creating the segment)
 	// is repairable damage; anything else in the first segment means this
 	// is not a journal at all and must be refused, never "repaired".
-	torn := n < segHeaderSize && (bytes.HasPrefix(segMagic, got) ||
-		(n > v1HeaderSize && string(got[:v1HeaderSize]) == string(segMagic)))
+	torn := n < segHeaderSize && bytes.HasPrefix(segMagic, magic)
 	switch {
-	case n >= v1HeaderSize && string(got[:v1HeaderSize]) == string(v1Magic):
-		// v1 segment: magic only, records start right after. Only ever
-		// produced by migration, so it is segment 1 and starts at seq 0.
-		if !first {
-			res.firstSeq = expect
-			res.tailError = "v1 header in a non-first segment"
-			return res, nil
-		}
-		res.firstSeq = 0
-		res.validBytes = v1HeaderSize
-		if _, err := f.Seek(v1HeaderSize, io.SeekStart); err != nil {
-			return res, fmt.Errorf("journal: seek %s: %w", path, err)
-		}
-	case err == nil && string(got[:v1HeaderSize]) == string(segMagic):
-		res.firstSeq = binary.LittleEndian.Uint64(got[v1HeaderSize:])
+	case err == nil && bytes.Equal(magic, segMagic):
+		res.firstSeq = binary.LittleEndian.Uint64(header[len(segMagic):])
 		res.validBytes = segHeaderSize
 		if !first && res.firstSeq != expect {
 			res.tailError = fmt.Sprintf("segment starts at seq %d, expected %d", res.firstSeq, expect)
@@ -563,7 +487,7 @@ func scanSegment(path string, size int64, maxRecord int, first bool, expect, rep
 			return res, nil
 		}
 	case first && size > 0 && !torn:
-		return res, fmt.Errorf("journal: %s has no journal magic: not a crowdrank journal", path)
+		return res, fmt.Errorf("journal: %s starts %q, not the segment magic %q: not a crowdrank journal", path, magic, segMagic)
 	default:
 		// A short or foreign header on a later segment — or a torn header
 		// anywhere — is a crash mid-rotation: no records exist yet, so the
@@ -575,34 +499,33 @@ func scanSegment(path string, size int64, maxRecord int, first bool, expect, rep
 	}
 
 	offset := res.validBytes
-	hdr := make([]byte, recordHeaderSize)
+	hdr := make([]byte, record.HeaderSize)
 	for {
 		n, err := io.ReadFull(f, hdr)
 		if err == io.EOF {
 			break // clean end on a record boundary
 		}
 		if err != nil {
-			res.tailError = fmt.Sprintf("truncated record header at offset %d (%d of %d bytes)", offset, n, recordHeaderSize)
+			res.tailError = fmt.Sprintf("truncated record header at offset %d (%d of %d bytes)", offset, n, record.HeaderSize)
 			break
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || int64(length) > int64(maxRecord) {
-			res.tailError = fmt.Sprintf("implausible record length %d at offset %d (max %d)", length, offset, maxRecord)
+		h, err := record.ParseHeader(hdr)
+		if err != nil {
+			res.tailError = fmt.Sprintf("%v at offset %d", err, offset)
 			break
 		}
-		if offset+recordHeaderSize+int64(length) > size {
+		if offset+record.HeaderSize+int64(h.Len) > size {
 			res.tailError = fmt.Sprintf("truncated record payload at offset %d (%d bytes promised, %d in file)",
-				offset, length, size-offset-recordHeaderSize)
+				offset, h.Len, size-offset-record.HeaderSize)
 			break
 		}
-		payload := make([]byte, length)
+		payload := make([]byte, h.Len)
 		if _, err := io.ReadFull(f, payload); err != nil {
 			res.tailError = fmt.Sprintf("short read of record payload at offset %d: %v", offset, err)
 			break
 		}
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			res.tailError = fmt.Sprintf("checksum mismatch at offset %d: recorded %08x, computed %08x", offset, want, got)
+		if err := h.Check(payload); err != nil {
+			res.tailError = fmt.Sprintf("%v at offset %d", err, offset)
 			break
 		}
 		seq := res.firstSeq + uint64(res.records)
@@ -617,7 +540,7 @@ func scanSegment(path string, size int64, maxRecord int, first bool, expect, rep
 			res.replayed++
 		}
 		res.records++
-		offset += recordHeaderSize + int64(length)
+		offset += record.HeaderSize + int64(h.Len)
 		res.validBytes = offset
 	}
 	if res.tailError == "" && offset < size {
@@ -699,7 +622,7 @@ func (j *Journal) createSegment(index, firstSeq uint64) error {
 	}
 	header := make([]byte, segHeaderSize)
 	copy(header, segMagic)
-	binary.LittleEndian.PutUint64(header[v1HeaderSize:], firstSeq)
+	binary.LittleEndian.PutUint64(header[len(segMagic):], firstSeq)
 	if _, err := f.Write(header); err != nil {
 		//lint:ignore errcheck error-path cleanup: the segment is abandoned and the write error is already being returned
 		_ = f.Close()
@@ -726,24 +649,6 @@ func (j *Journal) createSegment(index, firstSeq uint64) error {
 func (j *Journal) syncDir() error {
 	if err := j.dirFile.Sync(); err != nil {
 		return fmt.Errorf("journal: syncing directory %s: %w", j.dir, err)
-	}
-	return nil
-}
-
-// syncDirOnce fsyncs dir through a throwaway handle (for paths taken
-// before a Journal exists, like migration).
-func syncDirOnce(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: opening %s to sync: %w", dir, err)
-	}
-	syncErr := d.Sync()
-	closeErr := d.Close()
-	if syncErr != nil {
-		return fmt.Errorf("journal: syncing directory %s: %w", dir, syncErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("journal: closing directory %s: %w", dir, closeErr)
 	}
 	return nil
 }
@@ -820,13 +725,11 @@ func (j *Journal) Append(payload []byte) (seq uint64, err error) {
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("journal: refusing empty payload")
 	}
-	if len(payload) > j.opts.maxRecord() {
-		return 0, fmt.Errorf("journal: payload of %d bytes exceeds record cap %d", len(payload), j.opts.maxRecord())
+	if len(payload) > record.MaxPayload {
+		return 0, fmt.Errorf("journal: payload of %d bytes exceeds record cap %d", len(payload), record.MaxPayload)
 	}
-	buf := make([]byte, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[recordHeaderSize:], payload)
+	buf := make([]byte, 0, record.HeaderSize+len(payload))
+	buf = append(record.AppendHeader(buf, payload), payload...)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -5,12 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"crowdrank/internal/record"
 )
 
 // openCollect opens the journal collecting every replayed payload.
@@ -445,64 +446,48 @@ func TestChecksumMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestV1JournalMigrated(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	// Hand-build a v1 single-file journal: magic + two records.
-	var buf bytes.Buffer
-	buf.Write(v1Magic)
-	for _, p := range [][]byte{[]byte("old-0"), []byte("old-1")} {
-		var hdr [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32Of(p))
-		buf.Write(hdr[:])
-		buf.Write(p)
-	}
-	if err := os.WriteFile(dir, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j, stats, got := openCollect(t, dir, Options{})
-	if stats.Records != 2 || stats.Truncated() {
-		t.Fatalf("migrated replay stats = %+v", stats)
-	}
-	if string(got[0]) != "old-0" || string(got[1]) != "old-1" {
-		t.Fatalf("migrated payloads = %q", got)
-	}
-	info, err := os.Stat(dir)
-	if err != nil || !info.IsDir() {
-		t.Fatalf("migration should leave a directory at %s (err=%v)", dir, err)
-	}
-	// The journal keeps working across the format boundary.
-	if seq := mustAppend(t, j, []byte("new-2")); seq != 2 {
-		t.Fatalf("post-migration append got seq %d, want 2", seq)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, got = openCollect(t, dir, Options{})
-	if stats.Records != 3 || string(got[2]) != "new-2" {
-		t.Fatalf("reopen after migration: stats=%+v got=%q", stats, got)
-	}
-}
-
+// TestBadMagicRefused opens files that are not journals: Open must refuse
+// each, name what it found, and leave the bytes exactly as they were —
+// they are some other file, not a torn journal to repair. That includes
+// the retired version-1 format, a single "CRWDWAL\x01" file.
 func TestBadMagicRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "not-a-journal")
-	if err := os.WriteFile(path, []byte("this is certainly not a journal"), 0o644); err != nil {
-		t.Fatal(err)
+	// A version-1 journal: the magic, then records framed as today.
+	v1 := []byte("CRWDWAL\x01")
+	for _, p := range []string{"old-0", "old-1"} {
+		v1 = append(record.AppendHeader(v1, []byte(p)), p...)
 	}
-	if _, _, err := Open(path, Options{}, nil); err == nil {
-		t.Fatal("Open accepted a non-journal file")
+	cases := []struct {
+		name    string
+		segment bool // written as segment 1 of a directory, not in its place
+		data    []byte
+		want    string
+	}{
+		{"foreign file", false, []byte("this is certainly not a journal"), "is a file"},
+		{"v1 single-file journal", false, v1, "version-1"},
+		{"garbage first segment", true, []byte("garbage segment contents"), "not a crowdrank journal"},
+		{"v1 journal as first segment", true, v1, `"CRWDWAL\x01"`},
 	}
-	// A garbage segment file inside the directory is refused too.
-	dir := filepath.Join(t.TempDir(), "wal")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte("garbage segment contents"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{}, nil); err == nil {
-		t.Fatal("Open accepted a garbage first segment")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal")
+			file := path
+			if tc.segment {
+				if err := os.MkdirAll(path, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				file = filepath.Join(path, segName(1))
+			}
+			if err := os.WriteFile(file, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Open(path, Options{}, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want a refusal naming %q", err, tc.want)
+			}
+			if got, err := os.ReadFile(file); err != nil || !bytes.Equal(got, tc.data) {
+				t.Fatalf("refused file changed (err=%v)", err)
+			}
+		})
 	}
 }
 
@@ -523,11 +508,11 @@ func TestUnwritableDirectoryRefused(t *testing.T) {
 
 func TestAppendValidation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	j, _, _ := openCollect(t, dir, Options{MaxRecord: 64})
+	j, _, _ := openCollect(t, dir, Options{})
 	if _, err := j.Append(nil); err == nil {
 		t.Error("empty payload accepted")
 	}
-	if _, err := j.Append(bytes.Repeat([]byte{1}, 65)); err == nil {
+	if _, err := j.Append(make([]byte, record.MaxPayload+1)); err == nil {
 		t.Error("oversized payload accepted")
 	}
 	if err := j.Close(); err != nil {
@@ -739,7 +724,7 @@ func TestSizeDirAndSegments(t *testing.T) {
 		t.Errorf("fresh journal: size=%d segments=%d nextSeq=%d", j.Size(), j.Segments(), j.NextSeq())
 	}
 	mustAppend(t, j, []byte("abcd"))
-	if want := int64(segHeaderSize + recordHeaderSize + 4); j.Size() != want {
+	if want := int64(segHeaderSize + record.HeaderSize + 4); j.Size() != want {
 		t.Errorf("Size() = %d, want %d", j.Size(), want)
 	}
 	if j.NextSeq() != 1 {
@@ -759,9 +744,4 @@ func TestSizeDirAndSegments(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// crc32Of mirrors the production checksum for hand-built test files.
-func crc32Of(p []byte) uint32 {
-	return crc32.Checksum(p, castagnoli)
 }

@@ -10,12 +10,12 @@ package journal
 // completely in the page cache this same process reads back.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"crowdrank/internal/record"
 )
 
 // Reader walks a journal's records in sequence order, starting from a
@@ -92,30 +92,30 @@ func (r *Reader) openSegment(seg segment, seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("journal: reader opening segment %s: %w", seg.path, err)
 	}
-	// The segment header determines where records start: a migrated v1
-	// segment carries only the 8-byte magic.
-	hdr := make([]byte, v1HeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		//lint:ignore errcheck error-path cleanup of a read-only handle; the header error is already being returned
-		_ = f.Close()
-		return fmt.Errorf("journal: reader reading header of %s: %w", seg.path, err)
-	}
+	// Open's scan validated the segment header, so records start right
+	// after it. Skip records below seq by walking headers without reading
+	// payloads.
 	offset := int64(segHeaderSize)
-	if string(hdr) == string(v1Magic) {
-		offset = v1HeaderSize
-	}
-	// Skip records below seq by walking headers without reading payloads.
-	rec := make([]byte, recordHeaderSize)
 	for at := seg.firstSeq; at < seq; at++ {
-		if _, err := f.ReadAt(rec, offset); err != nil {
+		h, err := headerAt(f, offset)
+		if err != nil {
 			//lint:ignore errcheck error-path cleanup of a read-only handle; the skip error is already being returned
 			_ = f.Close()
 			return fmt.Errorf("journal: reader skipping to seq %d in %s: %w", seq, seg.path, err)
 		}
-		offset += recordHeaderSize + int64(binary.LittleEndian.Uint32(rec[0:4]))
+		offset += record.HeaderSize + int64(h.Len)
 	}
 	r.f, r.fIndex, r.offset = f, seg.index, offset
 	return nil
+}
+
+// headerAt reads and parses the record header at offset off of f.
+func headerAt(f *os.File, off int64) (record.Header, error) {
+	var hdr [record.HeaderSize]byte
+	if _, err := f.ReadAt(hdr[:], off); err != nil {
+		return record.Header{}, err
+	}
+	return record.ParseHeader(hdr[:])
 }
 
 // Next returns the payload and sequence number of the next record. A
@@ -136,25 +136,20 @@ func (r *Reader) Next() ([]byte, uint64, error) {
 			return nil, 0, err
 		}
 	}
-	hdr := make([]byte, recordHeaderSize)
-	if _, err := r.f.ReadAt(hdr, r.offset); err != nil {
+	h, err := headerAt(r.f, r.offset)
+	if err != nil {
 		return nil, 0, fmt.Errorf("journal: reader at seq %d: record header: %w", r.seq, err)
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || int64(length) > int64(r.j.opts.maxRecord()) {
-		return nil, 0, fmt.Errorf("journal: reader at seq %d: implausible record length %d", r.seq, length)
-	}
-	payload := make([]byte, length)
-	if _, err := r.f.ReadAt(payload, r.offset+recordHeaderSize); err != nil {
+	payload := make([]byte, h.Len)
+	if _, err := r.f.ReadAt(payload, r.offset+record.HeaderSize); err != nil {
 		return nil, 0, fmt.Errorf("journal: reader at seq %d: record payload: %w", r.seq, err)
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, 0, fmt.Errorf("journal: reader at seq %d: checksum mismatch (recorded %08x, computed %08x)", r.seq, want, got)
+	if err := h.Check(payload); err != nil {
+		return nil, 0, fmt.Errorf("journal: reader at seq %d: %w", r.seq, err)
 	}
 	seq := r.seq
 	r.seq++
-	r.offset += recordHeaderSize + int64(length)
+	r.offset += record.HeaderSize + int64(h.Len)
 	return payload, seq, nil
 }
 

@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"crowdrank/internal/record"
 )
 
 // Stream wire format. A replication stream is a chunked HTTP response
@@ -14,24 +15,18 @@ import (
 //	'R' (record):    uint64 seq | uint32 len | uint32 crc32c | payload
 //	'H' (heartbeat): uint64 leaderNextSeq | uint64 epoch
 //
-// All integers little-endian, matching the journal's own record framing.
-// Record payloads are journal batch records verbatim (the v1/v2 format
-// internal/serve writes), checksummed again for the wire so a corrupted
-// proxy hop cannot land a bad record in a follower's journal. Heartbeats
-// flow while the leader is idle: they carry the leader's next sequence
-// (the follower derives its lag from it) and the leader's current epoch
-// (how a follower learns about promotions it did not itself perform).
+// All integers little-endian. After its seq, a record frame is exactly a
+// journal record (package record's framing, under the same size cap):
+// the payload is the leader's journal batch record verbatim, checksummed
+// again for the wire so a corrupted proxy hop cannot land a bad record in
+// a follower's journal. Heartbeats flow while the leader is idle: they
+// carry the leader's next sequence (the follower derives its lag from it)
+// and the leader's current epoch (how a follower learns about promotions
+// it did not itself perform).
 const (
 	frameRecord    = 'R'
 	frameHeartbeat = 'H'
-
-	// maxFramePayload bounds one record frame on the receiving side, a
-	// backstop against a corrupt or hostile length prefix. Generous: the
-	// journal's own record cap is far below this.
-	maxFramePayload = 64 << 20
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // frame is one decoded stream frame. Record frames carry seq and payload;
 // heartbeats carry next (the leader's next sequence) and epoch.
@@ -46,11 +41,8 @@ type frame struct {
 // writeRecordFrame emits one 'R' frame.
 func writeRecordFrame(w *bufio.Writer, seq uint64, payload []byte) error {
 	var hdr [17]byte
-	hdr[0] = frameRecord
-	binary.LittleEndian.PutUint64(hdr[1:9], seq)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
+	b := binary.LittleEndian.AppendUint64(append(hdr[:0], frameRecord), seq)
+	if _, err := w.Write(record.AppendHeader(b, payload)); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -91,20 +83,19 @@ func readFrame(r *bufio.Reader) (frame, error) {
 		}, nil
 	case frameRecord:
 		seq := binary.LittleEndian.Uint64(body[0:8])
-		length := binary.LittleEndian.Uint32(body[8:12])
-		want := binary.LittleEndian.Uint32(body[12:16])
-		if length == 0 || length > maxFramePayload {
-			return frame{}, fmt.Errorf("replica: implausible record frame length %d at seq %d", length, seq)
+		h, err := record.ParseHeader(body[8:16])
+		if err != nil {
+			return frame{}, fmt.Errorf("replica: record frame at seq %d: %w", seq, err)
 		}
-		payload := make([]byte, length)
+		payload := make([]byte, h.Len)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return frame{}, fmt.Errorf("replica: torn record frame at seq %d: %w", seq, err)
 		}
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return frame{}, fmt.Errorf("replica: record frame at seq %d failed checksum (recorded %08x, computed %08x)", seq, want, got)
+		if err := h.Check(payload); err != nil {
+			return frame{}, fmt.Errorf("replica: record frame at seq %d: %w", seq, err)
 		}
 		return frame{kind: kind, seq: seq, payload: payload}, nil
 	default:

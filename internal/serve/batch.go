@@ -7,25 +7,23 @@ import (
 	"crowdrank/internal/crowd"
 )
 
-// Vote batches are journaled in a compact varint encoding. The original
-// (v1) record is:
-//
-//	uvarint  count
-//	repeated count times:
-//	  uvarint worker
-//	  uvarint i
-//	  uvarint j
-//	  1 byte  prefersI (0 or 1)
-//
-// Keyed (v2) records carry the batch idempotency key and the malformed
-// count, so replay can rebuild the exact ack a retried key must receive:
+// Vote batches are journaled as version-2 records in a compact varint
+// encoding:
 //
 //	uvarint  0            marker: v1 never journals an empty batch, so a
 //	                      leading zero count is unambiguous
 //	uvarint  keyLen       0 for an unkeyed batch
 //	keyLen bytes          the idempotency key
 //	uvarint  malformed    votes dropped at validation before journaling
-//	uvarint  count        followed by the v1 vote encoding
+//	uvarint  count
+//	repeated count times: one crowd.AppendVote encoding
+//	  (uvarint worker, i, j; 1 byte prefersI)
+//
+// The key and malformed count let replay rebuild the exact ack a retried
+// key must receive. The original (v1) record, just count and votes, is
+// read-only legacy: journals from daemons that wrote unkeyed batches that
+// way still replay, each v1 record with an empty key and a zero malformed
+// count.
 //
 // The journal layer already guarantees integrity (CRC32 per record);
 // decoding guards structure: counts must match the bytes present, no
@@ -45,14 +43,25 @@ type batchRecord struct {
 	dropped   int
 }
 
-// encodeBatchKeyed serializes a v2 keyed record for the journal.
-func encodeBatchKeyed(key string, malformed int, votes []crowd.Vote) []byte {
+// encodeBatch serializes one batch as a v2 journal record; key is empty
+// for an unkeyed batch.
+func encodeBatch(key string, malformed int, votes []crowd.Vote) []byte {
 	buf := make([]byte, 0, 16+len(key)+len(votes)*7)
 	buf = binary.AppendUvarint(buf, 0) // v2 marker
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(buf, key...)
 	buf = binary.AppendUvarint(buf, uint64(malformed))
-	return append(buf, encodeBatch(votes)...)
+	return appendVotes(buf, votes)
+}
+
+// appendVotes appends the vote list (count, then the votes) that ends a
+// v2 record and makes up the whole of a v1 record.
+func appendVotes(dst []byte, votes []crowd.Vote) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(votes)))
+	for _, v := range votes {
+		dst = crowd.AppendVote(dst, v)
+	}
+	return dst
 }
 
 // decodeBatchRecord parses either record version back into votes and ack
@@ -66,7 +75,7 @@ func decodeBatchRecord(data []byte, n, m int) (batchRecord, error) {
 	}
 	if marker != 0 {
 		// v1: the leading uvarint is the vote count itself.
-		votes, dropped, err := decodeBatch(data, n, m)
+		votes, dropped, err := decodeVotes(data, n, m)
 		if err != nil {
 			return rec, err
 		}
@@ -96,7 +105,7 @@ func decodeBatchRecord(data []byte, n, m int) (batchRecord, error) {
 		return rec, fmt.Errorf("serve: implausible malformed count %d", malformed)
 	}
 	rec.malformed = int(malformed)
-	votes, dropped, err := decodeBatch(rest, n, m)
+	votes, dropped, err := decodeVotes(rest, n, m)
 	if err != nil {
 		return rec, err
 	}
@@ -104,30 +113,12 @@ func decodeBatchRecord(data []byte, n, m int) (batchRecord, error) {
 	return rec, nil
 }
 
-// encodeBatch serializes validated votes in the v1 vote encoding (also
-// the tail of a v2 record).
-func encodeBatch(votes []crowd.Vote) []byte {
-	buf := make([]byte, 0, 4+len(votes)*7)
-	buf = binary.AppendUvarint(buf, uint64(len(votes)))
-	for _, v := range votes {
-		buf = binary.AppendUvarint(buf, uint64(v.Worker))
-		buf = binary.AppendUvarint(buf, uint64(v.I))
-		buf = binary.AppendUvarint(buf, uint64(v.J))
-		if v.PrefersI {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-// decodeBatch parses one journal payload back into votes for n objects and
-// m workers. Structural damage (impossible counts, short data, trailing
-// bytes) is an error; individual votes outside the universe are dropped
-// and counted, so a journal written under a larger universe degrades
-// rather than poisons state.
-func decodeBatch(data []byte, n, m int) (votes []crowd.Vote, dropped int, err error) {
+// decodeVotes parses an appendVotes list back into votes for n objects
+// and m workers. Structural damage (impossible counts, short data,
+// trailing bytes) is an error; individual votes outside the universe are
+// dropped and counted, so a journal written under a larger universe
+// degrades rather than poisons state.
+func decodeVotes(data []byte, n, m int) (votes []crowd.Vote, dropped int, err error) {
 	count, off := binary.Uvarint(data)
 	if off <= 0 {
 		return nil, 0, fmt.Errorf("serve: batch count unreadable")
@@ -139,43 +130,12 @@ func decodeBatch(data []byte, n, m int) (votes []crowd.Vote, dropped int, err er
 	}
 	votes = make([]crowd.Vote, 0, count)
 	rest := data[off:]
-	readField := func(name string) (uint64, error) {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return 0, fmt.Errorf("serve: batch %s unreadable at byte %d", name, len(data)-len(rest))
-		}
-		rest = rest[k:]
-		return v, nil
-	}
 	for i := uint64(0); i < count; i++ {
-		worker, err := readField("worker")
+		v, next, err := crowd.ReadVote(rest)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("serve: batch vote %d at byte %d: %w", i, len(data)-len(rest), err)
 		}
-		vi, err := readField("object i")
-		if err != nil {
-			return nil, 0, err
-		}
-		vj, err := readField("object j")
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(rest) == 0 {
-			return nil, 0, fmt.Errorf("serve: batch vote %d missing preference byte", i)
-		}
-		pref := rest[0]
-		rest = rest[1:]
-		if pref > 1 {
-			return nil, 0, fmt.Errorf("serve: batch vote %d has preference byte %d", i, pref)
-		}
-		// Overflow-safe narrowing: anything beyond the universe is a
-		// dropped vote, not a decode failure.
-		const maxID = 1 << 31
-		if worker >= maxID || vi >= maxID || vj >= maxID {
-			dropped++
-			continue
-		}
-		v := crowd.Vote{Worker: int(worker), I: int(vi), J: int(vj), PrefersI: pref == 1}
+		rest = next
 		if v.Validate(n, m) != nil {
 			dropped++
 			continue

@@ -46,19 +46,22 @@ func fuzzJournalBytes(t testing.TB, batches ...[]byte) []byte {
 // decode into votes, the whole daemon pipeline runs over them and the
 // invariant oracles vet the served ranking.
 func FuzzJournalReplay(f *testing.F) {
+	// One legacy v1 record, then a keyed v2 record, as an upgraded
+	// daemon's journal holds them.
 	clean := fuzzJournalBytes(f,
-		encodeBatch(agreeingVotes(fuzzN, fuzzM)[:5]),
-		encodeBatch(agreeingVotes(fuzzN, fuzzM)[5:9]),
+		appendVotes(nil, agreeingVotes(fuzzN, fuzzM)[:5]),
+		encodeBatch("fuzz-key", 1, agreeingVotes(fuzzN, fuzzM)[5:9]),
 	)
 	f.Add(clean)
 	f.Add(clean[:len(clean)-3]) // torn tail
 	flipped := bytes.Clone(clean)
 	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)                                            // mid-file bit flip
-	f.Add(clean[:8])                                          // header only
-	f.Add([]byte{})                                           // empty file
-	f.Add([]byte("CRWDWAL\x01\xff\xff\xff\xff then garbage")) // implausible length
-	f.Add([]byte("NOTAWAL\x01rest"))                          // wrong magic
+	f.Add(flipped)   // mid-file bit flip
+	f.Add(clean[:8]) // header only
+	f.Add([]byte{})  // empty file
+	// A segment header (first seq 0), then an implausible record length.
+	f.Add([]byte("CRWDSEG\x01\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff then garbage"))
+	f.Add([]byte("NOTAWAL\x01rest")) // wrong magic
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The bytes land as the first journal segment in an otherwise
@@ -114,12 +117,12 @@ func FuzzJournalReplay(f *testing.F) {
 		votes := 0
 		decodable := true
 		for _, p := range first {
-			v, _, err := decodeBatch(p, fuzzN, fuzzM)
+			rec, err := decodeBatchRecord(p, fuzzN, fuzzM)
 			if err != nil {
 				decodable = false
 				break
 			}
-			votes += len(v)
+			votes += len(rec.votes)
 		}
 		if !decodable || votes == 0 || votes > 128 {
 			return

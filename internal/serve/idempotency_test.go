@@ -259,7 +259,7 @@ func TestBatchRecordCodecKeyedRoundTrip(t *testing.T) {
 		{Worker: 0, I: 0, J: 1, PrefersI: true},
 		{Worker: 2, I: 3, J: 1, PrefersI: false},
 	}
-	data := encodeBatchKeyed("abc123", 4, votes)
+	data := encodeBatch("abc123", 4, votes)
 	rec, err := decodeBatchRecord(data, 6, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestBatchRecordCodecKeyedRoundTrip(t *testing.T) {
 
 func TestBatchRecordCodecReadsV1(t *testing.T) {
 	votes := []crowd.Vote{{Worker: 1, I: 4, J: 5, PrefersI: true}}
-	rec, err := decodeBatchRecord(encodeBatch(votes), 6, 3)
+	rec, err := decodeBatchRecord(appendVotes(nil, votes), 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,46 @@ func TestBatchRecordCodecReadsV1(t *testing.T) {
 	}
 }
 
+// TestBatchRecordCodecUnkeyedIsV2 pins the single writer: an unkeyed
+// ingest journals a v2 record with an empty key, not a v1 record.
+func TestBatchRecordCodecUnkeyedIsV2(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig(6, 3)
+	cfg.Seed = 3
+	cfg.JournalPath = dir
+	s := newTestServer(t, cfg)
+	votes := []crowd.Vote{{Worker: 1, I: 4, J: 5, PrefersI: true}, {Worker: 3, I: 0, J: 1}}
+	if _, err := s.Ingest(votes); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var records [][]byte
+	j, _, err := journal.Open(dir, journal.Options{}, func(p []byte) error {
+		records = append(records, bytes.Clone(p))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{0, 0, 1, 1, 1, 4, 5, 1} // v2 marker, empty key, 1 malformed, 1 vote
+	if len(records) != 1 || !bytes.Equal(records[0], want) {
+		t.Fatalf("unkeyed ingest journaled %x, want the v2 record %x", records, want)
+	}
+	rec, err := decodeBatchRecord(records[0], 6, 3)
+	if err != nil || rec.key != "" || rec.malformed != 1 || len(rec.votes) != 1 || rec.votes[0] != votes[0] {
+		t.Fatalf("decoded %+v (err %v)", rec, err)
+	}
+}
+
 func TestBatchRecordCodecRejectsDamage(t *testing.T) {
-	good := encodeBatchKeyed("key", 0, []crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: true}})
+	good := encodeBatch("key", 0, []crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: true}})
 	cases := map[string][]byte{
-		"oversized key":  encodeBatchKeyed(strings.Repeat("k", maxKeyLen+1), 0, nil),
+		"oversized key":  encodeBatch(strings.Repeat("k", maxKeyLen+1), 0, nil),
 		"truncated key":  good[:3],
 		"empty":          nil,
 		"truncated tail": good[:len(good)-2],
@@ -527,7 +563,7 @@ func TestReplayMixedV1AndV2Records(t *testing.T) {
 		{{Worker: 1, I: 2, J: 3, PrefersI: false}, {Worker: 0, I: 1, J: 2, PrefersI: true}},
 	}
 	for _, b := range v1Batches {
-		if _, err := j.Append(encodeBatch(b)); err != nil {
+		if _, err := j.Append(appendVotes(nil, b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,7 +573,7 @@ func TestReplayMixedV1AndV2Records(t *testing.T) {
 		{{Worker: 0, I: 2, J: 0, PrefersI: false}},
 	}
 	for i, b := range v2Batches {
-		if _, err := j.Append(encodeBatchKeyed(v2Keys[i], 1, b)); err != nil {
+		if _, err := j.Append(encodeBatch(v2Keys[i], 1, b)); err != nil {
 			t.Fatal(err)
 		}
 	}

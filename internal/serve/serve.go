@@ -52,8 +52,8 @@ type Config struct {
 	// JournalPath is the write-ahead journal directory (segments and
 	// snapshots live side by side in it); empty runs the daemon in-memory
 	// only (acknowledged batches die with the process — tests and
-	// throwaway experiments only). A version-1 single-file journal at this
-	// path is migrated in place on first open.
+	// throwaway experiments only). A regular file at this path, such as a
+	// version-1 single-file journal, is refused.
 	JournalPath string
 	// JournalSync selects the append durability policy (default
 	// journal.SyncAlways: fsync before every ack).
@@ -397,20 +397,7 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 			// it rather than guess.
 			return fmt.Errorf("serve: undecodable batch: %w", err)
 		}
-		added, dups := s.apply(rec.votes)
-		if rec.key != "" {
-			// Rebuild the exact ack the batch originally received, so a
-			// retry of this key after the crash is acked without reapply.
-			s.mu.Lock()
-			s.recordAckLocked(rec.key, IngestResult{
-				Accepted:   added,
-				Duplicates: dups,
-				Malformed:  rec.malformed,
-				Seq:        s.batches,
-				TotalVotes: len(s.votes),
-			})
-			s.mu.Unlock()
-		}
+		s.applyRecord(rec)
 		return nil
 	}
 	// One trailing candidate past the snapshot list is the no-snapshot
@@ -569,6 +556,26 @@ func (s *Server) ackWindowLocked() []snapshot.AckEntry {
 	return out
 }
 
+// applyRecord folds one journal record into memory through apply. For a
+// keyed record it also rebuilds the exact ack the batch originally
+// received, so a retry of that key after a crash or failover is answered
+// without reapplying. Recovery replay and replicated records both use it.
+func (s *Server) applyRecord(rec batchRecord) (added, dups int) {
+	added, dups = s.apply(rec.votes)
+	if rec.key != "" {
+		s.mu.Lock()
+		s.recordAckLocked(rec.key, IngestResult{
+			Accepted:   added,
+			Duplicates: dups,
+			Malformed:  rec.malformed,
+			Seq:        s.batches,
+			TotalVotes: len(s.votes),
+		})
+		s.mu.Unlock()
+	}
+	return added, dups
+}
+
 // apply folds one validated batch into the in-memory state, suppressing
 // exact duplicate submissions, and returns what was added. Live ingest,
 // replicated records and journal replay all go through apply, so recovery
@@ -709,12 +716,9 @@ func (s *Server) ingest(ctx context.Context, key string, votes []crowd.Vote) (In
 		}
 	}
 	if s.jnl != nil {
-		payload := encodeBatch(valid)
-		if key != "" {
-			// Keyed batches journal their key and malformed count, so
-			// replay after a crash rebuilds the identical ack.
-			payload = encodeBatchKeyed(key, res.Malformed, valid)
-		}
+		// The record carries the key and malformed count, so replay after
+		// a crash rebuilds the identical ack.
+		payload := encodeBatch(key, res.Malformed, valid)
 		//lint:ignore lockcheck durable-before-ack: the append (and its fsync) must finish under writeMu before apply so journal order equals apply order, and under closeMu so shutdown cannot close the journal mid-batch
 		if _, err := s.jnl.Append(payload); err != nil {
 			s.writeMu.Unlock()
@@ -1145,18 +1149,7 @@ func (s *Server) applyReplicated(seq uint64, payload []byte) error {
 			return fmt.Errorf("serve: journaling replicated batch: %w", err)
 		}
 	}
-	added, dups := s.apply(rec.votes)
-	if rec.key != "" {
-		s.mu.Lock()
-		s.recordAckLocked(rec.key, IngestResult{
-			Accepted:   added,
-			Duplicates: dups,
-			Malformed:  rec.malformed,
-			Seq:        s.batches,
-			TotalVotes: len(s.votes),
-		})
-		s.mu.Unlock()
-	}
+	added, dups := s.applyRecord(rec)
 	s.met.ingestAccepted.Add(uint64(added))
 	s.met.ingestDuplicate.Add(uint64(dups))
 	s.sinceSnap.Add(1)

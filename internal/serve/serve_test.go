@@ -253,7 +253,7 @@ func TestServerRejectsForeignJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopening under a smaller universe must not silently poison state:
-	// out-of-universe votes are dropped per decodeBatch's contract, leaving
+	// out-of-universe votes are dropped per decodeVotes's contract, leaving
 	// an empty, healthy server rather than a refused start.
 	small := DefaultConfig(4, 2)
 	small.Seed = 5
@@ -287,7 +287,7 @@ func TestCloseMakesRequestsFailFast(t *testing.T) {
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	votes := agreeingVotes(5, 3)
-	got, dropped, err := decodeBatch(encodeBatch(votes), 5, 3)
+	got, dropped, err := decodeVotes(appendVotes(nil, votes), 5, 3)
 	if err != nil || dropped != 0 {
 		t.Fatalf("round trip failed: err=%v dropped=%d", err, dropped)
 	}
@@ -302,7 +302,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecRejectsStructuralDamage(t *testing.T) {
-	good := encodeBatch(agreeingVotes(4, 2))
+	good := appendVotes(nil, agreeingVotes(4, 2))
 	cases := map[string][]byte{
 		"empty payload":    {},
 		"truncated":        good[:len(good)-2],
@@ -312,7 +312,7 @@ func TestBatchCodecRejectsStructuralDamage(t *testing.T) {
 		"count over bytes": {200, 1, 0, 0, 1, 1},
 	}
 	for name, data := range cases {
-		if _, _, err := decodeBatch(data, 4, 2); err == nil {
+		if _, _, err := decodeVotes(data, 4, 2); err == nil {
 			t.Errorf("%s: decode should fail", name)
 		}
 	}
@@ -324,7 +324,7 @@ func TestBatchCodecDropsOutOfUniverse(t *testing.T) {
 		{Worker: 7, I: 0, J: 1, PrefersI: true}, // worker outside m=2
 		{Worker: 1, I: 0, J: 9, PrefersI: false},
 	}
-	got, dropped, err := decodeBatch(encodeBatch(votes), 4, 2)
+	got, dropped, err := decodeVotes(appendVotes(nil, votes), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@
 // # On-disk format
 //
 //	8 bytes   magic + version ("CRWDSNP\x02")
-//	4 bytes   CRC32-Castagnoli of the payload, little-endian
+//	4 bytes   CRC32-Castagnoli of the payload (record.Checksum), little-endian
 //	8 bytes   payload length, little-endian uint64
 //	payload   varint-encoded State (see encode)
 //
-// Version 2 appends the batch-ack idempotency window after the votes;
-// version-1 files ("CRWDSNP\x01") still load, with an empty window.
+// Version 2 appends the batch-ack idempotency window after the votes.
+// Version-1 files ("CRWDSNP\x01") are refused like any other bad magic.
 //
 // Snapshot files are named snapshot.<seq> (zero-padded, so lexical and
 // numeric order agree) and written atomically: temp file in the same
@@ -31,7 +31,6 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,15 +38,12 @@ import (
 	"strings"
 
 	"crowdrank/internal/crowd"
+	"crowdrank/internal/record"
 )
 
 // fileMagic identifies a crowdrank snapshot; the final byte is the format
-// version. Version 2 appends the batch-ack window after the votes;
-// version 1 files (no ack window) still load, with empty Acks.
-var (
-	fileMagic   = []byte("CRWDSNP\x02")
-	fileMagicV1 = []byte("CRWDSNP\x01")
-)
+// version.
+var fileMagic = []byte("CRWDSNP\x02")
 
 // headerSize is magic (8) + CRC (4) + payload length (8).
 const headerSize = 20
@@ -59,9 +55,6 @@ const Prefix = "snapshot."
 // most one vote per (worker, pair) submission, so multi-gigabyte files
 // are corruption (or hostile), not state.
 const maxSnapshotBytes = 1 << 31
-
-// castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // State is the daemon state a snapshot captures. It is exactly what
 // journal replay up to Seq would rebuild, so recovery can substitute the
@@ -123,14 +116,7 @@ func encode(st State) []byte {
 	buf = binary.AppendUvarint(buf, uint64(st.DupVotes))
 	buf = binary.AppendUvarint(buf, uint64(len(st.Votes)))
 	for _, v := range st.Votes {
-		buf = binary.AppendUvarint(buf, uint64(v.Worker))
-		buf = binary.AppendUvarint(buf, uint64(v.I))
-		buf = binary.AppendUvarint(buf, uint64(v.J))
-		if v.PrefersI {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = crowd.AppendVote(buf, v)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.Acks)))
 	for _, a := range st.Acks {
@@ -150,9 +136,7 @@ func encode(st State) []byte {
 // the declared universe. Unlike journal replay — where an out-of-universe
 // vote is dropped and counted — a snapshot vote that fails validation
 // means the snapshot itself is untrustworthy, so decode refuses outright.
-// version selects the payload layout: 1 ends after the votes, 2 appends
-// the ack window.
-func decode(data []byte, version byte) (State, error) {
+func decode(data []byte) (State, error) {
 	var st State
 	rest := data
 	readField := func(fieldName string) (uint64, error) {
@@ -201,79 +185,58 @@ func decode(data []byte, version byte) (State, error) {
 	}
 	st.Votes = make([]crowd.Vote, 0, count)
 	for i := uint64(0); i < count; i++ {
-		worker, err := readField("worker")
+		v, next, err := crowd.ReadVote(rest)
 		if err != nil {
-			return st, err
+			return st, fmt.Errorf("snapshot: vote %d at byte %d: %w", i, len(data)-len(rest), err)
 		}
-		vi, err := readField("object i")
-		if err != nil {
-			return st, err
-		}
-		vj, err := readField("object j")
-		if err != nil {
-			return st, err
-		}
-		if len(rest) == 0 {
-			return st, fmt.Errorf("snapshot: vote %d missing preference byte", i)
-		}
-		pref := rest[0]
-		rest = rest[1:]
-		if pref > 1 {
-			return st, fmt.Errorf("snapshot: vote %d has preference byte %d", i, pref)
-		}
-		if worker >= maxID || vi >= maxID || vj >= maxID {
-			return st, fmt.Errorf("snapshot: vote %d outside the id space", i)
-		}
-		v := crowd.Vote{Worker: int(worker), I: int(vi), J: int(vj), PrefersI: pref == 1}
+		rest = next
 		if err := v.Validate(st.N, st.M); err != nil {
 			return st, fmt.Errorf("snapshot: vote %d outside the declared universe: %w", i, err)
 		}
 		st.Votes = append(st.Votes, v)
 	}
-	if version >= 2 {
-		ackCount, err := readField("ack count")
+	ackCount, err := readField("ack count")
+	if err != nil {
+		return st, err
+	}
+	// Each ack takes at least 6 bytes (empty key + five counters).
+	if ackCount > uint64(len(rest)) {
+		return st, fmt.Errorf("snapshot: ack count %d exceeds payload capacity %d", ackCount, len(rest))
+	}
+	st.Acks = make([]AckEntry, 0, ackCount)
+	for i := uint64(0); i < ackCount; i++ {
+		keyLen, err := readField("ack key length")
 		if err != nil {
 			return st, err
 		}
-		// Each ack takes at least 6 bytes (empty key + five counters).
-		if ackCount > uint64(len(rest)) {
-			return st, fmt.Errorf("snapshot: ack count %d exceeds payload capacity %d", ackCount, len(rest))
+		if keyLen == 0 || keyLen > maxAckKeyLen {
+			return st, fmt.Errorf("snapshot: ack %d key length %d outside [1,%d]", i, keyLen, maxAckKeyLen)
 		}
-		st.Acks = make([]AckEntry, 0, ackCount)
-		for i := uint64(0); i < ackCount; i++ {
-			keyLen, err := readField("ack key length")
+		if uint64(len(rest)) < keyLen {
+			return st, fmt.Errorf("snapshot: ack %d key truncated", i)
+		}
+		a := AckEntry{Key: string(rest[:keyLen])}
+		rest = rest[keyLen:]
+		for _, f := range []struct {
+			name string
+			dst  *int
+		}{
+			{"ack accepted", &a.Accepted},
+			{"ack duplicates", &a.Duplicates},
+			{"ack malformed", &a.Malformed},
+			{"ack sequence", &a.Seq},
+			{"ack total votes", &a.TotalVotes},
+		} {
+			v, err := readField(f.name)
 			if err != nil {
 				return st, err
 			}
-			if keyLen == 0 || keyLen > maxAckKeyLen {
-				return st, fmt.Errorf("snapshot: ack %d key length %d outside [1,%d]", i, keyLen, maxAckKeyLen)
+			if v >= maxID {
+				return st, fmt.Errorf("snapshot: implausible %s %d", f.name, v)
 			}
-			if uint64(len(rest)) < keyLen {
-				return st, fmt.Errorf("snapshot: ack %d key truncated", i)
-			}
-			a := AckEntry{Key: string(rest[:keyLen])}
-			rest = rest[keyLen:]
-			for _, f := range []struct {
-				name string
-				dst  *int
-			}{
-				{"ack accepted", &a.Accepted},
-				{"ack duplicates", &a.Duplicates},
-				{"ack malformed", &a.Malformed},
-				{"ack sequence", &a.Seq},
-				{"ack total votes", &a.TotalVotes},
-			} {
-				v, err := readField(f.name)
-				if err != nil {
-					return st, err
-				}
-				if v >= maxID {
-					return st, fmt.Errorf("snapshot: implausible %s %d", f.name, v)
-				}
-				*f.dst = int(v)
-			}
-			st.Acks = append(st.Acks, a)
+			*f.dst = int(v)
 		}
+		st.Acks = append(st.Acks, a)
 	}
 	if len(rest) != 0 {
 		return st, fmt.Errorf("snapshot: %d trailing bytes", len(rest))
@@ -290,7 +253,7 @@ func Encode(st State) []byte {
 	payload := encode(st)
 	buf := make([]byte, headerSize+len(payload))
 	copy(buf, fileMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(buf[8:12], record.Checksum(payload))
 	binary.LittleEndian.PutUint64(buf[12:20], uint64(len(payload)))
 	copy(buf[headerSize:], payload)
 	return buf
@@ -304,14 +267,8 @@ func Decode(data []byte) (State, error) {
 	if len(data) < headerSize {
 		return st, fmt.Errorf("snapshot: %d bytes is too short for a snapshot header", len(data))
 	}
-	var version byte
-	switch {
-	case string(data[:8]) == string(fileMagic):
-		version = 2
-	case string(data[:8]) == string(fileMagicV1):
-		version = 1
-	default:
-		return st, fmt.Errorf("snapshot: bad magic %q", data[:8])
+	if string(data[:8]) != string(fileMagic) {
+		return st, fmt.Errorf("snapshot: bad magic %q, want %q", data[:8], fileMagic)
 	}
 	want := binary.LittleEndian.Uint32(data[8:12])
 	length := binary.LittleEndian.Uint64(data[12:20])
@@ -319,10 +276,10 @@ func Decode(data []byte) (State, error) {
 	if uint64(len(payload)) != length {
 		return st, fmt.Errorf("snapshot: payload is %d bytes, header promises %d", len(payload), length)
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	if got := record.Checksum(payload); got != want {
 		return st, fmt.Errorf("snapshot: checksum mismatch: recorded %08x, computed %08x", want, got)
 	}
-	return decode(payload, version)
+	return decode(payload)
 }
 
 // InstallRaw validates data as a complete snapshot file and atomically

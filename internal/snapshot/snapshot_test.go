@@ -2,13 +2,13 @@ package snapshot
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"crowdrank/internal/crowd"
+	"crowdrank/internal/record"
 )
 
 func sampleState(seq uint64) State {
@@ -69,30 +69,52 @@ func TestLoadRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	damage := map[string]func([]byte) []byte{
-		"bit flip in payload": func(b []byte) []byte {
+	// reframe puts payload under magic with a valid checksum and length.
+	reframe := func(magic string, payload []byte) []byte {
+		c := binary.LittleEndian.AppendUint32([]byte(magic), record.Checksum(payload))
+		c = binary.LittleEndian.AppendUint64(c, uint64(len(payload)))
+		return append(c, payload...)
+	}
+	// A version-1 payload ends after the votes: sampleState has no acks,
+	// so it is the clean payload without its trailing zero ack count.
+	v1Payload := clean[headerSize : len(clean)-1]
+	damage := []struct {
+		name   string
+		mutate func([]byte) []byte
+		want   string // a substring the error must carry, if any
+	}{
+		{"bit flip in payload", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)-1] ^= 0x20
 			return c
-		},
-		"bit flip in magic": func(b []byte) []byte {
+		}, ""},
+		{"bit flip in magic", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[0] ^= 0x01
 			return c
-		},
-		"truncated payload": func(b []byte) []byte { return b[:len(b)-3] },
-		"truncated header":  func(b []byte) []byte { return b[:10] },
-		"empty":             func([]byte) []byte { return nil },
-		"trailing garbage":  func(b []byte) []byte { return append(append([]byte(nil), b...), 0xFF) },
+		}, "bad magic"},
+		{"truncated payload", func(b []byte) []byte { return b[:len(b)-3] }, ""},
+		{"truncated header", func(b []byte) []byte { return b[:10] }, ""},
+		{"empty", func([]byte) []byte { return nil }, ""},
+		{"trailing garbage", func(b []byte) []byte { return append(append([]byte(nil), b...), 0xFF) }, ""},
+		// The retired version-1 format is refused by name, never guessed
+		// at, and so is a v1 payload under the current magic.
+		{"version-1 file", func([]byte) []byte { return reframe("CRWDSNP\x01", v1Payload) }, `"CRWDSNP\x01"`},
+		{"v1 payload under v2 magic", func([]byte) []byte { return reframe("CRWDSNP\x02", v1Payload) }, "ack count"},
 	}
-	for name, mutate := range damage {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range damage {
+		t.Run(tc.name, func(t *testing.T) {
 			bad := filepath.Join(dir, "bad")
-			if err := os.WriteFile(bad, mutate(clean), 0o644); err != nil {
+			data := tc.mutate(clean)
+			if err := os.WriteFile(bad, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Load(bad); err == nil {
-				t.Fatal("damaged snapshot loaded without error")
+			_, err := Load(bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want a refusal naming %q", err, tc.want)
+			}
+			if got, err := os.ReadFile(bad); err != nil || string(got) != string(data) {
+				t.Fatalf("refused snapshot changed (err=%v)", err)
 			}
 		})
 	}
@@ -252,46 +274,6 @@ func TestAckWindowRoundTrip(t *testing.T) {
 		if got.Acks[i] != st.Acks[i] {
 			t.Fatalf("ack %d = %+v, want %+v", i, got.Acks[i], st.Acks[i])
 		}
-	}
-}
-
-// TestLoadV1Compat hand-builds a version-1 snapshot (no ack section) and
-// checks it still loads, with an empty window — upgraded daemons must
-// recover from snapshots written before the format grew acks.
-func TestLoadV1Compat(t *testing.T) {
-	st := sampleState(9)
-	payload := encode(st)
-	// encode always appends the ack section; a v1 payload ends after the
-	// votes, so strip the trailing zero ack count.
-	if len(st.Acks) != 0 || payload[len(payload)-1] != 0 {
-		t.Fatal("test setup: expected a trailing zero ack count")
-	}
-	payload = payload[:len(payload)-1]
-	buf := make([]byte, headerSize+len(payload))
-	copy(buf, fileMagicV1)
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint64(buf[12:20], uint64(len(payload)))
-	copy(buf[headerSize:], payload)
-
-	path := filepath.Join(t.TempDir(), "v1snap")
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("v1 snapshot should load: %v", err)
-	}
-	if got.Seq != st.Seq || len(got.Votes) != len(st.Votes) || len(got.Acks) != 0 {
-		t.Fatalf("v1 load drifted: %+v", got)
-	}
-	// The same payload under the v2 magic is truncated (missing ack
-	// section) and must be rejected, not guessed at.
-	copy(buf, fileMagic)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("v2 magic over a v1 payload should fail to load")
 	}
 }
 

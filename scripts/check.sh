@@ -54,6 +54,9 @@ go test -run='^$' -fuzz='^FuzzDedupSet$' -fuzztime=20s ./internal/serve
 echo "== fuzz smoke: snapshot load =="
 go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/snapshot
 
+echo "== fuzz smoke: replication frame decoder =="
+go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=20s ./internal/replica
+
 echo "== fuzz smoke: vote index folded in chunks equals a cold build =="
 go test -run='^$' -fuzz=FuzzIndexFold -fuzztime=20s ./internal/core
 
