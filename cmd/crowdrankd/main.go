@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crowdrankd -n 100 -m 30 -journal votes.wal [-addr :8077] [-seed S]
-//	           [-fsync always|os] [-parallelism P] [-exact-limit K]
+//	           [-fsync always|os] [-parallelism P]
 //	           [-snapshot-every N] [-max-journal-bytes M] [-snapshot-keep K]
 //	           [-drain 10s] [-addr-file path]
 //	           [-pprof addr] [-slow-request 1s]
@@ -112,7 +112,6 @@ func run(args []string, out io.Writer) error {
 	snapshotEvery := fs.Int("snapshot-every", 0, "snapshot+compact after this many acked batches (0: default 1024, negative: disable)")
 	maxJournalBytes := fs.Int64("max-journal-bytes", 0, "snapshot+compact when the journal exceeds this many bytes (0: default 64MiB, negative: disable)")
 	parallelism := fs.Int("parallelism", 0, "goroutines for Step 3's walk sums, the only parallel stage (0: sequential)")
-	exactLimit := fs.Int("exact-limit", 0, "largest n solved with Held-Karp (0: default)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain bound")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (empty: disabled)")
@@ -155,9 +154,6 @@ func run(args []string, out io.Writer) error {
 	cfg.SnapshotKeep = *snapshotKeep
 	if *writeTimeout > 0 && *writeTimeout <= cfg.MaxDeadline {
 		return fmt.Errorf("-write-timeout %v must exceed the rank deadline cap %v, or responses get cut mid-flight", *writeTimeout, cfg.MaxDeadline)
-	}
-	if *exactLimit > 0 {
-		cfg.ExactLimit = *exactLimit
 	}
 	switch *fsync {
 	case "always":

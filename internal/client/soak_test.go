@@ -43,7 +43,7 @@ const (
 	soakBatchesEnv = "CROWDRANK_SOAK_BATCHES"
 	soakSummaryEnv = "CROWDRANK_SOAK_SUMMARY"
 
-	soakN             = 16 // within ExactLimit, so ranking is the exact Held-Karp answer
+	soakN             = 16 // small enough for exact search; its work cap, not timing, decides the rung
 	soakM             = 8
 	soakPairs         = soakN * (soakN - 1) / 2
 	soakVotesPerBatch = 3
@@ -160,8 +160,8 @@ func soakAddr(dir string) string {
 }
 
 // rankVia asks one engine for its converged ranking through the real
-// client, with a deadline generous enough that n=soakN always gets the
-// exact algorithm.
+// client, with a deadline generous enough that the exact rung's work cap,
+// not the clock, decides the algorithm.
 func rankVia(t *testing.T, s *serve.Server) Ranking {
 	t.Helper()
 	hs := httptest.NewServer(s.Handler())

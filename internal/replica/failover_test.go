@@ -47,7 +47,7 @@ const (
 	failBatchesEnv   = "CROWDRANK_FAILOVER_BATCHES"
 	failSummaryEnv   = "CROWDRANK_FAILOVER_SUMMARY"
 
-	failN             = 16 // within ExactLimit: rankings are the exact answer
+	failN             = 16 // small enough for exact search; its work cap, not timing, decides the rung
 	failM             = 8
 	failPairs         = failN * (failN - 1) / 2
 	failVotesPerBatch = 3

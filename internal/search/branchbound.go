@@ -2,8 +2,9 @@ package search
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"math"
+	"slices"
 
 	"crowdrank/internal/graph"
 )
@@ -16,12 +17,19 @@ import (
 // milliseconds at n = 200.
 const bbPollSteps = 1 << 16
 
+// ErrWorkCap reports that branch-and-bound spent its MaxSteps unproven.
+var ErrWorkCap = errors.New("search: BranchAndBound work cap reached before optimality was proven; instance too hard, use SAPS")
+
 // BranchAndBoundParams tunes the exact all-pairs search.
 type BranchAndBoundParams struct {
-	// MaxNodes caps the number of search-tree nodes expanded; the search
-	// returns an error if the cap is hit before optimality is proven.
-	// 0 means the default of 5 million.
-	MaxNodes int
+	// MaxSteps caps the pair steps (the unit of Result.Evaluations) spent;
+	// it is checked every bbPollSteps steps, so the search stops within one
+	// poll interval past it with ErrWorkCap, the same way on any machine.
+	// 0 means math.MaxInt32, about 2^31 steps.
+	MaxSteps int
+	// Incumbent, if set, is the starting incumbent: a permutation, such as
+	// a polished floor the caller already has. nil starts from Greedy's.
+	Incumbent []int
 }
 
 // BranchAndBound finds the exact optimum of the all-pairs objective
@@ -35,9 +43,10 @@ type BranchAndBoundParams struct {
 // The bound: a prefix's score plus, for every not-yet-ordered pair, the
 // larger of the two orientations' log-weights — attainable only if all
 // remaining pairwise preferences are simultaneously satisfiable, hence an
-// upper bound. The incumbent starts at the polished floor (Greedy), so
-// pruning is strong from the first node. Result.Evaluations counts the
-// pair steps the DFS spent scoring candidate extensions.
+// upper bound. The incumbent starts at the polished floor (Greedy), or at
+// p.Incumbent, so pruning is strong from the first node.
+// Result.Evaluations counts the pair steps the DFS spent scoring candidate
+// extensions.
 //
 // Only ObjectiveAllPairs is supported: the consecutive objective lacks a
 // comparably tight prefix bound (use HeldKarp for it).
@@ -49,10 +58,15 @@ func BranchAndBound(g *graph.PreferenceGraph, p BranchAndBoundParams) (*Result, 
 // ctx after every bbPollSteps pair steps of work and abandons the search
 // with ctx's error as soon as it is cancelled or its deadline passes. An
 // already-cancelled context returns promptly without searching.
+//
+// It checks p.MaxSteps at the same polls, before ctx, so a context that
+// does not expire never changes the outcome. A capped search returns
+// ErrWorkCap with a Result holding the unproven incumbent and the steps
+// spent; every other error comes with a nil Result.
 func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p BranchAndBoundParams) (*Result, error) {
-	maxNodes := p.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 5_000_000
+	maxSteps := p.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = math.MaxInt32
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -62,18 +76,19 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 		return nil, err
 	}
 	n := g.N()
-	if n == 1 {
-		return newResult([]int{0}, 0, 1), nil
+
+	// Incumbent: the caller's, or the polished floor. Either is scored by
+	// scorePath, as Greedy scores the floor, so seeding with the floor
+	// changes neither the answer nor the work.
+	best := slices.Clone(p.Incumbent)
+	if best == nil {
+		best = polishedFloor(g, logw, ObjectiveAllPairs).Path
+	} else if err := checkPermutation(best, n); err != nil {
+		return nil, err
 	}
+	bestScore := scorePath(logw, best, ObjectiveAllPairs)
 
-	// Incumbent: the polished floor.
-	start := polishedFloor(g, logw, ObjectiveAllPairs)
-	best := append([]int(nil), start.Path...)
-	bestScore := start.LogProb
-
-	// bestPairLog[i][j] = max(logw[i][j], logw[j][i]); rowSlack[v] =
-	// sum over u != v of bestPairLog contributions are folded into the
-	// total optimistic mass maintained incrementally below.
+	// pairGain[i][j] = max(logw[i][j], logw[j][i]): a pair's optimistic mass.
 	pairGain := make([][]float64, n)
 	for i := range pairGain {
 		pairGain[i] = make([]float64, n)
@@ -96,7 +111,6 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 
 	prefix := make([]int, 0, n)
 	used := make([]bool, n)
-	nodes := 0
 	steps, nextPoll := 0, bbPollSteps
 
 	// The DFS carries two running quantities:
@@ -107,10 +121,6 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 	// Bound = score + slack.
 	var dfs func(score, slack float64) error
 	dfs = func(score, slack float64) error {
-		nodes++
-		if nodes > maxNodes {
-			return fmt.Errorf("search: BranchAndBound exceeded %d nodes; instance too hard, use SAPS", maxNodes)
-		}
 		if len(prefix) == n {
 			if score > bestScore {
 				bestScore = score
@@ -139,6 +149,9 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 			steps += n
 			if steps >= nextPoll {
 				nextPoll += bbPollSteps
+				if steps >= maxSteps {
+					return ErrWorkCap
+				}
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -160,6 +173,9 @@ func BranchAndBoundContext(ctx context.Context, g *graph.PreferenceGraph, p Bran
 	}
 
 	if err := dfs(0, totalOptimistic); err != nil {
+		if errors.Is(err, ErrWorkCap) {
+			return newResult(best, bestScore, steps), err
+		}
 		return nil, err
 	}
 	return newResult(best, bestScore, steps), nil
@@ -191,15 +207,8 @@ func Certify(g *graph.PreferenceGraph, path []int) (*Certificate, error) {
 		return nil, err
 	}
 	n := g.N()
-	if len(path) != n {
-		return nil, fmt.Errorf("search: path length %d does not match graph size %d", len(path), n)
-	}
-	seen := make([]bool, n)
-	for _, v := range path {
-		if v < 0 || v >= n || seen[v] {
-			return nil, fmt.Errorf("search: path is not a permutation")
-		}
-		seen[v] = true
+	if err := checkPermutation(path, n); err != nil {
+		return nil, err
 	}
 	score := scorePath(logw, path, ObjectiveAllPairs)
 	bound := 0.0

@@ -1,8 +1,12 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"crowdrank/internal/graph"
 )
@@ -53,13 +57,100 @@ func TestBranchAndBoundBeyondHeldKarp(t *testing.T) {
 	}
 }
 
-func TestBranchAndBoundNodeCap(t *testing.T) {
-	// A fully random (cycle-heavy) tournament at n=20 with a 100-node cap
-	// must refuse rather than return an unproven answer.
-	rng := newRNG(9)
-	g := randomTournament(t, 20, rng)
-	if _, err := BranchAndBound(g, BranchAndBoundParams{MaxNodes: 100}); err == nil {
-		t.Error("node cap should trigger on a hard instance")
+func TestBranchAndBoundWorkCap(t *testing.T) {
+	// A fully random (cycle-heavy) tournament at n=20 with a two-poll cap
+	// must refuse rather than return an unproven answer, and must stop at
+	// the first poll past the cap.
+	g := randomTournament(t, 20, newRNG(9))
+	const maxSteps = 2 * bbPollSteps
+	res, err := BranchAndBound(g, BranchAndBoundParams{MaxSteps: maxSteps})
+	if !errors.Is(err, ErrWorkCap) {
+		t.Fatalf("err = %v, want ErrWorkCap", err)
+	}
+	if res == nil || res.Evaluations < maxSteps || res.Evaluations >= maxSteps+bbPollSteps {
+		t.Fatalf("cap %d: stopped after %+v, want within one poll interval past it", maxSteps, res)
+	}
+	floor, err := Greedy(g, ObjectiveAllPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LogProb < floor.LogProb {
+		t.Fatalf("capped incumbent %v scores below the floor %v", res.LogProb, floor.LogProb)
+	}
+}
+
+// TestBranchAndBoundWorkCapIgnoresDeadline: the cap counts work, so a
+// capped and an uncapped-but-proven outcome — error or path, and the
+// steps spent — are the same with no deadline and with a distant one.
+func TestBranchAndBoundWorkCapIgnoresDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		g        *graph.PreferenceGraph
+		maxSteps int
+		wantErr  error
+	}{
+		{"capped", randomTournament(t, 20, newRNG(9)), 3 * bbPollSteps, ErrWorkCap},
+		{"proven", randomTournament(t, 13, newRNG(11)), 1 << 30, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := BranchAndBoundParams{MaxSteps: tc.maxSteps}
+			plain, plainErr := BranchAndBound(tc.g, p)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+			defer cancel()
+			timed, timedErr := BranchAndBoundContext(ctx, tc.g, p)
+			if !errors.Is(plainErr, tc.wantErr) || !errors.Is(timedErr, tc.wantErr) {
+				t.Fatalf("err = %v without a deadline, %v with one; want %v", plainErr, timedErr, tc.wantErr)
+			}
+			if plain.Evaluations != timed.Evaluations || !slices.Equal(plain.Path, timed.Path) {
+				t.Fatalf("outcomes differ: %d steps %v vs %d steps %v", plain.Evaluations, plain.Path, timed.Evaluations, timed.Path)
+			}
+		})
+	}
+}
+
+// TestBranchAndBoundIncumbentFloorChangesNothing: seeding the search with
+// the polished floor, which it would start from anyway, leaves the answer
+// and the work unchanged, capped or not.
+func TestBranchAndBoundIncumbentFloorChangesNothing(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		rng := newRNG(uint64(trial + 7100))
+		n := 4 + rng.IntN(12)
+		g := randomTournament(t, n, rng)
+		floor, err := Greedy(g, ObjectiveAllPairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxSteps := range []int{0, bbPollSteps} {
+			cold, coldErr := BranchAndBound(g, BranchAndBoundParams{MaxSteps: maxSteps})
+			seeded, seededErr := BranchAndBound(g, BranchAndBoundParams{MaxSteps: maxSteps, Incumbent: floor.Path})
+			if !errors.Is(seededErr, coldErr) {
+				t.Fatalf("n=%d cap %d: err %v seeded, %v cold", n, maxSteps, seededErr, coldErr)
+			}
+			if coldErr != nil && !errors.Is(coldErr, ErrWorkCap) {
+				t.Fatal(coldErr)
+			}
+			if !slices.Equal(cold.Path, seeded.Path) || cold.LogProb != seeded.LogProb || cold.Evaluations != seeded.Evaluations {
+				t.Fatalf("n=%d cap %d: seeded %v (%v, %d steps) != cold %v (%v, %d steps)", n, maxSteps,
+					seeded.Path, seeded.LogProb, seeded.Evaluations, cold.Path, cold.LogProb, cold.Evaluations)
+			}
+		}
+	}
+}
+
+func TestBranchAndBoundIncumbentValidation(t *testing.T) {
+	g := orderedTournament(t, 4, 0.8)
+	for _, bad := range [][]int{{}, {0, 1, 2}, {0, 1, 2, 2}, {0, 1, 2, 4}} {
+		if _, err := BranchAndBound(g, BranchAndBoundParams{Incumbent: bad}); err == nil {
+			t.Errorf("incumbent %v should be refused", bad)
+		}
+	}
+	// A poor incumbent is replaced by the optimum.
+	res, err := BranchAndBound(g, BranchAndBoundParams{Incumbent: []int{3, 2, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Path, []int{0, 1, 2, 3}) {
+		t.Fatalf("got %v, want the identity order", res.Path)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestBranchAndBoundContextCancelMidRun(t *testing.T) {
 	defer cancel()
 	g := randomTournament(t, 22, newRNG(8))
 	start := time.Now()
-	_, err := BranchAndBoundContext(ctx, g, BranchAndBoundParams{MaxNodes: 500_000_000})
+	_, err := BranchAndBoundContext(ctx, g, BranchAndBoundParams{MaxSteps: math.MaxInt})
 	if err == nil {
 		t.Skip("instance solved before the deadline; nothing to cancel")
 	}
@@ -142,7 +142,7 @@ func TestBranchAndBoundStopsAtFirstPollAfterDeadline(t *testing.T) {
 	g := randomTournament(t, 200, newRNG(12))
 	for _, after := range []int{1, 2, 5} {
 		ctx := &flipCtx{Context: context.Background(), after: after}
-		_, err := BranchAndBoundContext(ctx, g, BranchAndBoundParams{MaxNodes: math.MaxInt})
+		_, err := BranchAndBoundContext(ctx, g, BranchAndBoundParams{MaxSteps: math.MaxInt})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("after %d polls: err = %v, want context.DeadlineExceeded", after, err)
 		}

@@ -28,16 +28,8 @@ func InsertionPolish(g *graph.PreferenceGraph, path []int, obj Objective, maxSwe
 	if err != nil {
 		return nil, err
 	}
-	n := g.N()
-	if len(path) != n {
-		return nil, fmt.Errorf("search: path length %d does not match graph size %d", len(path), n)
-	}
-	seen := make([]bool, n)
-	for _, v := range path {
-		if v < 0 || v >= n || seen[v] {
-			return nil, fmt.Errorf("search: path is not a permutation")
-		}
-		seen[v] = true
+	if err := checkPermutation(path, g.N()); err != nil {
+		return nil, err
 	}
 	return insertionPolish(logw, path, obj, maxSweeps), nil
 }

@@ -78,6 +78,21 @@ func logWeights(g *graph.PreferenceGraph) ([][]float64, error) {
 	return logw, nil
 }
 
+// checkPermutation reports whether path lists each of n objects once.
+func checkPermutation(path []int, n int) error {
+	if len(path) != n {
+		return fmt.Errorf("search: path length %d does not match graph size %d", len(path), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range path {
+		if v < 0 || v >= n || seen[v] {
+			return fmt.Errorf("search: path is not a permutation")
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
 // pathLogProb sums log-weights along path.
 func pathLogProb(logw [][]float64, path []int) float64 {
 	sum := 0.0

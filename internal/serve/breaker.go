@@ -7,13 +7,14 @@ import (
 	"crowdrank/internal/obs"
 )
 
-// breaker is the exact-rung circuit breaker. Repeated deadline overruns of
-// exact search mean the instance is too hard for the budgets requests are
-// carrying; paying for more doomed attempts only delays the floor every
-// such request ends up with. After threshold consecutive overruns the
-// breaker opens and the ladder goes straight to the floor. After the cooldown a single half-open probe lets
-// one request try exact search again: success closes the breaker, another
-// overrun re-opens it for a fresh cooldown.
+// breaker is the exact-rung circuit breaker. Repeated overruns of exact
+// search — attempts that hit the work cap (exactMaxSteps) or the
+// deadline — mean the instance is too hard for exact search; paying for
+// more doomed attempts only delays the floor every such request ends up
+// with. After threshold consecutive overruns the breaker opens and the
+// ladder goes straight to the floor. After the cooldown a single half-open
+// probe lets one request try exact search again: success closes the
+// breaker, another overrun re-opens it for a fresh cooldown.
 type breaker struct {
 	mu        sync.Mutex
 	threshold int
@@ -50,7 +51,7 @@ func (b *breaker) allow() bool {
 	return true
 }
 
-// success reports an exact-rung completion within deadline.
+// success reports an exact-rung proof within the work cap and deadline.
 func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -59,7 +60,7 @@ func (b *breaker) success() {
 	b.probing = false
 }
 
-// failure reports an exact-rung deadline overrun.
+// failure reports an exact-rung overrun: the work cap or the deadline.
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

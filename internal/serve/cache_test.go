@@ -72,16 +72,16 @@ func TestRankCacheUpgradeOnly(t *testing.T) {
 		{"expired deadline searches the floor", -time.Second, false, AlgoGreedy, false},
 		{"expired deadline again is a floor hit", -time.Second, false, AlgoGreedy, true},
 		{"open breaker gets the cached floor", 10 * time.Second, true, AlgoGreedy, true},
-		{"closed breaker upgrades the floor to exact", 10 * time.Second, false, AlgoExactHeldKarp, false},
-		{"expired deadline gets the cached exact", -time.Second, false, AlgoExactHeldKarp, true},
-		{"open breaker gets the cached exact", 10 * time.Second, true, AlgoExactHeldKarp, true},
+		{"closed breaker upgrades the floor to exact", 10 * time.Second, false, AlgoExactBranchBound, false},
+		{"expired deadline gets the cached exact", -time.Second, false, AlgoExactBranchBound, true},
+		{"open breaker gets the cached exact", 10 * time.Second, true, AlgoExactBranchBound, true},
 	}
 	var first *RankResult
 	for _, st := range steps {
 		if st.tripBreaker {
 			tripBreaker(s)
 		}
-		if st.wantAlgo == AlgoExactHeldKarp && !st.wantHit {
+		if st.wantAlgo == AlgoExactBranchBound && !st.wantHit {
 			s.breaker.success()
 		}
 		hits, misses, searches := cacheCounts(s)
@@ -89,7 +89,7 @@ func TestRankCacheUpgradeOnly(t *testing.T) {
 		if rr.Algorithm != st.wantAlgo {
 			t.Fatalf("%s: algorithm = %s, want %s", st.name, rr.Algorithm, st.wantAlgo)
 		}
-		if rr.Degraded != (st.wantAlgo != AlgoExactHeldKarp) {
+		if rr.Degraded != (st.wantAlgo != AlgoExactBranchBound) {
 			t.Fatalf("%s: degraded = %v for %s", st.name, rr.Degraded, rr.Algorithm)
 		}
 		if rr.Breaker != s.breaker.state() {
@@ -141,17 +141,17 @@ func TestRankCacheNeverDowngrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := rankWithin(t, s, clock, 10*time.Second)
-	if exact.Algorithm != AlgoExactHeldKarp {
+	if exact.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("want exact, got %s", exact.Algorithm)
 	}
 	s.remember(RankResult{Ranking: []int{5, 4, 3, 2, 1, 0}, Algorithm: AlgoGreedy, Degraded: true, Gen: exact.Gen, Votes: exact.Votes})
-	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactHeldKarp || !slices.Equal(rr.Ranking, exact.Ranking) {
+	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactBranchBound || !slices.Equal(rr.Ranking, exact.Ranking) {
 		t.Fatalf("a floor finishing late replaced the exact answer: got %s %v", rr.Algorithm, rr.Ranking)
 	}
 	// Exact answers are optimal, so a second one for the same generation
 	// is no upgrade either.
 	s.remember(RankResult{Ranking: []int{5, 4, 3, 2, 1, 0}, Algorithm: AlgoExactBranchBound, Gen: exact.Gen, Votes: exact.Votes})
-	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactHeldKarp || !slices.Equal(rr.Ranking, exact.Ranking) {
+	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactBranchBound || !slices.Equal(rr.Ranking, exact.Ranking) {
 		t.Fatalf("a second exact answer replaced the first: got %s %v", rr.Algorithm, rr.Ranking)
 	}
 
@@ -179,7 +179,6 @@ func TestRankCacheExactFailureServesCachedFloor(t *testing.T) {
 	cfg := DefaultConfig(6, 2)
 	cfg.Seed = 43
 	cfg.Clock = clock
-	cfg.ExactLimit = 2 // branch-and-bound, which honours cancellation
 	s := newTestServer(t, cfg)
 	if _, err := s.Ingest(noisyVotes(6, 2, 6)); err != nil {
 		t.Fatal(err)
@@ -225,7 +224,7 @@ func TestRankCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := rankWithin(t, s, clock, 10*time.Second)
-	if exact.Algorithm != AlgoExactHeldKarp {
+	if exact.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("want exact, got %s", exact.Algorithm)
 	}
 
@@ -237,7 +236,7 @@ func TestRankCacheInvalidation(t *testing.T) {
 	if ack.Accepted != 0 {
 		t.Fatalf("resubmission should be all duplicates, got %+v", ack)
 	}
-	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactHeldKarp || rr.Gen != exact.Gen {
+	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactBranchBound || rr.Gen != exact.Gen {
 		t.Fatalf("duplicates-only batch must keep the cached exact answer, got %s at gen %d", rr.Algorithm, rr.Gen)
 	}
 
@@ -256,7 +255,7 @@ func TestRankCacheInvalidation(t *testing.T) {
 	if err := follower.ApplyReplicated(0, encodeBatch("", 0, agreeingVotes(6, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if fr := rankWithin(t, follower, fclock, 10*time.Second); fr.Algorithm != AlgoExactHeldKarp {
+	if fr := rankWithin(t, follower, fclock, 10*time.Second); fr.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("follower: want exact, got %s", fr.Algorithm)
 	}
 	if err := follower.ApplyReplicated(1, encodeBatch("", 0, []crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: true}})); err != nil {

@@ -49,12 +49,12 @@ func TestLadderDeterministic(t *testing.T) {
 			name:     "ample budget reaches exact search",
 			votes:    agreeingVotes(6, 2),
 			budget:   10 * time.Second,
-			wantAlgo: AlgoExactHeldKarp,
+			wantAlgo: AlgoExactBranchBound,
 		},
 		{
 			name:     "no deadline reaches exact search",
 			votes:    agreeingVotes(6, 2),
-			wantAlgo: AlgoExactHeldKarp,
+			wantAlgo: AlgoExactBranchBound,
 		},
 		{
 			name:         "open breaker degrades to the floor",
@@ -132,7 +132,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Algorithm == AlgoExactHeldKarp || rr.Algorithm == AlgoExactBranchBound {
+	if rr.Algorithm == AlgoExactBranchBound {
 		t.Fatalf("open breaker must skip exact search, got %s", rr.Algorithm)
 	}
 	if !rr.Degraded || rr.Breaker != "open" {
@@ -146,7 +146,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Algorithm != AlgoExactHeldKarp {
+	if rr.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("half-open probe should reach exact search, got %s", rr.Algorithm)
 	}
 	if rr.Degraded || rr.Breaker != "closed" {

@@ -1,4 +1,22 @@
 package serve
 
+import "crowdrank/internal/graph"
+
 // WaitAheadIdle exposes waitAheadIdle to the external benchmarks.
 func WaitAheadIdle(s *Server) { s.waitAheadIdle() }
+
+// ExactMaxSteps is the exact rung's work cap.
+const ExactMaxSteps = exactMaxSteps
+
+// SetExactHook makes f receive the pair steps of every exact attempt until
+// the returned restore runs.
+func SetExactHook(f func(steps int)) (restore func()) {
+	testExactHook = f
+	return func() { testExactHook = nil }
+}
+
+// Closure returns the Steps 1-3 closure of s's newest vote state.
+func Closure(s *Server) (*graph.PreferenceGraph, error) {
+	e, err := s.current()
+	return e.closure, err
+}

@@ -72,7 +72,7 @@ var httpRoutes = []string{"votes", "rank", "snapshot", "healthz", "readyz", "met
 
 // rankAlgorithms is the closed set of ladder outcomes; pre-registering
 // one counter per rung keeps the exposition stable regardless of traffic.
-var rankAlgorithms = []string{AlgoExactHeldKarp, AlgoExactBranchBound, AlgoGreedy, AlgoUninformed}
+var rankAlgorithms = []string{AlgoExactBranchBound, AlgoGreedy, AlgoUninformed}
 
 func newMetrics(reg *obs.Registry) *metrics {
 	m := &metrics{

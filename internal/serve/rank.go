@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -21,7 +20,8 @@ import (
 // contract is that a response always names the rung that actually
 // produced the ranking.
 const (
-	AlgoExactHeldKarp    = "exact:heldkarp"
+	// AlgoExactBranchBound is the exact rung: branch-and-bound proved the
+	// ranking optimal within exactMaxSteps pair steps.
 	AlgoExactBranchBound = "exact:branchbound"
 	// AlgoGreedy is the polished floor (search.Greedy): the net-score
 	// order refined to an insertion local optimum.
@@ -41,8 +41,8 @@ type RankResult struct {
 	// Algorithm names the ladder rung that produced the ranking.
 	Algorithm string `json:"algorithm"`
 	// Degraded is true when the floor answered instead of exact search —
-	// because the deadline could not afford exact, exact overran, or the
-	// breaker had it tripped.
+	// because the deadline could not afford exact, exact hit its work cap
+	// or overran, or the breaker had it tripped.
 	Degraded bool `json:"degraded"`
 	// Votes is the deduplicated vote count the ranking was inferred from.
 	Votes int `json:"votes"`
@@ -66,14 +66,15 @@ func (r *RankResult) etag() string {
 	return `"` + strconv.FormatUint(r.Gen, 10) + "-" + r.Algorithm + `"`
 }
 
-// heldKarpEstimate guesses Held-Karp's runtime (O(2^n n^2) subset DP) at a
-// conservative throughput, so the uncancellable exact rung is only entered
-// when the budget clearly covers it.
-func heldKarpEstimate(n int) time.Duration {
-	const opsPerSecond = 200e6
-	ops := float64(n) * float64(n) * math.Pow(2, float64(n))
-	return time.Duration(ops / opsPerSecond * float64(time.Second))
-}
+// exactMaxSteps caps the exact rung's branch-and-bound in pair steps, 16
+// poll intervals. Proofs on the pipeline's closures take either under a
+// million steps or tens of millions, so the cap keeps the cheap ones and
+// stops the hopeless ones (at n = 200, all) after a few milliseconds.
+const exactMaxSteps = 1 << 20
+
+// testExactHook, when set by a test, receives the pair steps of every
+// exact attempt that was proven or capped. Always nil in production.
+var testExactHook func(steps int)
 
 // Rank is RankContext under the configured default deadline.
 func (s *Server) Rank() (*RankResult, error) {
@@ -83,12 +84,14 @@ func (s *Server) Rank() (*RankResult, error) {
 }
 
 // RankContext serves a ranking within ctx's deadline by walking the
-// degradation ladder: exact search (Held-Karp up to ExactLimit objects,
-// branch-and-bound beyond) when the breaker is closed and the budget
-// affords it, otherwise the polished floor (search.Greedy), which answers
-// even after the deadline has expired. An expired deadline is absorbed by
-// degradation — the call still returns a ranking; only an explicit
-// cancellation (client gone) or a broken pipeline returns an error.
+// degradation ladder: the polished floor (search.Greedy), cached or
+// computed first, then exact search — branch-and-bound seeded with the
+// floor and capped at exactMaxSteps pair steps — when the breaker is
+// closed and the budget affords it. The floor answers whenever exact
+// search does not, even after the deadline has expired. An expired
+// deadline is absorbed by degradation — the call still returns a ranking;
+// only an explicit cancellation (client gone) or a broken pipeline returns
+// an error.
 //
 // Both rungs are deterministic at a fixed generation, so the best answer
 // produced at the current generation is cached: a cached exact answer is
@@ -148,8 +151,7 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		s.met.rankCacheHit.Inc()
 		return finish(*e.best)
 	}
-	searched := func(algo string, sr *search.Result) (*RankResult, error) {
-		r := s.result(e, algo, sr)
+	searched := func(r RankResult) (*RankResult, error) {
 		s.remember(r)
 		s.met.rankCacheMiss.Inc()
 		return finish(r)
@@ -158,70 +160,59 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		return cached()
 	}
 
-	const obj = search.ObjectiveAllPairs
-	deadline, hasDeadline := ctx.Deadline()
-	remaining := time.Hour
-	if hasDeadline {
-		remaining = deadline.Sub(s.clock.Now())
-	}
-
-	// Rung 1: exact search. Decide affordability before consulting the
-	// breaker so a half-open probe slot is never claimed and then wasted
-	// on a budget skip.
-	useHeldKarp := s.cfg.N <= s.cfg.ExactLimit
-	exactBudget := time.Duration(float64(remaining) * s.cfg.ExactFraction)
-	affordable := exactBudget >= s.cfg.MinRungBudget
-	if useHeldKarp && hasDeadline {
-		// Held-Karp cannot be cancelled mid-flight; require the budget to
-		// clearly cover its estimated cost.
-		affordable = exactBudget > 2*heldKarpEstimate(s.cfg.N)
-	}
-	if affordable && s.breaker.allow() {
+	// The floor rung, cached or computed now. It answers even after the
+	// deadline has expired, and exact search starts from it.
+	floor, floorCached := e.best, e.best != nil
+	if !floorCached {
 		searchStart = s.clock.Now()
-		if useHeldKarp {
-			if sr, err := search.HeldKarp(e.closure, 0, obj); err == nil {
-				s.breaker.success()
-				return searched(AlgoExactHeldKarp, sr)
-			}
-			// Structurally impossible on a complete closure, but resolve
-			// the breaker (and any probe) rather than wedge it.
-			s.breaker.failure()
-		} else {
-			exactCtx, cancel := ctx, context.CancelFunc(func() {})
-			if hasDeadline {
-				exactCtx, cancel = context.WithTimeout(ctx, exactBudget)
-			}
-			sr, err := search.BranchAndBoundContext(exactCtx, e.closure, search.BranchAndBoundParams{})
-			cancel()
-			if err == nil {
-				s.breaker.success()
-				return searched(AlgoExactBranchBound, sr)
-			}
-			if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
-				return nil, ctxErr
-			}
-			// Deadline overrun or a cycle-heavy instance branch-and-bound
-			// refuses: either way this instance is not answering exactly
-			// at this budget, which is what the breaker tracks.
-			s.breaker.failure()
+		sr, err := search.Greedy(e.closure, search.ObjectiveAllPairs)
+		if err != nil {
+			return nil, fmt.Errorf("serve: floor failed: %w", err)
 		}
+		r := s.result(e, AlgoGreedy, sr)
+		floor = &r
 	}
-	// Exact did not answer (unaffordable, breaker open, or failed): the
-	// cached floor is what recomputing it would return.
-	if e.best != nil {
-		return cached()
+	serveFloor := func() (*RankResult, error) {
+		if floorCached {
+			return cached()
+		}
+		return searched(*floor)
 	}
 
-	// Rung 2: the polished floor, which answers even after the deadline
-	// has expired.
+	// The exact rung, stopped by its work cap or its share of the
+	// deadline. Decide affordability before consulting the breaker so a
+	// half-open probe slot is never claimed and then wasted on a budget
+	// skip.
+	budget := time.Hour // no deadline: the work cap alone stops the attempt
+	if deadline, ok := ctx.Deadline(); ok {
+		budget = time.Duration(float64(deadline.Sub(s.clock.Now())) * s.cfg.ExactFraction)
+	}
+	if budget < s.cfg.MinRungBudget || !s.breaker.allow() {
+		return serveFloor()
+	}
 	if searchStart.IsZero() {
 		searchStart = s.clock.Now()
 	}
-	sr, err := search.Greedy(e.closure, obj)
-	if err != nil {
-		return nil, fmt.Errorf("serve: floor failed: %w", err)
+	exactCtx, cancel := context.WithTimeout(ctx, budget)
+	sr, err := search.BranchAndBoundContext(exactCtx, e.closure, search.BranchAndBoundParams{
+		MaxSteps:  exactMaxSteps,
+		Incumbent: floor.Ranking,
+	})
+	cancel()
+	if sr != nil && testExactHook != nil {
+		testExactHook(sr.Evaluations)
 	}
-	return searched(AlgoGreedy, sr)
+	if err == nil {
+		s.breaker.success()
+		return searched(s.result(e, AlgoExactBranchBound, sr))
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
+		return nil, ctxErr
+	}
+	// Work cap or deadline overrun: either way this instance is not
+	// answering exactly, which is what the breaker tracks.
+	s.breaker.failure()
+	return serveFloor()
 }
 
 // genEntry is the per-generation cache: the Steps 1-3 closure of one vote

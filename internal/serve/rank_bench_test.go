@@ -19,22 +19,31 @@ const (
 	mixedBatch     = 20
 )
 
+// simRound returns one simulated round of the given selection ratio over
+// n objects and the default 30 workers.
+func simRound(tb testing.TB, n int, ratio float64, seed uint64) []crowd.Vote {
+	tb.Helper()
+	plan, err := crowdrank.PlanTasksRatio(n, ratio, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	round, err := crowdrank.SimulateVotes(plan, crowdrank.DefaultSimConfig(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	votes := make([]crowd.Vote, len(round.Votes))
+	for i, v := range round.Votes {
+		votes[i] = crowd.Vote(v)
+	}
+	return votes
+}
+
 // mixedRounds returns simulated r=0.1 rounds concatenated until they hold
 // want votes; the first round is the preload.
 func mixedRounds(b *testing.B, want int) (preload int, votes []crowd.Vote) {
 	b.Helper()
 	for seed := uint64(1); len(votes) < want; seed++ {
-		plan, err := crowdrank.PlanTasksRatio(mixedN, mixedRatio, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		round, err := crowdrank.SimulateVotes(plan, crowdrank.DefaultSimConfig(seed))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range round.Votes {
-			votes = append(votes, crowd.Vote(v))
-		}
+		votes = append(votes, simRound(b, mixedN, mixedRatio, seed)...)
 		if preload == 0 {
 			preload = len(votes)
 			want += preload
@@ -93,4 +102,53 @@ func BenchmarkRankAfterIngest(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(ranked.Microseconds())/1e3/float64(b.N), "rank_ms")
 	b.ReportMetric(float64(build.Microseconds())/1e3/float64(b.N), "build_ms")
+}
+
+// BenchmarkRankWarmUp times crowdload's warm-up on a fresh server: one
+// r=0.3 round over n=200 objects and m=30 workers is ingested off the
+// timer, then ranks under a 250 ms deadline run until the exact rung's
+// breaker has opened. Every exact attempt at n=200 ends at the work cap,
+// so the warm-up costs the first closure build plus BreakerThreshold
+// capped attempts. It reports warmup_ms, the timed ranks, and bb_steps,
+// the pair steps those attempts spent.
+func BenchmarkRankWarmUp(b *testing.B) {
+	votes := simRound(b, mixedN, 0.3, 1)
+	steps := 0
+	defer serve.SetExactHook(func(n int) { steps += n })()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := serve.DefaultConfig(mixedN, mixedM)
+		cfg.Seed = 1
+		s, err := serve.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Ingest(votes); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for ranks := 0; ; ranks++ {
+			if ranks == 10 {
+				b.Fatal("breaker still closed after 10 ranks")
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+			rr, err := s.RankContext(ctx)
+			cancel()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rr.Breaker == "open" {
+				break
+			}
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "warmup_ms")
+	b.ReportMetric(float64(steps)/float64(b.N), "bb_steps")
 }

@@ -9,14 +9,14 @@
 // journal to rebuild exactly the acknowledged state — a torn or corrupted
 // tail is detected, reported, and truncated rather than silently replayed.
 //
-// Rank requests carry deadlines and degrade instead of failing: an exact
-// searcher (Held-Karp for small n, branch-and-bound beyond) when the
-// budget allows, and otherwise the polished floor — the net-score order
-// refined to an insertion local optimum (search.Greedy) — which answers
-// even after the deadline has effectively expired. A circuit breaker
-// trips the exact rung after repeated deadline overruns and probes it
-// again (half-open) after a cooldown, so chronically slow instances stop
-// paying for doomed exact attempts. Both rungs are deterministic at a
+// Rank requests carry deadlines and degrade instead of failing: exact
+// search — branch-and-bound seeded with the floor and capped by work, not
+// time — when the budget allows, and otherwise the polished floor — the
+// net-score order refined to an insertion local optimum (search.Greedy) —
+// which answers even after the deadline has effectively expired. A
+// circuit breaker trips the exact rung after repeated cap hits or deadline
+// overruns and probes it again (half-open) after a cooldown, so
+// chronically hard instances stop paying for doomed exact attempts. Both rungs are deterministic at a
 // fixed vote state, so the best answer produced at the current state
 // generation is cached, and only an exact answer replaces a cached floor,
 // until the votes change. After a served rank, a build-ahead goroutine
@@ -84,11 +84,8 @@ type Config struct {
 	// in parallel.
 	Parallelism int
 
-	// ExactLimit is the largest n solved with Held-Karp on the exact rung;
-	// beyond it the rung uses branch-and-bound. Default 16.
-	ExactLimit int
 	// ExactFraction is the share of the remaining deadline the exact rung
-	// may spend, in (0, 1); the floor runs on whatever is left. Default
+	// may spend, in (0, 1); its work cap usually stops it sooner. Default
 	// 0.5.
 	ExactFraction float64
 	// MinRungBudget is the smallest exact-rung budget worth starting
@@ -123,8 +120,8 @@ type Config struct {
 	MaxConcurrentRanks   int
 	MaxConcurrentIngests int
 
-	// BreakerThreshold consecutive exact-rung deadline overruns open the
-	// circuit breaker; BreakerCooldown later a single half-open probe may
+	// BreakerThreshold consecutive exact-rung overruns (work cap or
+	// deadline) open the circuit breaker; BreakerCooldown later a single half-open probe may
 	// close it again. Defaults 3 and 30s.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
@@ -157,7 +154,6 @@ func DefaultConfig(n, m int) Config {
 		SnapshotEveryBatches:    1024,
 		SnapshotMaxJournalBytes: 64 << 20,
 		SnapshotKeep:            2,
-		ExactLimit:              16,
 		ExactFraction:           0.5,
 		MinRungBudget:           2 * time.Millisecond,
 		DefaultDeadline:         2 * time.Second,
@@ -177,9 +173,6 @@ func DefaultConfig(n, m int) Config {
 // withDefaults fills zero fields and validates the result.
 func (c Config) withDefaults() (Config, error) {
 	d := DefaultConfig(c.N, c.M)
-	if c.ExactLimit == 0 {
-		c.ExactLimit = d.ExactLimit
-	}
 	if feq.Zero(c.ExactFraction) {
 		c.ExactFraction = d.ExactFraction
 	}
@@ -244,8 +237,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("serve: need at least one worker, got M=%d", c.M)
 	case c.ExactFraction <= 0 || c.ExactFraction >= 1:
 		return c, fmt.Errorf("serve: ExactFraction %v outside (0,1)", c.ExactFraction)
-	case c.ExactLimit < 1:
-		return c, fmt.Errorf("serve: ExactLimit %d must be >= 1", c.ExactLimit)
 	case c.MaxBatchVotes < 1 || c.MaxConcurrentRanks < 1 || c.MaxConcurrentIngests < 1:
 		return c, fmt.Errorf("serve: batch and queue bounds must be >= 1")
 	case c.MaxBodyBytes < 1:

@@ -92,8 +92,8 @@ func TestIngestAndExactRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Algorithm != AlgoExactHeldKarp {
-		t.Fatalf("n=6 unanimous instance should use %s, got %s", AlgoExactHeldKarp, rr.Algorithm)
+	if rr.Algorithm != AlgoExactBranchBound {
+		t.Fatalf("n=6 unanimous instance should use %s, got %s", AlgoExactBranchBound, rr.Algorithm)
 	}
 	if rr.Degraded {
 		t.Fatal("exact answer should not be marked degraded")
@@ -398,7 +398,7 @@ func TestBreakerSkipsExactRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Algorithm == AlgoExactHeldKarp || rr.Algorithm == AlgoExactBranchBound {
+	if rr.Algorithm == AlgoExactBranchBound {
 		t.Fatalf("open breaker must skip the exact rung, got %s", rr.Algorithm)
 	}
 	if !rr.Degraded {
@@ -416,7 +416,6 @@ func TestConfigValidation(t *testing.T) {
 		{N: 3, M: 0},
 		{N: 3, M: 2, ExactFraction: 1.5},
 		{N: 3, M: 2, ExactFraction: -0.1},
-		{N: 3, M: 2, ExactLimit: -1},
 		{N: 3, M: 2, BreakerThreshold: -2},
 	}
 	for i, cfg := range bad {
@@ -649,7 +648,7 @@ func TestHTTPRankConditionalGet(t *testing.T) {
 	// exact search; the floor's tag is stale from then on.
 	s.breaker.success()
 	exact, h := getRank(t, ts.URL, 1000)
-	if exact.Algorithm != AlgoExactHeldKarp || exact.Gen != floor.Gen {
+	if exact.Algorithm != AlgoExactBranchBound || exact.Gen != floor.Gen {
 		t.Fatalf("want an exact upgrade at generation %d, got %s at %d", floor.Gen, exact.Algorithm, exact.Gen)
 	}
 	if code := conditional(floorTag); code != http.StatusOK {
@@ -853,20 +852,6 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 }
 
-func TestHeldKarpEstimateMonotone(t *testing.T) {
-	prev := time.Duration(0)
-	for n := 2; n <= 24; n++ {
-		est := heldKarpEstimate(n)
-		if est <= prev {
-			t.Fatalf("estimate must grow with n: n=%d est=%v prev=%v", n, est, prev)
-		}
-		prev = est
-	}
-	if heldKarpEstimate(10) > 50*time.Millisecond {
-		t.Fatalf("n=10 estimate implausibly large: %v", heldKarpEstimate(10))
-	}
-}
-
 func ExampleServer() {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 7
@@ -883,5 +868,5 @@ func ExampleServer() {
 		panic(err)
 	}
 	fmt.Println(rr.Ranking, rr.Algorithm)
-	// Output: [0 1 2 3] exact:heldkarp
+	// Output: [0 1 2 3] exact:branchbound
 }
