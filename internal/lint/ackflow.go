@@ -51,19 +51,20 @@ type AckSink struct {
 }
 
 // ackflowRules returns the configured rules, defaulting to the daemon's
-// durable-before-ack contract: no path from serve's ingest entry points may
-// reach the batch apply or a 200 response before journal.Append (which syncs
-// before returning under SyncAlways).
+// durable-before-ack contract: no path from serve's ingest entry points, or
+// from a follower's replicated records, may reach the vote-state apply or a
+// 200 response before journal.Append (which syncs before returning under
+// SyncAlways).
 func (c Config) ackflowRules() []AckflowRule {
 	if c.Ackflow != nil {
 		return c.Ackflow
 	}
 	return []AckflowRule{{
 		Pkg:      "crowdrank/internal/serve",
-		Sources:  []string{"Server.Ingest", "Server.IngestContext", "Server.handleVotes"},
+		Sources:  []string{"Server.Ingest", "Server.IngestContext", "Server.handleVotes", "Server.ApplyReplicated"},
 		Barriers: []string{"crowdrank/internal/journal.Journal.Append"},
 		Sinks: []AckSink{
-			{Func: "Server.apply"},
+			{Func: "voteState.apply"},
 			{Func: "Server.writeJSON", ConstArg: 200},
 		},
 	}}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -258,6 +259,11 @@ func (s *Server) Handle(b []byte) {
 		}
 		if len(rules[0].Sources) == 0 || len(rules[0].Barriers) == 0 || len(rules[0].Sinks) == 0 {
 			t.Fatalf("default rule must name sources, barriers, and sinks: %+v", rules[0])
+		}
+		// The follower's replicated records are an entry point too, and the
+		// vote-state apply is where every batch lands.
+		if !slices.Contains(rules[0].Sources, "Server.ApplyReplicated") || !slices.Contains(rules[0].Sinks, AckSink{Func: "voteState.apply"}) {
+			t.Fatalf("default rule must cover the follower path into voteState.apply: %+v", rules[0])
 		}
 	})
 }

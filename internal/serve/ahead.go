@@ -13,7 +13,7 @@ import (
 // hit instead of paying the rebuild on the request path.
 //
 // Arming rule: a served rank (a 304 included) arms the builder, and the
-// next apply that moves the generation consumes the flag and wakes it.
+// next commit that moves the generation consumes the flag and wakes it.
 // There is at most one speculative build per served rank and one build in
 // flight; generations arriving faster than builds coalesce into one build
 // of the newest; ingest-only traffic never builds. Exact search, the

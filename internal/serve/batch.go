@@ -15,12 +15,13 @@ import (
 //	uvarint  keyLen       0 for an unkeyed batch
 //	keyLen bytes          the idempotency key
 //	uvarint  malformed    votes dropped at validation before journaling
-//	uvarint  count
+//	uvarint  count        0 for a keyed batch whose votes were all malformed
 //	repeated count times: one crowd.AppendVote encoding
 //	  (uvarint worker, i, j; 1 byte prefersI)
 //
 // The key and malformed count let replay rebuild the exact ack a retried
-// key must receive. The original (v1) record, just count and votes, is
+// key must receive; a zero-vote record exists only to carry that ack, so
+// every keyed ack in the idempotency window has a record behind it. The original (v1) record, just count and votes, is
 // read-only legacy: journals from daemons that wrote unkeyed batches that
 // way still replay, each v1 record with an empty key and a zero malformed
 // count.
@@ -40,7 +41,9 @@ type batchRecord struct {
 	key       string
 	malformed int
 	votes     []crowd.Vote
-	dropped   int
+	// dropped counts decoded votes outside the configured universe, left
+	// out of votes; recovery reports them in RecoveryStats.DroppedVotes.
+	dropped int
 }
 
 // encodeBatch serializes one batch as a v2 journal record; key is empty

@@ -71,7 +71,7 @@ func dedupFuzzVotes(data []byte) []crowd.Vote {
 }
 
 // FuzzDedupSet checks the bitset dedup set against a map keyed by the
-// reference rule: every add must agree, and a server applying the same
+// reference rule: every add must agree, and a voteState applying the same
 // votes in batches must keep exactly the reference's votes, in order, with
 // the same added and duplicate counts per batch.
 func FuzzDedupSet(f *testing.F) {
@@ -97,11 +97,7 @@ func FuzzDedupSet(f *testing.F) {
 			}
 		}
 
-		s, err := New(Config{N: dedupFuzzN, M: dedupFuzzM, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = s.Close() }()
+		st := newVoteState(dedupFuzzN, dedupFuzzM, 0)
 		batchRef := make(map[submissionKey]bool)
 		for start := 0; start < len(votes); start += 4 {
 			batch := votes[start:min(start+4, len(votes))]
@@ -114,14 +110,14 @@ func FuzzDedupSet(f *testing.F) {
 					wantAdded++
 				}
 			}
-			added, dups := s.apply(batch)
-			if added != wantAdded || dups != wantDups {
+			res := st.apply(batchRecord{votes: batch})
+			if res.Accepted != wantAdded || res.Duplicates != wantDups {
 				t.Fatalf("batch at %d: apply = (%d added, %d dups), reference (%d, %d)",
-					start, added, dups, wantAdded, wantDups)
+					start, res.Accepted, res.Duplicates, wantAdded, wantDups)
 			}
 		}
-		if got, _ := s.snapshot(); !slices.Equal(got, kept) {
-			t.Fatalf("server kept %v, reference %v", got, kept)
+		if !slices.Equal(st.votes, kept) {
+			t.Fatalf("vote state kept %v, reference %v", st.votes, kept)
 		}
 	})
 }

@@ -214,31 +214,93 @@ func TestIngestKeyedWindowDisabled(t *testing.T) {
 	}
 }
 
+// TestIngestKeyedAllMalformedBatch pins that a keyed batch whose votes are
+// all malformed is acknowledged like any other: it commits as a zero-vote
+// record that moves the batch count but not the generation, takes a window
+// slot, and its retry replays the original ack in process, after a
+// journal-only restart, after a snapshot restart, and on a follower. With
+// a two-slot window the batch also evicts the key before it identically on
+// every path, so a retry of that key re-applies through vote dedup.
 func TestIngestKeyedAllMalformedBatch(t *testing.T) {
+	dir := t.TempDir()
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 61
-	cfg.JournalPath = filepath.Join(t.TempDir(), "wal")
-	s := newTestServer(t, cfg)
+	cfg.IdempotencyWindow = 2
+	cfg.SnapshotEveryBatches = -1
+	cfg.SnapshotMaxJournalBytes = -1
+	cfgOf := func(name string) Config {
+		c := cfg
+		c.JournalPath = filepath.Join(dir, name)
+		return c
+	}
+	a := []crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: true}}
+	junk := []crowd.Vote{{Worker: 99, I: 0, J: 1, PrefersI: true}}
+	b := []crowd.Vote{{Worker: 1, I: 2, J: 3, PrefersI: false}}
+	ingest := func(s *Server) IngestResult {
+		t.Helper()
+		var junkAck IngestResult
+		for _, batch := range []struct {
+			key   string
+			votes []crowd.Vote
+		}{{"a", a}, {"junk", junk}, {"b", b}} {
+			res, err := s.IngestKeyed(context.Background(), batch.key, batch.votes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch.key == "junk" {
+				junkAck = res
+			}
+		}
+		return junkAck
+	}
 
-	baseline := s.StatsSnapshot().JournalBytes // empty segment header
-	batch := []crowd.Vote{{Worker: 99, I: 0, J: 1, PrefersI: true}}
-	first, err := s.IngestKeyed(context.Background(), "junk", batch)
-	if err != nil {
+	live := newTestServer(t, cfgOf("live"))
+	first := ingest(live)
+	if want := (IngestResult{Malformed: 1, Seq: 2, TotalVotes: 1}); first != want {
+		t.Fatalf("all-malformed ack %+v, want %+v", first, want)
+	}
+	if st := live.cut(); st.Seq != 3 || st.Gen != 2 || len(st.Votes) != 2 {
+		t.Fatalf("the zero-vote record must count as a batch but not move the generation: %+v", st)
+	}
+	follower := newTestServer(t, cfgOf("follower"))
+	replicate(t, live, follower)
+	replayed := newTestServer(t, cfgOf("replayed"))
+	ingest(replayed)
+	replayed = restart(t, replayed, cfgOf("replayed"))
+	if replayed.Recovered().Records != 3 {
+		t.Fatalf("want 3 replayed records, got %s", replayed.Recovered())
+	}
+	snapped := newTestServer(t, cfgOf("snapped"))
+	ingest(snapped)
+	if _, err := snapped.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if first.Malformed != 1 || first.Accepted != 0 {
-		t.Fatalf("unexpected ack %+v", first)
+	snapped = restart(t, snapped, cfgOf("snapped"))
+	if snapped.Recovered().SnapshotPath == "" {
+		t.Fatalf("restart did not load the snapshot: %s", snapped.Recovered())
 	}
-	// Nothing durable was written, but the in-process retry still replays.
-	res, err := s.IngestKeyed(context.Background(), "junk", batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Replayed {
-		t.Fatal("all-malformed keyed batch should still replay in-process")
-	}
-	if st := s.StatsSnapshot(); st.Batches != 0 || st.JournalBytes != baseline {
-		t.Fatalf("all-malformed batch must journal nothing: %+v", st)
+
+	for _, path := range []struct {
+		name string
+		s    *Server
+	}{{"in-process", live}, {"follower", follower}, {"journal restart", replayed}, {"snapshot restart", snapped}} {
+		res, err := path.s.IngestKeyed(context.Background(), "junk", junk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first
+		want.Replayed = true
+		if res != want {
+			t.Fatalf("%s: retry of the all-malformed batch answered %+v, want %+v", path.name, res, want)
+		}
+		// "a" fell out of the window behind junk and b.
+		res, err = path.s.IngestKeyed(context.Background(), "a", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (IngestResult{Duplicates: 1, Seq: 4, TotalVotes: 2}); res != want {
+			t.Fatalf("%s: retry of the evicted key answered %+v, want %+v", path.name, res, want)
+		}
 	}
 }
 

@@ -125,7 +125,7 @@ func TestFoldedClosureMatchesColdBuild(t *testing.T) {
 		if _, err := leader.Ingest(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := follower.applyReplicated(uint64(b), encodeBatch("", 0, batch)); err != nil {
+		if err := follower.ApplyReplicated(uint64(b), encodeBatch("", 0, batch)); err != nil {
 			t.Fatal(err)
 		}
 		rankAndCheckClosure(t, leader)
@@ -153,7 +153,7 @@ func TestFoldedClosureMatchesColdBuild(t *testing.T) {
 		if _, err := reopened.Ingest(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := follower.applyReplicated(uint64(half+b), encodeBatch("", 0, batch)); err != nil {
+		if err := follower.ApplyReplicated(uint64(half+b), encodeBatch("", 0, batch)); err != nil {
 			t.Fatal(err)
 		}
 		rankAndCheckClosure(t, reopened)

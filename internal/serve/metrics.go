@@ -78,7 +78,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m := &metrics{
 		reg: reg,
 
-		ingestBatches:     reg.Counter("crowdrankd_ingest_batches_total", "Acknowledged (durable) ingest batches."),
+		ingestBatches:     reg.Counter("crowdrankd_ingest_batches_total", "Committed (durable) batches: acknowledged ingests, and replicated records on a follower."),
 		ingestAccepted:    reg.Counter("crowdrankd_ingest_votes_total", "Votes by ingest outcome.", obs.L("result", "accepted")),
 		ingestDuplicate:   reg.Counter("crowdrankd_ingest_votes_total", "Votes by ingest outcome.", obs.L("result", "duplicate")),
 		ingestMalformed:   reg.Counter("crowdrankd_ingest_votes_total", "Votes by ingest outcome.", obs.L("result", "malformed")),
@@ -148,7 +148,7 @@ func (s *Server) registerGauges() {
 	reg.GaugeFunc("crowdrankd_batches", "Journal batches acknowledged or replayed.", func() float64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return float64(s.batches)
+		return float64(s.state.batches)
 	})
 	reg.GaugeFunc("crowdrankd_queue_depth", "Requests currently holding a bounded-queue slot.", func() float64 {
 		return float64(len(s.ingestSem))
@@ -159,7 +159,7 @@ func (s *Server) registerGauges() {
 	reg.GaugeFunc("crowdrankd_ack_window", "Batch idempotency keys currently remembered for exactly-once acks.", func() float64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return float64(len(s.acks))
+		return float64(len(s.state.acks))
 	})
 	reg.GaugeFunc("crowdrankd_breaker_open", "1 while the exact-rung circuit breaker refuses exact search.", func() float64 {
 		if s.breaker.state() == "open" {

@@ -22,6 +22,13 @@
 // until the votes change. After a served rank, a build-ahead goroutine
 // prepares the next generation's closure and floor as soon as new votes
 // arrive, so the rank that follows an ingest finds them cached.
+//
+// The vote state itself is one lock-free state machine, voteState
+// (state.go), and the journal has one writer, Server.commit: live ingest
+// and replicated records append their record and then apply it there,
+// recovery replays records through voteState.apply, and snapshot
+// recovery seeds it. Every path that can build a state therefore builds
+// it from the same records by the same code.
 package serve
 
 import (
@@ -268,28 +275,27 @@ type Server struct {
 	started     time.Time
 	recoveryDur time.Duration
 
-	// writeMu orders every journal append with its apply: under it the
-	// journal's NextSeq always equals the number of batches folded into
-	// memory, which is the invariant that lets a snapshot equate its
-	// coverage sequence with the state it captured.
+	// writeMu is held by commit from its journal append through its
+	// apply, and by cut: under it state.batches always equals the
+	// journal's NextSeq, which lets a snapshot equate its coverage
+	// sequence with the state it captured.
 	writeMu sync.Mutex
 	// snapMu serializes snapshot writers (policy trigger vs POST
-	// /snapshot); sinceSnap counts acked batches since the last snapshot.
+	// /snapshot); sinceSnap counts committed batches since the last
+	// snapshot.
 	snapMu    sync.Mutex
 	sinceSnap atomic.Int64
 
+	// mu guards state, the vote-state machine (state.go), and the
+	// lastSnap* description of the newest snapshot on disk.
 	mu           sync.RWMutex
-	votes        []crowd.Vote
-	seen         *dedupSet
-	acks         map[string]IngestResult // batch idempotency window
-	ackOrder     []string                // FIFO eviction order for acks
-	gen          uint64                  // bumped whenever votes change; keys the per-generation cache
-	batches      int                     // journal records acknowledged or replayed
-	dupVotes     int                     // exact duplicates suppressed by apply
-	malformed    int                     // votes dropped at ingest since start (not journaled)
-	lastSnapSeq  uint64                  // coverage of the newest snapshot on disk
+	state        *voteState
+	lastSnapSeq  uint64
 	lastSnapGen  uint64
 	lastSnapPath string
+	// malformed counts votes dropped at ingest validation since start;
+	// they are never journaled, so it is not part of the vote state.
+	malformed atomic.Int64
 
 	// cacheMu guards entry, the per-generation closure and ranking cache,
 	// and index, the Steps 1-3 vote index the builds fold new votes into
@@ -306,7 +312,7 @@ type Server struct {
 	rankSem   chan struct{}
 	ingestSem chan struct{}
 
-	// closeMu is held shared by every in-flight ingest/rank and
+	// closeMu is held shared by every in-flight commit and rank and
 	// exclusively by Close, so shutdown drains in-flight work before the
 	// final journal sync. closing makes new requests fail fast instead of
 	// queueing behind the pending writer lock.
@@ -332,8 +338,7 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 		logf:      cfg.Logf,
 		clock:     cfg.Clock,
 		met:       newMetrics(cfg.Metrics),
-		seen:      newDedupSet(cfg.N, cfg.M),
-		acks:      make(map[string]IngestResult),
+		state:     newVoteState(cfg.N, cfg.M, cfg.IdempotencyWindow),
 		ahead:     newAhead(),
 		breaker:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
 		rankSem:   make(chan struct{}, cfg.MaxConcurrentRanks),
@@ -373,6 +378,9 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 	// Each phase's time is summed over every candidate tried, so refused
 	// snapshots show up where they cost.
 	var loadDur, seedDur, replayDur time.Duration
+	// dropped counts the tried candidate's replayed votes outside the
+	// configured universe (a journal reopened under a smaller N or M).
+	var dropped int
 	refuse := func(path string, why error) {
 		corrupt = append(corrupt, fmt.Sprintf("%s: %v", filepath.Base(path), why))
 		s.logf("serve: refusing snapshot %s: %v", path, why)
@@ -388,7 +396,10 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 			// it rather than guess.
 			return fmt.Errorf("serve: undecodable batch: %w", err)
 		}
-		s.applyRecord(rec)
+		dropped += rec.dropped
+		// Nothing shares the state or has armed the build-ahead before
+		// NewContext returns: replay needs no lock and fires nothing.
+		s.state.apply(rec)
 		return nil
 	}
 	// One trailing candidate past the snapshot list is the no-snapshot
@@ -411,8 +422,9 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 			}
 		}
 		seedStart := s.clock.Now()
-		err = s.seedFromSnapshot(st)
+		err = s.state.seed(st)
 		seedDur += s.clock.Since(seedStart)
+		dropped = 0
 		if err != nil {
 			refuse(path, err)
 			continue
@@ -436,6 +448,7 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 				SnapshotSeq:      st.Seq,
 				SnapshotGen:      st.Gen,
 				SnapshotVotes:    len(st.Votes),
+				DroppedVotes:     dropped,
 				CorruptSnapshots: corrupt,
 				SnapshotLoad:     loadDur,
 				Seed:             seedDur,
@@ -463,138 +476,20 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 		cfg.JournalPath, strings.Join(corrupt, "; "), journal.ErrSeqGap)
 }
 
-// seedFromSnapshot resets the in-memory state to exactly what the snapshot
-// captured (the zero State resets to empty). The dedup set is not
-// serialized — it is recomputed from the votes, and a collision means the
-// snapshot does not describe a state apply could have produced. The set is
-// sized from the configured universe, never from st: the zero State of a
-// full replay carries N=0, and recover refuses any snapshot whose
-// universe differs from the configured one before seeding from it.
-func (s *Server) seedFromSnapshot(st snapshot.State) error {
-	seen := newDedupSet(s.cfg.N, s.cfg.M)
-	for _, v := range st.Votes {
-		if !seen.add(v) {
-			return fmt.Errorf("duplicate submission %+v in snapshot", v)
-		}
+// replayAck returns the remembered ack for key, marked Replayed, if the
+// idempotency window still holds it.
+func (s *Server) replayAck(key string) (IngestResult, bool) {
+	if key == "" {
+		return IngestResult{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.votes = st.Votes
-	s.seen = seen
-	s.gen = st.Gen
-	s.batches = int(st.Seq)
-	s.dupVotes = st.DupVotes
-	// Restore the ack window (oldest first, preserving eviction order) so
-	// batch retries straddling the restart still replay their original ack.
-	s.acks = make(map[string]IngestResult, len(st.Acks))
-	s.ackOrder = s.ackOrder[:0]
-	for _, a := range st.Acks {
-		s.recordAckLocked(a.Key, IngestResult{
-			Accepted:   a.Accepted,
-			Duplicates: a.Duplicates,
-			Malformed:  a.Malformed,
-			Seq:        a.Seq,
-			TotalVotes: a.TotalVotes,
-		})
-	}
-	return nil
-}
-
-// lookupAck returns the remembered ack for key, if the idempotency window
-// still holds it.
-func (s *Server) lookupAck(key string) (IngestResult, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, ok := s.acks[key]
+	res, ok := s.state.acks[key]
+	s.mu.RUnlock()
+	if ok {
+		s.met.idempotentReplays.Inc()
+		res.Replayed = true
+	}
 	return res, ok
-}
-
-// recordAckLocked remembers one batch ack under its idempotency key,
-// evicting the oldest entries beyond the window. Callers hold s.mu.
-func (s *Server) recordAckLocked(key string, res IngestResult) {
-	if s.cfg.IdempotencyWindow <= 0 {
-		return
-	}
-	if _, ok := s.acks[key]; ok {
-		return
-	}
-	s.acks[key] = res
-	s.ackOrder = append(s.ackOrder, key)
-	for len(s.ackOrder) > s.cfg.IdempotencyWindow {
-		delete(s.acks, s.ackOrder[0])
-		s.ackOrder = s.ackOrder[1:]
-	}
-}
-
-// ackWindowLocked copies the ack window oldest-first for a snapshot.
-// Callers hold s.mu (read or write).
-func (s *Server) ackWindowLocked() []snapshot.AckEntry {
-	if len(s.ackOrder) == 0 {
-		return nil
-	}
-	out := make([]snapshot.AckEntry, 0, len(s.ackOrder))
-	for _, key := range s.ackOrder {
-		res := s.acks[key]
-		out = append(out, snapshot.AckEntry{
-			Key:        key,
-			Accepted:   res.Accepted,
-			Duplicates: res.Duplicates,
-			Malformed:  res.Malformed,
-			Seq:        res.Seq,
-			TotalVotes: res.TotalVotes,
-		})
-	}
-	return out
-}
-
-// applyRecord folds one journal record into memory through apply. For a
-// keyed record it also rebuilds the exact ack the batch originally
-// received, so a retry of that key after a crash or failover is answered
-// without reapplying. Recovery replay and replicated records both use it.
-func (s *Server) applyRecord(rec batchRecord) (added, dups int) {
-	added, dups = s.apply(rec.votes)
-	if rec.key != "" {
-		s.mu.Lock()
-		s.recordAckLocked(rec.key, IngestResult{
-			Accepted:   added,
-			Duplicates: dups,
-			Malformed:  rec.malformed,
-			Seq:        s.batches,
-			TotalVotes: len(s.votes),
-		})
-		s.mu.Unlock()
-	}
-	return added, dups
-}
-
-// apply folds one validated batch into the in-memory state, suppressing
-// exact duplicate submissions, and returns what was added. Live ingest,
-// replicated records and journal replay all go through apply, so recovery
-// rebuilds the identical vote set. A batch that moves the generation after
-// a served rank wakes the build-ahead; recovery replay never does, since
-// no rank is served before NewContext returns.
-func (s *Server) apply(votes []crowd.Vote) (added, dups int) {
-	defer func() {
-		if added > 0 {
-			s.ahead.fire()
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, v := range votes {
-		if !s.seen.add(v) {
-			dups++
-			continue
-		}
-		s.votes = append(s.votes, v)
-		added++
-	}
-	s.batches++
-	s.dupVotes += dups
-	if added > 0 {
-		s.gen++
-	}
-	return added, dups
 }
 
 // Ingest validates, journals, and applies one vote batch; it is the
@@ -639,19 +534,10 @@ func (s *Server) ingest(ctx context.Context, key string, votes []crowd.Vote) (In
 	if s.closing.Load() {
 		return res, errShuttingDown
 	}
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closing.Load() {
-		return res, errShuttingDown
-	}
 	// Fast path for a retried key: answer from the ack window before
 	// spending any validation or journal work.
-	if key != "" {
-		if cached, ok := s.lookupAck(key); ok {
-			s.met.idempotentReplays.Inc()
-			cached.Replayed = true
-			return cached, nil
-		}
+	if cached, ok := s.replayAck(key); ok {
+		return cached, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -667,22 +553,16 @@ func (s *Server) ingest(ctx context.Context, key string, votes []crowd.Vote) (In
 		}
 		valid = append(valid, v)
 	}
-	s.mu.Lock()
-	s.malformed += res.Malformed
-	s.mu.Unlock()
+	s.malformed.Add(int64(res.Malformed))
 	s.met.ingestMalformed.Add(uint64(res.Malformed))
-	if len(valid) == 0 {
-		// Nothing durable to write, but the ack is still remembered so a
-		// network retry of this key replays instead of re-validating. (An
-		// all-malformed batch journals nothing, so this entry does not
-		// survive a restart — there is no applied state to protect.)
-		s.mu.Lock()
-		res.Seq = s.batches
-		res.TotalVotes = len(s.votes)
-		if key != "" {
-			s.recordAckLocked(key, res)
-		}
-		s.mu.Unlock()
+	if len(valid) == 0 && key == "" {
+		// An unkeyed batch without a valid vote changes nothing and leaves
+		// no ack to remember, so it journals nothing and its ack is a read
+		// of the state. A keyed one commits as a zero-vote record, so its
+		// ack survives restarts and reaches followers like any other.
+		s.mu.RLock()
+		res.Seq, res.TotalVotes = s.state.batches, len(s.state.votes)
+		s.mu.RUnlock()
 		return res, nil
 	}
 	// Last chance to honor cancellation: past this point the batch
@@ -690,44 +570,52 @@ func (s *Server) ingest(ctx context.Context, key string, votes []crowd.Vote) (In
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	// writeMu makes append→apply atomic with respect to other ingests, so
-	// journal order and apply order agree and a concurrent snapshot can
-	// never observe a NextSeq whose record is not yet in memory.
+	// The record carries the key and malformed count, so replay after a
+	// crash rebuilds the identical ack.
+	rec := batchRecord{key: key, malformed: res.Malformed, votes: valid}
+	return s.commit(key, encodeBatch(key, res.Malformed, valid), rec, nil)
+}
+
+// commit is the daemon's one journal writer. Under writeMu it appends
+// payload, the encoding of rec, to the journal (when there is one) and
+// only then applies rec, so journal order is apply order and no batch is
+// applied, let alone acknowledged, before it is durable. A non-nil check
+// runs first under writeMu and vetoes the commit with its error. A
+// non-empty key is looked up in the ack window next: a concurrent retry
+// of the same key may have committed since the caller's own lookup, and
+// under writeMu a miss proves this call is the one that journals the
+// batch. A hit journals nothing and returns the original ack, Replayed.
+func (s *Server) commit(key string, payload []byte, rec batchRecord, check func() error) (IngestResult, error) {
+	if s.closing.Load() {
+		return IngestResult{}, errShuttingDown
+	}
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.closing.Load() {
+		return IngestResult{}, errShuttingDown
+	}
 	s.writeMu.Lock()
-	// Authoritative replay check: a concurrent retry of the same key may
-	// have committed between the fast path above and acquiring writeMu.
-	// Under writeMu no other append can interleave, so a miss here
-	// guarantees this goroutine is the one that journals the batch.
-	if key != "" {
-		if cached, ok := s.lookupAck(key); ok {
-			s.writeMu.Unlock()
-			s.met.idempotentReplays.Inc()
-			cached.Replayed = true
-			return cached, nil
+	defer s.writeMu.Unlock()
+	if check != nil {
+		if err := check(); err != nil {
+			return IngestResult{}, err
 		}
+	}
+	if cached, ok := s.replayAck(key); ok {
+		return cached, nil
 	}
 	if s.jnl != nil {
-		// The record carries the key and malformed count, so replay after
-		// a crash rebuilds the identical ack.
-		payload := encodeBatch(key, res.Malformed, valid)
 		//lint:ignore lockcheck durable-before-ack: the append (and its fsync) must finish under writeMu before apply so journal order equals apply order, and under closeMu so shutdown cannot close the journal mid-batch
 		if _, err := s.jnl.Append(payload); err != nil {
-			s.writeMu.Unlock()
-			return res, fmt.Errorf("serve: journaling batch: %w", err)
+			return IngestResult{}, fmt.Errorf("serve: journaling batch: %w", err)
 		}
 	}
-	res.Accepted, res.Duplicates = s.apply(valid)
-	// Capture the ack fields and record the key in the same mu hold as the
-	// apply's effects, still under writeMu: the remembered ack is exactly
-	// what this request returns.
 	s.mu.Lock()
-	res.Seq = s.batches
-	res.TotalVotes = len(s.votes)
-	if key != "" {
-		s.recordAckLocked(key, res)
-	}
+	res := s.state.apply(rec)
 	s.mu.Unlock()
-	s.writeMu.Unlock()
+	if res.Accepted > 0 {
+		s.ahead.fire()
+	}
 	s.met.ingestBatches.Inc()
 	s.met.ingestAccepted.Add(uint64(res.Accepted))
 	s.met.ingestDuplicate.Add(uint64(res.Duplicates))
@@ -785,23 +673,7 @@ func (s *Server) Snapshot() (SnapshotResult, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 
-	// Capture a consistent cut: under writeMu no append is between its
-	// journal write and its apply, so NextSeq is exactly the coverage of
-	// the in-memory state. The vote slice is append-only, so the
-	// three-index slice stays immutable after the locks drop.
-	s.writeMu.Lock()
-	s.mu.RLock()
-	st := snapshot.State{
-		N:        s.cfg.N,
-		M:        s.cfg.M,
-		Seq:      s.jnl.NextSeq(),
-		Gen:      s.gen,
-		DupVotes: s.dupVotes,
-		Votes:    s.votes[:len(s.votes):len(s.votes)],
-		Acks:     s.ackWindowLocked(),
-	}
-	s.mu.RUnlock()
-	s.writeMu.Unlock()
+	st := s.cut()
 	s.sinceSnap.Store(0)
 
 	writeStart := s.clock.Now()
@@ -865,6 +737,20 @@ type IngestResult struct {
 	Replayed bool `json:"replayed,omitempty"`
 }
 
+// cut captures the consistent snapshot.State that Snapshot persists and
+// StateSnapshot serves. Under writeMu no commit is between its append and
+// its apply, so state.batches equals the journal's NextSeq: the cut's Seq
+// is exactly the journal coverage of the votes it holds. (A failed append
+// poisons the journal, possibly one sequence past the state; nothing is
+// appended after it.)
+func (s *Server) cut() snapshot.State {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.state.cut()
+}
+
 // snapshot returns the current vote slice and its generation. The slice is
 // append-only, so sharing the backing array with concurrent appends is
 // safe: a later append either fits capacity (beyond our length) or
@@ -872,14 +758,14 @@ type IngestResult struct {
 func (s *Server) snapshot() ([]crowd.Vote, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.votes[:len(s.votes):len(s.votes)], s.gen
+	return s.state.votes[:len(s.state.votes):len(s.state.votes)], s.state.gen
 }
 
 // VoteCount returns the deduplicated vote count.
 func (s *Server) VoteCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.votes)
+	return len(s.state.votes)
 }
 
 // Stats is a point-in-time operational snapshot, served on /healthz.
@@ -943,11 +829,11 @@ func (s *Server) StatsSnapshot() Stats {
 	st := Stats{
 		Objects:           s.cfg.N,
 		Workers:           s.cfg.M,
-		Votes:             len(s.votes),
-		Batches:           s.batches,
-		Duplicates:        s.dupVotes,
-		Malformed:         s.malformed,
-		AckWindow:         len(s.acks),
+		Votes:             len(s.state.votes),
+		Batches:           s.state.batches,
+		Duplicates:        s.state.dupVotes,
+		Malformed:         int(s.malformed.Load()),
+		AckWindow:         len(s.state.acks),
 		Seed:              s.cfg.Seed,
 		AckWindowCapacity: max(s.cfg.IdempotencyWindow, 0),
 		LastSnapshotSeq:   s.lastSnapSeq,
@@ -989,11 +875,15 @@ type RecoveryStats struct {
 	SnapshotSeq   uint64
 	SnapshotGen   uint64
 	SnapshotVotes int
+	// DroppedVotes counts replayed votes outside the configured universe
+	// (a journal reopened under a smaller N or M). They are dropped, not
+	// applied; a nonzero count means acknowledged votes were left out.
+	DroppedVotes int
 	// CorruptSnapshots lists "file: reason" for every snapshot refused
 	// during recovery — never silently, always here and in the log.
 	CorruptSnapshots []string
 	// SnapshotLoad, Seed and Replay time the recovery phases, each summed
-	// over every candidate tried: snapshot.Load, seedFromSnapshot, and
+	// over every candidate tried: snapshot.Load, voteState.seed, and
 	// the journal open with its suffix replay.
 	SnapshotLoad, Seed, Replay time.Duration
 }
@@ -1006,6 +896,9 @@ func (r RecoveryStats) String() string {
 			filepath.Base(r.SnapshotPath), r.SnapshotSeq, r.SnapshotVotes)
 	}
 	b.WriteString(r.ReplayStats.String())
+	if r.DroppedVotes > 0 {
+		fmt.Fprintf(&b, "; dropped %d vote(s) outside the configured universe", r.DroppedVotes)
+	}
 	if len(r.CorruptSnapshots) > 0 {
 		fmt.Fprintf(&b, "; refused %d snapshot(s): %s",
 			len(r.CorruptSnapshots), strings.Join(r.CorruptSnapshots, "; "))
@@ -1072,27 +965,7 @@ func (s *Server) Journal() *journal.Journal { return s.jnl }
 // StateSnapshot captures a consistent point-in-time snapshot.State — the
 // same cut Snapshot persists, without writing anything. The leader serves
 // it on GET /replicate/snapshot to bootstrap fresh followers.
-func (s *Server) StateSnapshot() snapshot.State {
-	s.writeMu.Lock()
-	s.mu.RLock()
-	st := snapshot.State{
-		N:        s.cfg.N,
-		M:        s.cfg.M,
-		Seq:      uint64(s.batches),
-		Gen:      s.gen,
-		DupVotes: s.dupVotes,
-		Votes:    s.votes[:len(s.votes):len(s.votes)],
-		Acks:     s.ackWindowLocked(),
-	}
-	if s.jnl != nil {
-		// Under writeMu no append is between its journal write and its
-		// apply, so NextSeq is exactly the coverage of the state above.
-		st.Seq = s.jnl.NextSeq()
-	}
-	s.mu.RUnlock()
-	s.writeMu.Unlock()
-	return st
-}
+func (s *Server) StateSnapshot() snapshot.State { return s.cut() }
 
 // ApplyReplicated journals and applies one batch record received from a
 // replication stream. seq is the sequence the record carries on the
@@ -1100,50 +973,34 @@ func (s *Server) StateSnapshot() snapshot.State {
 // the stream and the local journal diverged (matching journal.ErrSeqGap)
 // and the follower must resync rather than guess. The payload is appended
 // verbatim, keeping a follower's journal byte-for-byte the leader's
-// record stream, then folded into memory exactly like recovery replay —
+// record stream, then applied through the same commit as live ingest —
 // including rebuilding keyed acks, so the idempotency window follows the
 // leader and a client retry after failover replays instead of re-applying.
 func (s *Server) ApplyReplicated(seq uint64, payload []byte) error {
-	err := s.applyReplicated(seq, payload)
-	if err == nil {
-		// Followers run the same snapshot+compaction policy as the leader,
-		// outside the locks applyReplicated held.
-		s.maybeSnapshot()
-	}
-	return err
-}
-
-func (s *Server) applyReplicated(seq uint64, payload []byte) error {
-	if s.closing.Load() {
-		return errShuttingDown
-	}
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closing.Load() {
-		return errShuttingDown
-	}
 	rec, err := decodeBatchRecord(payload, s.cfg.N, s.cfg.M)
 	if err != nil {
 		// A record that does not decode is a foreign or incompatible
 		// stream — refuse it rather than guess, same as recovery.
 		return fmt.Errorf("serve: undecodable replicated batch: %w", err)
 	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.jnl != nil {
+	// The leader already decided this record, so it applies verbatim with
+	// no window lookup; the journal position is the follower's guard.
+	_, err = s.commit("", payload, rec, func() error {
+		if s.jnl == nil {
+			return nil
+		}
 		if got := s.jnl.NextSeq(); got != seq {
 			return fmt.Errorf("serve: replicated record carries seq %d but the local journal is at %d: %w",
 				seq, got, journal.ErrSeqGap)
 		}
-		//lint:ignore lockcheck durable-before-apply, exactly like ingest: the append must finish under writeMu so journal order equals apply order
-		if _, err := s.jnl.Append(payload); err != nil {
-			return fmt.Errorf("serve: journaling replicated batch: %w", err)
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	added, dups := s.applyRecord(rec)
-	s.met.ingestAccepted.Add(uint64(added))
-	s.met.ingestDuplicate.Add(uint64(dups))
-	s.sinceSnap.Add(1)
+	// Followers run the same snapshot+compaction policy as the leader,
+	// after commit has released its locks.
+	s.maybeSnapshot()
 	return nil
 }
 

@@ -237,6 +237,41 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecoveryReportsDroppedVotes reopens a journal under a smaller
+// object universe: the replayed votes that fall outside it are dropped,
+// as before, and now counted in RecoveryStats and its log line instead of
+// vanishing silently.
+func TestRecoveryReportsDroppedVotes(t *testing.T) {
+	cfg := DefaultConfig(8, 3)
+	cfg.Seed = 23
+	cfg.JournalPath = filepath.Join(t.TempDir(), "wal")
+	s := newTestServer(t, cfg)
+	votes := agreeingVotes(8, 3)
+	if _, err := s.Ingest(votes); err != nil {
+		t.Fatal(err)
+	}
+	outside := 0
+	for _, v := range votes {
+		if v.I >= 6 || v.J >= 6 {
+			outside++
+		}
+	}
+	if outside == 0 {
+		t.Fatal("test votes never name objects 6 or 7")
+	}
+
+	cfg.N = 6
+	r := restart(t, s, cfg)
+	rec := r.Recovered()
+	if rec.DroppedVotes != outside || r.VoteCount() != len(votes)-outside {
+		t.Fatalf("reopened under N=6: %d dropped, %d kept; want %d dropped, %d kept",
+			rec.DroppedVotes, r.VoteCount(), outside, len(votes)-outside)
+	}
+	if want := fmt.Sprintf("dropped %d vote(s) outside the configured universe", outside); !strings.Contains(rec.String(), want) {
+		t.Fatalf("recovery log line %q does not report the drop", rec.String())
+	}
+}
+
 func TestServerRejectsForeignJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	big := DefaultConfig(50, 10)

@@ -134,8 +134,7 @@ func TestRecoveryAfterCrashBeforeCompaction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ingestOne(t, s, i)
 	}
-	st := snapshot.State{N: s.cfg.N, M: s.cfg.M, Seq: s.jnl.NextSeq(), Gen: s.gen, DupVotes: s.dupVotes, Votes: s.votes}
-	if _, err := snapshot.Write(dir, st); err != nil {
+	if _, err := snapshot.Write(dir, s.cut()); err != nil {
 		t.Fatal(err)
 	}
 	wantVotes := s.VoteCount()

@@ -51,6 +51,9 @@ go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime=20s ./internal/serve
 echo "== fuzz smoke: bitset dedup set equals the map reference =="
 go test -run='^$' -fuzz='^FuzzDedupSet$' -fuzztime=20s ./internal/serve
 
+echo "== fuzz smoke: live ingest, journal replay, snapshot+suffix and follower give one cut =="
+go test -run='^$' -fuzz='^FuzzCommitPaths$' -fuzztime=20s ./internal/serve
+
 echo "== fuzz smoke: snapshot load =="
 go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/snapshot
 
