@@ -89,6 +89,7 @@ import (
 	"crowdrank"
 	"crowdrank/internal/netfault"
 	"crowdrank/internal/replica"
+	"crowdrank/internal/serve"
 )
 
 func main() {
@@ -152,8 +153,8 @@ func run(args []string, out io.Writer) error {
 	cfg.SlowRequestThreshold = *slowReq
 	cfg.IdempotencyWindow = *idemWindow
 	cfg.SnapshotKeep = *snapshotKeep
-	if *writeTimeout > 0 && *writeTimeout <= cfg.MaxDeadline {
-		return fmt.Errorf("-write-timeout %v must exceed the rank deadline cap %v, or responses get cut mid-flight", *writeTimeout, cfg.MaxDeadline)
+	if *writeTimeout > 0 && *writeTimeout <= serve.MaxDeadline {
+		return fmt.Errorf("-write-timeout %v must exceed the rank deadline cap %v, or responses get cut mid-flight", *writeTimeout, serve.MaxDeadline)
 	}
 	switch *fsync {
 	case "always":

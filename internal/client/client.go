@@ -303,12 +303,13 @@ func (c *Client) SubmitVotesKeyed(ctx context.Context, key string, votes []crowd
 }
 
 // Rank fetches a ranking; deadline > 0 becomes the ?deadline_ms bound the
-// daemon's degradation ladder honors.
+// daemon's degradation ladder honors. The daemon refuses deadline_ms=0, so
+// a sub-millisecond deadline is sent as 1.
 func (c *Client) Rank(ctx context.Context, deadline time.Duration) (Ranking, error) {
 	var rk Ranking
 	path := "/rank"
 	if deadline > 0 {
-		path += "?deadline_ms=" + strconv.FormatInt(deadline.Milliseconds(), 10)
+		path += "?deadline_ms=" + strconv.FormatInt(max(deadline.Milliseconds(), 1), 10)
 	}
 	err := c.do(ctx, http.MethodGet, path, nil, "", &rk)
 	return rk, err

@@ -308,15 +308,15 @@ func TestReplayedAckCounted(t *testing.T) {
 	}
 }
 
-// TestRank decodes the rank response and forwards the deadline hint.
+// TestRank decodes the rank response and forwards the deadline hint, a
+// sub-millisecond one as 1ms rather than the 0 the daemon refuses.
 func TestRank(t *testing.T) {
+	sent := make(chan string, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/rank" {
 			t.Errorf("path = %s", r.URL.Path)
 		}
-		if got := r.URL.Query().Get("deadline_ms"); got != "250" {
-			t.Errorf("deadline_ms = %q, want 250", got)
-		}
+		sent <- r.URL.Query().Get("deadline_ms")
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(Ranking{Ranking: []int{2, 0, 1}, Algorithm: "saps", Votes: 10, Seed: 5}); err != nil {
 			t.Error(err)
@@ -325,12 +325,23 @@ func TestRank(t *testing.T) {
 	defer srv.Close()
 
 	c, _ := testClient(t, srv.URL, nil)
-	rk, err := c.Rank(context.Background(), 250*time.Millisecond)
-	if err != nil {
-		t.Fatalf("Rank: %v", err)
-	}
-	if len(rk.Ranking) != 3 || rk.Algorithm != "saps" {
-		t.Fatalf("rank = %+v", rk)
+	for _, tc := range []struct {
+		deadline time.Duration
+		want     string
+	}{
+		{250 * time.Millisecond, "250"},
+		{300 * time.Microsecond, "1"},
+	} {
+		rk, err := c.Rank(context.Background(), tc.deadline)
+		if err != nil {
+			t.Fatalf("Rank(%v): %v", tc.deadline, err)
+		}
+		if got := <-sent; got != tc.want {
+			t.Fatalf("Rank(%v) sent deadline_ms=%q, want %s", tc.deadline, got, tc.want)
+		}
+		if len(rk.Ranking) != 3 || rk.Algorithm != "saps" {
+			t.Fatalf("rank = %+v", rk)
+		}
 	}
 }
 

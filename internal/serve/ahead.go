@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"sync/atomic"
-
-	"crowdrank/internal/search"
-)
+import "sync/atomic"
 
 // Build-ahead. The Steps 1-3 closure and the polished floor depend on the
 // vote state alone, so the cache entry the next rank needs can be built
@@ -16,9 +12,9 @@ import (
 // next commit that moves the generation consumes the flag and wakes it.
 // There is at most one speculative build per served rank and one build in
 // flight; generations arriving faster than builds coalesce into one build
-// of the newest; ingest-only traffic never builds. Exact search, the
-// breaker and the upgrade-only cache stay request-driven: the builder only
-// ever stores the floor, and only into an entry no search answered yet.
+// of the newest; ingest-only traffic never builds. Exact search and the
+// breaker stay request-driven: the builder fills an entry exactly as the
+// next rank would, closure and floor, and never upgrades it.
 type ahead struct {
 	armed atomic.Bool
 	wake  chan struct{}      // one slot: a pending wake absorbs later ones
@@ -51,10 +47,9 @@ func (a *ahead) fire() {
 	}
 }
 
-// testAheadHook, when set, runs inside every build-ahead that computes a
-// floor, with cacheMu held, between the closure build and the floor
-// search. Tests set it before constructing the server to hold a build
-// open at a known point. Always nil in production.
+// testAheadHook, when set, runs at the start of every build-ahead, with
+// cacheMu held. Tests set it before constructing the server to hold a
+// build open at a known point. Always nil in production.
 var testAheadHook func()
 
 // runAhead is the builder goroutine, started once by NewContext and
@@ -92,11 +87,11 @@ func (s *Server) waitAheadIdle() {
 	}
 }
 
-// buildAhead folds the newest generation into the cache: its closure
-// through the request path's fold, then its polished floor. Both run under
-// one cacheMu hold, so a rank arriving mid-build waits and is served the
-// result instead of searching the same generation again. Like a rank it
-// holds closeMu shared.
+// buildAhead fills the cache entry of the newest generation, its closure
+// and its polished floor, through the rank's own fill. The fill runs under
+// cacheMu, so a rank arriving mid-build waits and is served the result
+// instead of searching the same generation again. Like a rank it holds
+// closeMu shared.
 func (s *Server) buildAhead() {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
@@ -105,25 +100,11 @@ func (s *Server) buildAhead() {
 	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	//lint:ignore lockcheck the builder holds closeMu shared like a rank (Close stops it before taking closeMu exclusively) and cacheMu across closure and floor, so a rank arriving mid-build joins the build instead of searching the generation again
-	e, err := s.currentLocked(s.met.closureBuilds[triggerAhead])
-	if err != nil {
-		s.logf("serve: build-ahead: %v", err)
-		return
-	}
-	if e.votes == 0 || e.best != nil {
-		return // nothing to rank, or a rank already searched this generation
-	}
 	if testAheadHook != nil {
 		testAheadHook()
 	}
-	start := s.clock.Now()
-	sr, err := search.Greedy(e.closure, search.ObjectiveAllPairs)
-	if err != nil {
-		s.logf("serve: build-ahead: floor failed: %v", err)
-		return
+	//lint:ignore lockcheck the builder holds closeMu shared like a rank (Close stops it before taking closeMu exclusively) and cacheMu across closure and floor, so a rank arriving mid-build joins the build instead of searching the generation again
+	if _, _, err := s.fill(triggerAhead); err != nil {
+		s.logf("serve: build-ahead: %v", err)
 	}
-	s.met.stageSeconds[stageSearch].ObserveDuration(s.clock.Since(start))
-	r := s.result(e, AlgoGreedy, sr)
-	s.entry.best = &r
 }

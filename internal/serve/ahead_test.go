@@ -110,16 +110,16 @@ func TestBuildAheadServesWhatAFreshServerComputes(t *testing.T) {
 		{"exact", 10 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, clock := cacheServer(t, 8, 62)
+			s := cacheServer(t, 8, 62)
 			mustIngest(t, s, batches[0])
-			rankWithin(t, s, clock, -time.Second)
+			rankWithin(t, s, -time.Second)
 			mustIngest(t, s, batches[1])
 			s.waitAheadIdle()
 			if rank, ahead := buildCounts(s); rank != 1 || ahead != 1 {
 				t.Fatalf("closure builds: rank %d ahead %d, want 1 and 1", rank, ahead)
 			}
 			hits, misses, searches := cacheCounts(s)
-			got := rankWithin(t, s, clock, tc.budget)
+			got := rankWithin(t, s, tc.budget)
 			h, m, sr := cacheCounts(s)
 			if tc.budget < 0 && (h != hits+1 || m != misses || sr != searches) {
 				t.Fatalf("want a cache hit with no search, got hits %d→%d misses %d→%d searches %d→%d",
@@ -129,10 +129,10 @@ func TestBuildAheadServesWhatAFreshServerComputes(t *testing.T) {
 				t.Fatalf("the rank rebuilt a closure the builder had built (%d rank builds)", rank)
 			}
 
-			fresh, fclock := cacheServer(t, 8, 62)
+			fresh := cacheServer(t, 8, 62)
 			mustIngest(t, fresh, batches[0])
 			mustIngest(t, fresh, batches[1])
-			sameServed(t, got, rankWithin(t, fresh, fclock, tc.budget))
+			sameServed(t, got, rankWithin(t, fresh, tc.budget))
 		})
 	}
 }
@@ -197,17 +197,17 @@ func TestBuildAheadArming(t *testing.T) {
 // generation is searched exactly once.
 func TestBuildAheadRankJoinsBuild(t *testing.T) {
 	g := gateBuilds(t)
-	s, clock := cacheServer(t, 8, 65)
+	s := cacheServer(t, 8, 65)
 	t.Cleanup(g.release)
 	batches := splitVotes(8, 2, 66, 2)
 	mustIngest(t, s, batches[0])
-	rankWithin(t, s, clock, -time.Second)
+	rankWithin(t, s, -time.Second)
 	mustIngest(t, s, batches[1])
 	<-g.entered
 	hits, misses, searches := cacheCounts(s)
 
-	// An expired deadline affords no exact rung: the rank wants the floor.
-	ctx, cancel := context.WithDeadline(context.Background(), clock.Now().Add(-time.Second))
+	// An expired deadline skips exact search: the rank wants the floor.
+	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
 	got := make(chan *RankResult, 1)
 	go func() {
@@ -217,7 +217,7 @@ func TestBuildAheadRankJoinsBuild(t *testing.T) {
 		}
 		got <- rr
 	}()
-	waitParked(t, "sync.Mutex.Lock", "(*Server).current(")
+	waitParked(t, "sync.Mutex.Lock", "(*Server).RankContext(")
 	g.release()
 	rr := <-got
 	s.waitAheadIdle()
@@ -231,10 +231,10 @@ func TestBuildAheadRankJoinsBuild(t *testing.T) {
 	if rank, ahead := buildCounts(s); rank != 1 || ahead != 1 {
 		t.Fatalf("closure builds: rank %d ahead %d, want 1 and 1", rank, ahead)
 	}
-	fresh, fclock := cacheServer(t, 8, 65)
+	fresh := cacheServer(t, 8, 65)
 	mustIngest(t, fresh, batches[0])
 	mustIngest(t, fresh, batches[1])
-	sameServed(t, rr, rankWithin(t, fresh, fclock, -time.Second))
+	sameServed(t, rr, rankWithin(t, fresh, -time.Second))
 }
 
 // TestBuildAheadCloseMidBuild: Close waits for a build in flight, returns,
@@ -243,11 +243,11 @@ func TestBuildAheadCloseMidBuild(t *testing.T) {
 	g := gateBuilds(t)
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
-	s, clock := cacheServer(t, 8, 67)
+	s := cacheServer(t, 8, 67)
 	t.Cleanup(g.release)
 	batches := splitVotes(8, 2, 68, 2)
 	mustIngest(t, s, batches[0])
-	rankWithin(t, s, clock, -time.Second)
+	rankWithin(t, s, -time.Second)
 	mustIngest(t, s, batches[1])
 	<-g.entered
 
@@ -276,11 +276,11 @@ func TestBuildAheadCloseMidBuild(t *testing.T) {
 // exactly like ingest.
 func TestBuildAheadFollower(t *testing.T) {
 	batches := splitVotes(8, 2, 69, 2)
-	follower, clock := cacheServer(t, 8, 70)
+	follower := cacheServer(t, 8, 70)
 	if err := follower.ApplyReplicated(0, encodeBatch("", 0, batches[0])); err != nil {
 		t.Fatal(err)
 	}
-	rankWithin(t, follower, clock, -time.Second)
+	rankWithin(t, follower, -time.Second)
 	if err := follower.ApplyReplicated(1, encodeBatch("", 0, batches[1])); err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +289,12 @@ func TestBuildAheadFollower(t *testing.T) {
 		t.Fatalf("closure builds: rank %d ahead %d, want 1 and 1", rank, ahead)
 	}
 	hits, _, _ := cacheCounts(follower)
-	got := rankWithin(t, follower, clock, -time.Second)
+	got := rankWithin(t, follower, -time.Second)
 	if h, _, _ := cacheCounts(follower); h != hits+1 {
 		t.Fatal("the follower's rank after a built-ahead generation should be a cache hit")
 	}
-	leader, lclock := cacheServer(t, 8, 70)
+	leader := cacheServer(t, 8, 70)
 	mustIngest(t, leader, batches[0])
 	mustIngest(t, leader, batches[1])
-	sameServed(t, got, rankWithin(t, leader, lclock, -time.Second))
+	sameServed(t, got, rankWithin(t, leader, -time.Second))
 }

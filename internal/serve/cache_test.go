@@ -1,8 +1,9 @@
 package serve
 
-// Tests of the per-generation ranking cache. Like clock_test.go they run
-// on an injected obs.FakeClock and never sleep: budgets are set relative
-// to the fake now, so only the ladder's own arithmetic sees them.
+// Tests of the per-generation ranking cache. Like clock_test.go they never
+// sleep: the fake clock drives the breaker cooldown, and an expired
+// deadline is a real, already-expired context, under which a rank skips
+// exact search at once.
 
 import (
 	"context"
@@ -18,20 +19,19 @@ import (
 )
 
 // cacheServer is a fake-clock server over n objects and 2 workers.
-func cacheServer(t *testing.T, n int, seed uint64) (*Server, *obs.FakeClock) {
+func cacheServer(t *testing.T, n int, seed uint64) *Server {
 	t.Helper()
-	clock := obs.NewFakeClock(fakeBase())
 	cfg := DefaultConfig(n, 2)
 	cfg.Seed = seed
-	cfg.Clock = clock
-	return newTestServer(t, cfg), clock
+	cfg.Clock = obs.NewFakeClock(fakeBase())
+	return newTestServer(t, cfg)
 }
 
-// rankWithin ranks under a budget relative to the fake now; a negative
-// budget is an already-expired deadline.
-func rankWithin(t *testing.T, s *Server, clock *obs.FakeClock, budget time.Duration) *RankResult {
+// rankWithin ranks under a real timeout; a negative one is an
+// already-expired deadline.
+func rankWithin(t *testing.T, s *Server, budget time.Duration) *RankResult {
 	t.Helper()
-	ctx, cancel := context.WithDeadline(context.Background(), clock.Now().Add(budget))
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	rr, err := s.RankContext(ctx)
 	if err != nil {
@@ -57,7 +57,7 @@ func cacheCounts(s *Server) (hits, misses, searches uint64) {
 // while no later, tighter request ever gets a worse answer, and that an
 // open breaker serves the cached floor without searching again.
 func TestRankCacheUpgradeOnly(t *testing.T) {
-	s, clock := cacheServer(t, 6, 42)
+	s := cacheServer(t, 6, 42)
 	if _, err := s.Ingest(noisyVotes(6, 2, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRankCacheUpgradeOnly(t *testing.T) {
 			s.breaker.success()
 		}
 		hits, misses, searches := cacheCounts(s)
-		rr := rankWithin(t, s, clock, st.budget)
+		rr := rankWithin(t, s, st.budget)
 		if rr.Algorithm != st.wantAlgo {
 			t.Fatalf("%s: algorithm = %s, want %s", st.name, rr.Algorithm, st.wantAlgo)
 		}
@@ -114,44 +114,24 @@ func TestRankCacheUpgradeOnly(t *testing.T) {
 	}
 }
 
-// overrunCtx reports a deadline far ahead on the fake clock, so the
-// ladder budgets the exact rung, yet it is already done: every search
-// started under it fails at once, exactly like an overrun.
-type overrunCtx struct {
-	context.Context
-	deadline time.Time
-}
-
-func (c overrunCtx) Deadline() (time.Time, bool) { return c.deadline, true }
-
-func newOverrunCtx(clock *obs.FakeClock) overrunCtx {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
-	cancel()
-	return overrunCtx{Context: ctx, deadline: clock.Now().Add(10 * time.Second)}
-}
-
 // TestRankCacheNeverDowngrades covers the races the ladder cannot show
-// sequentially: a slower request that computed the floor, or searched an
-// older generation, finishing after the cache already holds something
-// better or newer.
+// sequentially: a slower request's exact answer, for this generation or an
+// older one, finishing after the cache already holds an exact answer or a
+// newer generation.
 func TestRankCacheNeverDowngrades(t *testing.T) {
-	s, clock := cacheServer(t, 6, 48)
+	s := cacheServer(t, 6, 48)
 	votes := noisyVotes(6, 2, 7)
 	if _, err := s.Ingest(votes); err != nil {
 		t.Fatal(err)
 	}
-	exact := rankWithin(t, s, clock, 10*time.Second)
+	exact := rankWithin(t, s, 10*time.Second)
 	if exact.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("want exact, got %s", exact.Algorithm)
 	}
-	s.remember(RankResult{Ranking: []int{5, 4, 3, 2, 1, 0}, Algorithm: AlgoGreedy, Degraded: true, Gen: exact.Gen, Votes: exact.Votes})
-	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactBranchBound || !slices.Equal(rr.Ranking, exact.Ranking) {
-		t.Fatalf("a floor finishing late replaced the exact answer: got %s %v", rr.Algorithm, rr.Ranking)
-	}
 	// Exact answers are optimal, so a second one for the same generation
-	// is no upgrade either.
+	// is no upgrade.
 	s.remember(RankResult{Ranking: []int{5, 4, 3, 2, 1, 0}, Algorithm: AlgoExactBranchBound, Gen: exact.Gen, Votes: exact.Votes})
-	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactBranchBound || !slices.Equal(rr.Ranking, exact.Ranking) {
+	if rr := rankWithin(t, s, -time.Second); rr.Algorithm != AlgoExactBranchBound || !slices.Equal(rr.Ranking, exact.Ranking) {
 		t.Fatalf("a second exact answer replaced the first: got %s %v", rr.Algorithm, rr.Ranking)
 	}
 
@@ -160,31 +140,34 @@ func TestRankCacheNeverDowngrades(t *testing.T) {
 	if _, err := s.Ingest([]crowd.Vote{flipped}); err != nil {
 		t.Fatal(err)
 	}
-	greedy := rankWithin(t, s, clock, -time.Second)
+	greedy := rankWithin(t, s, -time.Second)
 	if greedy.Algorithm != AlgoGreedy || greedy.Gen <= exact.Gen {
 		t.Fatalf("want the floor at a newer generation, got %s at %d", greedy.Algorithm, greedy.Gen)
 	}
 	s.remember(*exact) // an answer for the older generation arriving late
-	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoGreedy || rr.Gen != greedy.Gen {
+	if rr := rankWithin(t, s, -time.Second); rr.Algorithm != AlgoGreedy || rr.Gen != greedy.Gen {
 		t.Fatalf("an older generation's answer was cached: got %s at %d", rr.Algorithm, rr.Gen)
 	}
 }
 
 // TestRankCacheExactFailureServesCachedFloor: with a cached floor, a
-// request that cannot afford exact search gets it without claiming the
+// request whose deadline has already passed gets it without claiming the
 // breaker's half-open probe; the next request takes the probe, and when
-// exact fails there, the cached floor is served without recomputing it.
+// exact search stops at its work cap there, the cached floor is served
+// without recomputing it.
 func TestRankCacheExactFailureServesCachedFloor(t *testing.T) {
 	clock := obs.NewFakeClock(fakeBase())
-	cfg := DefaultConfig(6, 2)
+	cfg := DefaultConfig(20, 2)
 	cfg.Seed = 43
 	cfg.Clock = clock
 	s := newTestServer(t, cfg)
-	if _, err := s.Ingest(noisyVotes(6, 2, 6)); err != nil {
+	// At n=20 these conflicted votes keep branch-and-bound from proving an
+	// optimum within exactMaxSteps.
+	if _, err := s.Ingest(noisyVotes(20, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	tripBreaker(s)
-	floor := rankWithin(t, s, clock, 10*time.Second)
+	floor := rankWithin(t, s, 10*time.Second)
 	if floor.Algorithm != AlgoGreedy {
 		t.Fatalf("open breaker should answer with the floor, got %s", floor.Algorithm)
 	}
@@ -192,18 +175,15 @@ func TestRankCacheExactFailureServesCachedFloor(t *testing.T) {
 	trips := s.met.breakerTrips.Value()
 	_, misses, _ := cacheCounts(s)
 
-	// 3ms affords no exact rung (half of it is under MinRungBudget).
-	rr := rankWithin(t, s, clock, 3*time.Millisecond)
+	rr := rankWithin(t, s, -time.Second)
 	if rr.Algorithm != AlgoGreedy || !slices.Equal(rr.Ranking, floor.Ranking) {
 		t.Fatalf("want the cached floor, got %s %v", rr.Algorithm, rr.Ranking)
 	}
 
 	// The probe is still free: this request claims it, branch-and-bound
-	// fails, the breaker re-opens, and the cached floor is served.
-	rr, err := s.RankContext(newOverrunCtx(clock))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// hits its work cap, the breaker re-opens, and the cached floor is
+	// served.
+	rr = rankWithin(t, s, 10*time.Second)
 	if s.met.breakerTrips.Value() != trips+1 || rr.Breaker != "open" {
 		t.Fatalf("the failed probe should re-open the breaker, got trips %d→%d, breaker %s",
 			trips, s.met.breakerTrips.Value(), rr.Breaker)
@@ -219,11 +199,11 @@ func TestRankCacheExactFailureServesCachedFloor(t *testing.T) {
 // TestRankCacheInvalidation: new votes (ingest or replication) move the
 // generation and drop the cached answer; a duplicates-only batch does not.
 func TestRankCacheInvalidation(t *testing.T) {
-	s, clock := cacheServer(t, 6, 44)
+	s := cacheServer(t, 6, 44)
 	if _, err := s.Ingest(agreeingVotes(6, 1)); err != nil {
 		t.Fatal(err)
 	}
-	exact := rankWithin(t, s, clock, 10*time.Second)
+	exact := rankWithin(t, s, 10*time.Second)
 	if exact.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("want exact, got %s", exact.Algorithm)
 	}
@@ -236,7 +216,7 @@ func TestRankCacheInvalidation(t *testing.T) {
 	if ack.Accepted != 0 {
 		t.Fatalf("resubmission should be all duplicates, got %+v", ack)
 	}
-	if rr := rankWithin(t, s, clock, -time.Second); rr.Algorithm != AlgoExactBranchBound || rr.Gen != exact.Gen {
+	if rr := rankWithin(t, s, -time.Second); rr.Algorithm != AlgoExactBranchBound || rr.Gen != exact.Gen {
 		t.Fatalf("duplicates-only batch must keep the cached exact answer, got %s at gen %d", rr.Algorithm, rr.Gen)
 	}
 
@@ -245,23 +225,23 @@ func TestRankCacheInvalidation(t *testing.T) {
 	if _, err := s.Ingest([]crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: true}}); err != nil {
 		t.Fatal(err)
 	}
-	rr := rankWithin(t, s, clock, -time.Second)
+	rr := rankWithin(t, s, -time.Second)
 	if rr.Algorithm != AlgoGreedy || rr.Gen <= exact.Gen || rr.Votes != exact.Votes+1 {
 		t.Fatalf("ingest must invalidate: got %s at gen %d with %d votes", rr.Algorithm, rr.Gen, rr.Votes)
 	}
 
 	// A follower applying a replicated record invalidates the same way.
-	follower, fclock := cacheServer(t, 6, 44)
+	follower := cacheServer(t, 6, 44)
 	if err := follower.ApplyReplicated(0, encodeBatch("", 0, agreeingVotes(6, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if fr := rankWithin(t, follower, fclock, 10*time.Second); fr.Algorithm != AlgoExactBranchBound {
+	if fr := rankWithin(t, follower, 10*time.Second); fr.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("follower: want exact, got %s", fr.Algorithm)
 	}
 	if err := follower.ApplyReplicated(1, encodeBatch("", 0, []crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: true}})); err != nil {
 		t.Fatal(err)
 	}
-	fr := rankWithin(t, follower, fclock, -time.Second)
+	fr := rankWithin(t, follower, -time.Second)
 	if fr.Algorithm != AlgoGreedy {
 		t.Fatalf("a replicated record must invalidate the follower's cache, got %s", fr.Algorithm)
 	}
@@ -285,28 +265,28 @@ func TestRankCacheMatchesFreshServer(t *testing.T) {
 		{"exact", 10 * time.Second, false},
 	} {
 		t.Run(rungCase.name, func(t *testing.T) {
-			s, clock := cacheServer(t, 8, 45)
+			s := cacheServer(t, 8, 45)
 			if _, err := s.Ingest(votes); err != nil {
 				t.Fatal(err)
 			}
 			if rungCase.trip {
 				tripBreaker(s)
 			}
-			rankWithin(t, s, clock, rungCase.budget)
+			rankWithin(t, s, rungCase.budget)
 			hits, _, _ := cacheCounts(s)
-			cached := rankWithin(t, s, clock, rungCase.budget)
+			cached := rankWithin(t, s, rungCase.budget)
 			if h, _, _ := cacheCounts(s); h != hits+1 {
 				t.Fatal("second rank at the same generation should be a cache hit")
 			}
 
-			fresh, fclock := cacheServer(t, 8, 45)
+			fresh := cacheServer(t, 8, 45)
 			if _, err := fresh.Ingest(votes); err != nil {
 				t.Fatal(err)
 			}
 			if rungCase.trip {
 				tripBreaker(fresh)
 			}
-			want := rankWithin(t, fresh, fclock, rungCase.budget)
+			want := rankWithin(t, fresh, rungCase.budget)
 			if cached.Algorithm != want.Algorithm || !slices.Equal(cached.Ranking, want.Ranking) || !feq.Eq(cached.LogProb, want.LogProb) {
 				t.Fatalf("cached %s %v (%g) != fresh %s %v (%g)",
 					cached.Algorithm, cached.Ranking, cached.LogProb, want.Algorithm, want.Ranking, want.LogProb)
@@ -321,21 +301,21 @@ func TestRankCacheMatchesFreshServer(t *testing.T) {
 // TestRankCacheResultIsolated: a library caller mutating a returned
 // ranking cannot reach the cache.
 func TestRankCacheResultIsolated(t *testing.T) {
-	s, clock := cacheServer(t, 6, 46)
+	s := cacheServer(t, 6, 46)
 	if _, err := s.Ingest(agreeingVotes(6, 2)); err != nil {
 		t.Fatal(err)
 	}
-	first := rankWithin(t, s, clock, 10*time.Second)
+	first := rankWithin(t, s, 10*time.Second)
 	want := slices.Clone(first.Ranking)
 	for i := range first.Ranking {
 		first.Ranking[i] = 0
 	}
-	second := rankWithin(t, s, clock, 10*time.Second)
+	second := rankWithin(t, s, 10*time.Second)
 	if !slices.Equal(second.Ranking, want) {
 		t.Fatalf("mutating a returned ranking changed the cache: got %v, want %v", second.Ranking, want)
 	}
 	second.Ranking[0] = -1
-	if third := rankWithin(t, s, clock, 10*time.Second); !slices.Equal(third.Ranking, want) {
+	if third := rankWithin(t, s, 10*time.Second); !slices.Equal(third.Ranking, want) {
 		t.Fatalf("mutating a cached answer's copy changed the cache: got %v, want %v", third.Ranking, want)
 	}
 }
@@ -344,7 +324,7 @@ func TestRankCacheResultIsolated(t *testing.T) {
 // every answer must be a permutation whose generation and vote count
 // agree, and the settled state must rank like a fresh server.
 func TestRankCacheConcurrent(t *testing.T) {
-	s, clock := cacheServer(t, 6, 47)
+	s := cacheServer(t, 6, 47)
 	votes := noisyVotes(6, 2, 11)
 	if _, err := s.Ingest(votes[:5]); err != nil {
 		t.Fatal(err)
@@ -371,7 +351,7 @@ func TestRankCacheConcurrent(t *testing.T) {
 				if (i+r)%2 == 0 {
 					budget = -time.Second
 				}
-				ctx, cancel := context.WithDeadline(context.Background(), clock.Now().Add(budget))
+				ctx, cancel := context.WithTimeout(context.Background(), budget)
 				rr, err := s.RankContext(ctx)
 				cancel()
 				if err != nil {
@@ -395,13 +375,62 @@ func TestRankCacheConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := rankWithin(t, s, clock, 10*time.Second)
-	fresh, fclock := cacheServer(t, 6, 47)
+	got := rankWithin(t, s, 10*time.Second)
+	fresh := cacheServer(t, 6, 47)
 	if _, err := fresh.Ingest(votes); err != nil {
 		t.Fatal(err)
 	}
-	want := rankWithin(t, fresh, fclock, 10*time.Second)
+	want := rankWithin(t, fresh, 10*time.Second)
 	if !slices.Equal(got.Ranking, want.Ranking) || got.Algorithm != want.Algorithm {
 		t.Fatalf("settled state ranks %s %v, fresh server %s %v", got.Algorithm, got.Ranking, want.Algorithm, want.Ranking)
+	}
+}
+
+// TestOneFloorPerGeneration: k ranks released together on a new
+// generation, with the breaker open so none of them searches past the
+// floor, build its closure and search its floor once, and every one of
+// them is served that floor.
+func TestOneFloorPerGeneration(t *testing.T) {
+	const k = 8
+	s := cacheServer(t, 60, 71)
+	mustIngest(t, s, noisyVotes(60, 2, 72))
+	tripBreaker(s)
+	release := make(chan struct{})
+	served := make(chan *RankResult, k)
+	var wg sync.WaitGroup
+	for range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+			rr, err := s.Rank()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			served <- rr
+		}()
+	}
+	close(release)
+	wg.Wait()
+	close(served)
+	if rank, ahead := buildCounts(s); rank != 1 || ahead != 0 {
+		t.Fatalf("closure builds: rank %d ahead %d, want 1 and 0", rank, ahead)
+	}
+	if _, _, searches := cacheCounts(s); searches != 1 {
+		t.Fatalf("%d searches of one generation's floor, want 1", searches)
+	}
+	var first *RankResult
+	for rr := range served {
+		if first == nil {
+			first = rr
+		}
+		if rr.Algorithm != AlgoGreedy {
+			t.Fatalf("open breaker served %s, want the floor", rr.Algorithm)
+		}
+		sameServed(t, rr, first)
+	}
+	if first == nil {
+		t.FailNow()
 	}
 }

@@ -1,16 +1,11 @@
 package serve
 
 // Deterministic-time tests of the degradation ladder and the rank
-// timing fields. Every test here drives the server through an injected
-// obs.Clock — there is no time.Sleep anywhere in this file, and none of
-// these tests depend on scheduler or wall-clock behaviour.
-//
-// The fake clock's base sits far in the REAL future. Context deadlines
-// are absolute times, so a deadline set relative to the fake "now" is
-// ~1000h away in real time and the runtime's timer never fires during
-// the test; only the server's own remaining() arithmetic — which runs
-// on the injected clock — sees the budget, which is exactly the seam
-// under test.
+// timing fields. There is no time.Sleep anywhere in this file. An injected
+// obs.Clock drives the breaker cooldown and the timing fields; rank
+// deadlines are real contexts, and an expired one is already expired when
+// the rank starts, so the ladder skips exact search whatever the
+// scheduler does.
 
 import (
 	"context"
@@ -22,10 +17,9 @@ import (
 	"crowdrank/internal/obs"
 )
 
-// fakeBase returns the fake-clock epoch: far enough in the real future
-// that real timers armed from fake-relative deadlines cannot fire.
+// fakeBase returns the fake-clock epoch.
 func fakeBase() time.Time {
-	return time.Now().Add(1000 * time.Hour)
+	return time.Unix(1_700_000_000, 0)
 }
 
 func TestLadderDeterministic(t *testing.T) {
@@ -33,8 +27,8 @@ func TestLadderDeterministic(t *testing.T) {
 		name string
 		// votes ingested before ranking; nil exercises the prior.
 		votes []crowd.Vote
-		// budget is the rank deadline relative to the fake now; 0 means
-		// no deadline at all; negative means already expired.
+		// budget is the rank's real timeout; 0 means no deadline at all;
+		// negative means already expired.
 		budget       time.Duration
 		tripBreaker  bool
 		wantAlgo     string
@@ -74,10 +68,9 @@ func TestLadderDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := obs.NewFakeClock(fakeBase())
 			cfg := DefaultConfig(6, 2)
 			cfg.Seed = 42
-			cfg.Clock = clock
+			cfg.Clock = obs.NewFakeClock(fakeBase())
 			s := newTestServer(t, cfg)
 			if len(tc.votes) > 0 {
 				if _, err := s.Ingest(tc.votes); err != nil {
@@ -92,7 +85,7 @@ func TestLadderDeterministic(t *testing.T) {
 			ctx := context.Background()
 			if tc.budget != 0 {
 				var cancel context.CancelFunc
-				ctx, cancel = context.WithDeadline(ctx, clock.Now().Add(tc.budget))
+				ctx, cancel = context.WithTimeout(ctx, tc.budget)
 				defer cancel()
 			}
 			rr, err := s.RankContext(ctx)

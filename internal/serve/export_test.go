@@ -20,3 +20,12 @@ func Closure(s *Server) (*graph.PreferenceGraph, error) {
 	e, err := s.current()
 	return e.closure, err
 }
+
+// current fills the cache entry of s's newest vote state as a rank does
+// and returns it.
+func (s *Server) current() (genEntry, error) {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	e, _, err := s.fill(triggerRank)
+	return e, err
+}

@@ -147,21 +147,12 @@ func acquire(sem chan struct{}) bool {
 // retryAfter derives the Retry-After value (integer seconds, the
 // parseable contract clients rely on) from the current depth of the
 // rejected queue: 1s when the queue just filled, stretching to 5s under
-// sustained saturation, plus the breaker cooldown hint when rank capacity
-// is gated by an open breaker.
-func (s *Server) retryAfter(sem chan struct{}, breakerGated bool) string {
+// sustained saturation.
+func retryAfter(sem chan struct{}) string {
 	depth, capacity := len(sem), cap(sem)
 	secs := 1
 	if capacity > 0 {
 		secs += 4 * depth / capacity
-	}
-	if breakerGated && s.breaker.state() == "open" {
-		// Exact-rung capacity will not recover before the cooldown probes.
-		hint := int(s.cfg.BreakerCooldown / time.Second)
-		if hint > 25 {
-			hint = 25
-		}
-		secs += hint
 	}
 	return strconv.Itoa(secs)
 }
@@ -178,7 +169,7 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 	}
 	if !acquire(s.ingestSem) {
 		s.met.rejectedIngest.Inc()
-		w.Header().Set("Retry-After", s.retryAfter(s.ingestSem, false))
+		w.Header().Set("Retry-After", retryAfter(s.ingestSem))
 		s.writeError(w, http.StatusTooManyRequests, "ingest queue full")
 		return
 	}
@@ -226,7 +217,7 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() == nil {
 			// The SERVER's ingest deadline fired, not the client's: the
 			// daemon is too slow right now, which is retryable.
-			w.Header().Set("Retry-After", s.retryAfter(s.ingestSem, false))
+			w.Header().Set("Retry-After", retryAfter(s.ingestSem))
 			s.writeError(w, http.StatusServiceUnavailable, "ingest deadline exceeded before batch committed")
 			return
 		}
@@ -246,17 +237,16 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	deadline := s.cfg.DefaultDeadline
+	deadline := DefaultDeadline
 	if raw := r.URL.Query().Get("deadline_ms"); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || ms <= 0 {
 			s.writeError(w, http.StatusBadRequest, "deadline_ms must be a positive integer, got %q", raw)
 			return
 		}
-		deadline = time.Duration(ms) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
+		// Clamped in milliseconds: a huge ms would wrap negative as a
+		// Duration.
+		deadline = time.Duration(min(ms, MaxDeadline.Milliseconds())) * time.Millisecond
 	}
 	// A client already holding the cached answer is told so without
 	// queueing or searching.
@@ -270,7 +260,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	if !acquire(s.rankSem) {
 		s.met.rejectedRank.Inc()
-		w.Header().Set("Retry-After", s.retryAfter(s.rankSem, true))
+		w.Header().Set("Retry-After", retryAfter(s.rankSem))
 		s.writeError(w, http.StatusTooManyRequests, "rank queue full")
 		return
 	}

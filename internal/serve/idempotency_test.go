@@ -7,10 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
@@ -573,16 +571,15 @@ func TestHTTPPanicAfterWrite(t *testing.T) {
 	}
 }
 
-// TestRetryAfterDerivation pins the header to queue depth and breaker
-// state while keeping the parseable-integer contract.
+// TestRetryAfterDerivation pins the header to queue depth while keeping
+// the parseable-integer contract.
 func TestRetryAfterDerivation(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 89
 	cfg.MaxConcurrentIngests = 4
-	cfg.BreakerCooldown = 10 * time.Second
 	s := newTestServer(t, cfg)
 
-	if got := s.retryAfter(s.ingestSem, false); got != "1" {
+	if got := retryAfter(s.ingestSem); got != "1" {
 		t.Fatalf("empty queue should hint 1s, got %q", got)
 	}
 	for i := 0; i < cap(s.ingestSem); i++ {
@@ -593,20 +590,8 @@ func TestRetryAfterDerivation(t *testing.T) {
 			<-s.ingestSem
 		}
 	}()
-	if got := s.retryAfter(s.ingestSem, false); got != "5" {
+	if got := retryAfter(s.ingestSem); got != "5" {
 		t.Fatalf("saturated queue should hint 5s, got %q", got)
-	}
-	// An open breaker adds its cooldown to rank hints.
-	for i := 0; i < cfg.BreakerThreshold; i++ {
-		s.breaker.failure()
-	}
-	if s.breaker.state() != "open" {
-		t.Fatalf("breaker should be open, is %s", s.breaker.state())
-	}
-	got := s.retryAfter(s.rankSem, true)
-	secs, err := strconv.Atoi(got)
-	if err != nil || secs != 11 {
-		t.Fatalf("open breaker over an empty queue should hint 11s, got %q (%v)", got, err)
 	}
 }
 

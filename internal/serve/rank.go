@@ -11,7 +11,6 @@ import (
 	"crowdrank/internal/core"
 	"crowdrank/internal/graph"
 	"crowdrank/internal/invariant"
-	"crowdrank/internal/obs"
 	"crowdrank/internal/search"
 	"crowdrank/internal/truth"
 )
@@ -41,8 +40,9 @@ type RankResult struct {
 	// Algorithm names the ladder rung that produced the ranking.
 	Algorithm string `json:"algorithm"`
 	// Degraded is true when the floor answered instead of exact search —
-	// because the deadline could not afford exact, exact hit its work cap
-	// or overran, or the breaker had it tripped.
+	// because the deadline had passed before exact search could start,
+	// exact hit its work cap or overran the deadline, or the breaker
+	// refused it.
 	Degraded bool `json:"degraded"`
 	// Votes is the deduplicated vote count the ranking was inferred from.
 	Votes int `json:"votes"`
@@ -76,19 +76,26 @@ const exactMaxSteps = 1 << 20
 // exact attempt that was proven or capped. Always nil in production.
 var testExactHook func(steps int)
 
-// Rank is RankContext under the configured default deadline.
+// DefaultDeadline bounds a rank request that carries no deadline, and
+// MaxDeadline caps the deadline any rank request may ask for.
+const (
+	DefaultDeadline = 2 * time.Second
+	MaxDeadline     = 60 * time.Second
+)
+
+// Rank is RankContext under DefaultDeadline.
 func (s *Server) Rank() (*RankResult, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultDeadline)
 	defer cancel()
 	return s.RankContext(ctx)
 }
 
 // RankContext serves a ranking within ctx's deadline by walking the
-// degradation ladder: the polished floor (search.Greedy), cached or
-// computed first, then exact search — branch-and-bound seeded with the
-// floor and capped at exactMaxSteps pair steps — when the breaker is
-// closed and the budget affords it. The floor answers whenever exact
-// search does not, even after the deadline has expired. An expired
+// degradation ladder: the generation's polished floor (search.Greedy),
+// cached or searched now, then exact search — branch-and-bound seeded with
+// the floor and capped at exactMaxSteps pair steps — when the deadline has
+// not passed yet and the breaker is closed. The floor answers whenever
+// exact search does not, even after the deadline has expired. An expired
 // deadline is absorbed by degradation — the call still returns a ranking;
 // only an explicit cancellation (client gone) or a broken pipeline returns
 // an error.
@@ -99,7 +106,7 @@ func (s *Server) Rank() (*RankResult, error) {
 func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 	// All request timing goes through the injected clock: Since carries
 	// the monotonic reading on the real clock (immune to wall jumps), and
-	// tests drive the ladder deterministically with a fake.
+	// tests drive the breaker deterministically with a fake.
 	start := s.clock.Now()
 	if s.closing.Load() {
 		return nil, errShuttingDown
@@ -113,12 +120,13 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		return nil, err // cancelled outright; nobody is waiting for an answer
 	}
 
-	//lint:ignore lockcheck the shared closeMu read lock intentionally spans the whole inference (closure build and searchers) so Close's drain waits for in-flight ranks instead of yanking state from under them
-	e, err := s.current()
+	s.cacheMu.Lock()
+	//lint:ignore lockcheck the shared closeMu read lock intentionally spans the whole inference so Close's drain waits for in-flight ranks instead of yanking state from under them, and cacheMu holds concurrent ranks on one closure build and floor search so each generation is computed once
+	e, searched, err := s.fill(triggerRank)
+	s.cacheMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	var searchStart time.Time // zero until a searcher runs
 	// finish stamps the per-request fields on its own copy of r.
 	finish := func(r RankResult) (*RankResult, error) {
 		// Stage-boundary assertion (no-op unless built with
@@ -134,9 +142,6 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		if r.Degraded {
 			s.met.rankDegraded.Inc()
 		}
-		if !searchStart.IsZero() {
-			s.met.stageSeconds[stageSearch].ObserveDuration(s.clock.Since(searchStart))
-		}
 		return &r, nil
 	}
 
@@ -147,64 +152,34 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		}
 		return finish(RankResult{Ranking: identity, Algorithm: AlgoUninformed, Seed: s.cfg.Seed, Gen: e.gen})
 	}
-	cached := func() (*RankResult, error) {
-		s.met.rankCacheHit.Inc()
+	// The cached answer counts as a miss when this rank searched it.
+	outcome := s.met.rankCacheHit
+	if searched {
+		outcome = s.met.rankCacheMiss
+	}
+	// An expired deadline is checked before the breaker, so such a rank
+	// neither claims a half-open probe nor counts as a failure.
+	if !e.best.Degraded || ctx.Err() != nil || !s.breaker.allow() {
+		outcome.Inc()
 		return finish(*e.best)
 	}
-	searched := func(r RankResult) (*RankResult, error) {
-		s.remember(r)
-		s.met.rankCacheMiss.Inc()
-		return finish(r)
-	}
-	if e.best != nil && !e.best.Degraded {
-		return cached()
-	}
 
-	// The floor rung, cached or computed now. It answers even after the
-	// deadline has expired, and exact search starts from it.
-	floor, floorCached := e.best, e.best != nil
-	if !floorCached {
-		searchStart = s.clock.Now()
-		sr, err := search.Greedy(e.closure, search.ObjectiveAllPairs)
-		if err != nil {
-			return nil, fmt.Errorf("serve: floor failed: %w", err)
-		}
-		r := s.result(e, AlgoGreedy, sr)
-		floor = &r
-	}
-	serveFloor := func() (*RankResult, error) {
-		if floorCached {
-			return cached()
-		}
-		return searched(*floor)
-	}
-
-	// The exact rung, stopped by its work cap or its share of the
-	// deadline. Decide affordability before consulting the breaker so a
-	// half-open probe slot is never claimed and then wasted on a budget
-	// skip.
-	budget := time.Hour // no deadline: the work cap alone stops the attempt
-	if deadline, ok := ctx.Deadline(); ok {
-		budget = time.Duration(float64(deadline.Sub(s.clock.Now())) * s.cfg.ExactFraction)
-	}
-	if budget < s.cfg.MinRungBudget || !s.breaker.allow() {
-		return serveFloor()
-	}
-	if searchStart.IsZero() {
-		searchStart = s.clock.Now()
-	}
-	exactCtx, cancel := context.WithTimeout(ctx, budget)
-	sr, err := search.BranchAndBoundContext(exactCtx, e.closure, search.BranchAndBoundParams{
+	// The exact rung, stopped by its work cap or the request's deadline.
+	searchStart := s.clock.Now()
+	sr, err := search.BranchAndBoundContext(ctx, e.closure, search.BranchAndBoundParams{
 		MaxSteps:  exactMaxSteps,
-		Incumbent: floor.Ranking,
+		Incumbent: e.best.Ranking,
 	})
-	cancel()
+	s.met.stageSeconds[stageSearch].ObserveDuration(s.clock.Since(searchStart))
 	if sr != nil && testExactHook != nil {
 		testExactHook(sr.Evaluations)
 	}
 	if err == nil {
 		s.breaker.success()
-		return searched(s.result(e, AlgoExactBranchBound, sr))
+		r := s.result(e, AlgoExactBranchBound, sr)
+		s.remember(r)
+		s.met.rankCacheMiss.Inc()
+		return finish(r)
 	}
 	if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
 		return nil, ctxErr
@@ -212,7 +187,8 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 	// Work cap or deadline overrun: either way this instance is not
 	// answering exactly, which is what the breaker tracks.
 	s.breaker.failure()
-	return serveFloor()
+	outcome.Inc()
+	return finish(*e.best)
 }
 
 // genEntry is the per-generation cache: the Steps 1-3 closure of one vote
@@ -224,8 +200,9 @@ type genEntry struct {
 	votes   int
 	closure *graph.PreferenceGraph
 	// best is the best answer at gen — exact once exact search answered,
-	// the floor before — nil until a search answers. The uninformed prior
-	// is never cached. A stored result is never mutated; responses copy it.
+	// the floor before. fill stores an entry only with its floor, so best
+	// is nil only in the vote-less entry, whose uninformed prior is never
+	// cached. A stored result is never mutated; responses copy it.
 	best *RankResult
 }
 
@@ -242,70 +219,71 @@ func (s *Server) result(e genEntry, algo string, sr *search.Result) RankResult {
 	}
 }
 
-// current returns the cache entry for the newest vote state, building its
-// Steps 1-3 closure on the request path when the state moved since the
-// last build.
-func (s *Server) current() (genEntry, error) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	//lint:ignore lockcheck cacheMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker goroutines) so identical generations are computed once and served from cache
-	return s.currentLocked(s.met.closureBuilds[triggerRank])
-}
-
-// currentLocked is current for a caller holding cacheMu; builds counts the
-// closure build, if one is needed. The state is read under cacheMu, so the
-// entry's generation only ever moves forward. The build folds the new
-// votes into the server's vote index; time spent indexing them counts as
-// truth discovery. With no votes there is nothing to build or cache: the
+// fill returns the cache entry for the newest vote state; the caller holds
+// cacheMu, and trigger names it in the closure-build counter. When the
+// state moved since the last build it folds the new votes into the
+// server's vote index and builds the Steps 1-3 closure (time spent
+// indexing them counts as truth discovery); when the entry has no answer
+// yet it searches the polished floor. searched reports that floor search.
+// The state is read under cacheMu, so the entry's generation only ever
+// moves forward. With no votes there is nothing to build or cache: the
 // entry carries the generation alone.
-func (s *Server) currentLocked(builds *obs.Counter) (genEntry, error) {
+func (s *Server) fill(trigger string) (e genEntry, searched bool, err error) {
 	votes, gen := s.snapshot()
 	if len(votes) == 0 {
-		return genEntry{gen: gen}, nil
+		return genEntry{gen: gen}, false, nil
 	}
-	if s.entry.closure != nil && s.entry.gen == gen {
-		return s.entry, nil
-	}
-	if s.index == nil {
-		idx, err := truth.NewIndex(s.cfg.N, s.cfg.M)
-		if err != nil {
-			return genEntry{}, fmt.Errorf("serve: building closure: %w", err)
+	e = s.entry
+	if e.closure == nil || e.gen != gen {
+		if s.index == nil {
+			idx, err := truth.NewIndex(s.cfg.N, s.cfg.M)
+			if err != nil {
+				return genEntry{}, false, fmt.Errorf("serve: building closure: %w", err)
+			}
+			s.index = idx
 		}
-		s.index = idx
+		opts := core.DefaultOptions()
+		opts.Propagate.Parallelism = s.cfg.Parallelism
+		rng := core.NewPipelineRNG(s.cfg.Seed)
+		// s.votes only grows once the server is open, so the index holds a
+		// prefix of votes and folds in just the votes that arrived since the
+		// last build.
+		cl, err := core.BuildClosureFrom(s.index, votes[s.index.Len():], opts, rng)
+		if err != nil {
+			return genEntry{}, false, fmt.Errorf("serve: building closure: %w", err)
+		}
+		s.met.closureBuilds[trigger].Inc()
+		// Stage histograms record rebuild cost only: a cache hit spent no
+		// time in Steps 1-3, and observing zeros would flatten the latency
+		// distribution the histogram exists to expose.
+		s.met.stageSeconds[stageTruth].ObserveDuration(cl.Timings.TruthDiscovery)
+		s.met.stageSeconds[stageSmooth].ObserveDuration(cl.Timings.Smoothing)
+		s.met.stageSeconds[stagePropagate].ObserveDuration(cl.Timings.Propagation)
+		e = genEntry{gen: gen, votes: len(votes), closure: cl.Closure}
 	}
-	opts := core.DefaultOptions()
-	opts.Propagate.Parallelism = s.cfg.Parallelism
-	rng := core.NewPipelineRNG(s.cfg.Seed)
-	// s.votes only grows once the server is open, so the index holds a
-	// prefix of votes and folds in just the votes that arrived since the
-	// last build.
-	cl, err := core.BuildClosureFrom(s.index, votes[s.index.Len():], opts, rng)
+	if e.best != nil {
+		return e, false, nil
+	}
+	start := s.clock.Now()
+	sr, err := search.Greedy(e.closure, search.ObjectiveAllPairs)
 	if err != nil {
-		return genEntry{}, fmt.Errorf("serve: building closure: %w", err)
+		return genEntry{}, false, fmt.Errorf("serve: floor failed: %w", err)
 	}
-	builds.Inc()
-	// Stage histograms record rebuild cost only: a cache hit spent no
-	// time in Steps 1-3, and observing zeros would flatten the latency
-	// distribution the histogram exists to expose.
-	s.met.stageSeconds[stageTruth].ObserveDuration(cl.Timings.TruthDiscovery)
-	s.met.stageSeconds[stageSmooth].ObserveDuration(cl.Timings.Smoothing)
-	s.met.stageSeconds[stagePropagate].ObserveDuration(cl.Timings.Propagation)
-	s.entry = genEntry{gen: gen, votes: len(votes), closure: cl.Closure}
-	return s.entry, nil
+	s.met.stageSeconds[stageSearch].ObserveDuration(s.clock.Since(start))
+	floor := s.result(e, AlgoGreedy, sr)
+	e.best = &floor
+	s.entry = e
+	return e, true, nil
 }
 
-// remember offers a freshly searched result to the cache. The cache is
-// upgrade-only: r replaces the cached answer only when the entry still
-// belongs to r's generation and r is exact where the cached answer is the
-// floor. Exact search scores at least the floor by optimality, so this is
-// the only upgrade there is.
+// remember caches r, an exact answer, in place of its generation's floor.
+// Exact search scores at least the floor by optimality, so this is the only
+// upgrade there is. r is dropped when a newer generation took the entry
+// while r was searched, or another exact answer got there first.
 func (s *Server) remember(r RankResult) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	if s.entry.closure == nil || s.entry.gen != r.Gen {
-		return // a newer generation took the entry while r was searched
-	}
-	if s.entry.best == nil || (s.entry.best.Degraded && !r.Degraded) {
+	if s.entry.gen == r.Gen && s.entry.best.Degraded {
 		s.entry.best = &r
 	}
 }

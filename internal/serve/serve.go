@@ -9,17 +9,18 @@
 // journal to rebuild exactly the acknowledged state — a torn or corrupted
 // tail is detected, reported, and truncated rather than silently replayed.
 //
-// Rank requests carry deadlines and degrade instead of failing: exact
-// search — branch-and-bound seeded with the floor and capped by work, not
-// time — when the budget allows, and otherwise the polished floor — the
-// net-score order refined to an insertion local optimum (search.Greedy) —
-// which answers even after the deadline has effectively expired. A
-// circuit breaker trips the exact rung after repeated cap hits or deadline
-// overruns and probes it again (half-open) after a cooldown, so
-// chronically hard instances stop paying for doomed exact attempts. Both rungs are deterministic at a
-// fixed vote state, so the best answer produced at the current state
-// generation is cached, and only an exact answer replaces a cached floor,
-// until the votes change. After a served rank, a build-ahead goroutine
+// Rank requests carry deadlines and degrade instead of failing. Each
+// generation's polished floor — the net-score order refined to an
+// insertion local optimum (search.Greedy) — is searched once and answers
+// even after the deadline has expired. Exact search — branch-and-bound
+// seeded with the floor, capped by work and stopped early only by the
+// request's own deadline — is attempted when that deadline has not yet
+// passed. A circuit breaker trips the exact rung after repeated cap hits
+// or deadline overruns and probes it again (half-open) after a cooldown,
+// so chronically hard instances stop paying for doomed exact attempts.
+// Both rungs are deterministic at a fixed vote state, so the best answer
+// produced at the current state generation is cached, and only an exact
+// answer replaces a cached floor, until the votes change. After a served rank, a build-ahead goroutine
 // prepares the next generation's closure and floor as soon as new votes
 // arrive, so the rank that follows an ingest finds them cached.
 //
@@ -42,7 +43,6 @@ import (
 	"time"
 
 	"crowdrank/internal/crowd"
-	"crowdrank/internal/feq"
 	"crowdrank/internal/journal"
 	"crowdrank/internal/obs"
 	"crowdrank/internal/snapshot"
@@ -91,20 +91,6 @@ type Config struct {
 	// in parallel.
 	Parallelism int
 
-	// ExactFraction is the share of the remaining deadline the exact rung
-	// may spend, in (0, 1); its work cap usually stops it sooner. Default
-	// 0.5.
-	ExactFraction float64
-	// MinRungBudget is the smallest exact-rung budget worth starting
-	// exact search with; below it the ladder goes straight to the floor.
-	// Default 2ms.
-	MinRungBudget time.Duration
-
-	// DefaultDeadline applies to rank requests that carry none; deadlines
-	// are clamped to MaxDeadline. Defaults 2s and 60s.
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-
 	// MaxBatchVotes caps one ingest batch (HTTP 413 beyond). Default 65536.
 	MaxBatchVotes int
 	// MaxBodyBytes caps one POST /votes request body before decoding
@@ -137,10 +123,10 @@ type Config struct {
 	// GET /metrics; nil creates a private registry. Use one registry per
 	// server — two servers sharing one would fold their counts together.
 	Metrics *obs.Registry
-	// Clock supplies time to the degradation ladder, the circuit
-	// breaker, request timing, and slow-request logging. nil means the
-	// real clock; tests inject an obs.FakeClock to drive rung and
-	// breaker transitions deterministically, without sleeps.
+	// Clock supplies time to the circuit breaker, request timing, and
+	// slow-request logging. nil means the real clock; tests inject an
+	// obs.FakeClock to drive breaker transitions deterministically,
+	// without sleeps.
 	Clock obs.Clock
 	// SlowRequestThreshold logs (via Logf) any HTTP request that takes
 	// longer, and counts it in crowdrankd_http_slow_requests_total.
@@ -161,10 +147,6 @@ func DefaultConfig(n, m int) Config {
 		SnapshotEveryBatches:    1024,
 		SnapshotMaxJournalBytes: 64 << 20,
 		SnapshotKeep:            2,
-		ExactFraction:           0.5,
-		MinRungBudget:           2 * time.Millisecond,
-		DefaultDeadline:         2 * time.Second,
-		MaxDeadline:             60 * time.Second,
 		MaxBatchVotes:           65536,
 		MaxBodyBytes:            32 << 20,
 		IngestTimeout:           30 * time.Second,
@@ -180,18 +162,6 @@ func DefaultConfig(n, m int) Config {
 // withDefaults fills zero fields and validates the result.
 func (c Config) withDefaults() (Config, error) {
 	d := DefaultConfig(c.N, c.M)
-	if feq.Zero(c.ExactFraction) {
-		c.ExactFraction = d.ExactFraction
-	}
-	if c.MinRungBudget == 0 {
-		c.MinRungBudget = d.MinRungBudget
-	}
-	if c.DefaultDeadline == 0 {
-		c.DefaultDeadline = d.DefaultDeadline
-	}
-	if c.MaxDeadline == 0 {
-		c.MaxDeadline = d.MaxDeadline
-	}
 	if c.MaxBatchVotes == 0 {
 		c.MaxBatchVotes = d.MaxBatchVotes
 	}
@@ -242,16 +212,12 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("serve: need at least one object, got N=%d", c.N)
 	case c.M < 1:
 		return c, fmt.Errorf("serve: need at least one worker, got M=%d", c.M)
-	case c.ExactFraction <= 0 || c.ExactFraction >= 1:
-		return c, fmt.Errorf("serve: ExactFraction %v outside (0,1)", c.ExactFraction)
 	case c.MaxBatchVotes < 1 || c.MaxConcurrentRanks < 1 || c.MaxConcurrentIngests < 1:
 		return c, fmt.Errorf("serve: batch and queue bounds must be >= 1")
 	case c.MaxBodyBytes < 1:
 		return c, fmt.Errorf("serve: MaxBodyBytes must be >= 1, got %d", c.MaxBodyBytes)
 	case c.BreakerThreshold < 1 || c.BreakerCooldown < 0:
 		return c, fmt.Errorf("serve: breaker threshold must be >= 1 and cooldown non-negative")
-	case c.DefaultDeadline < 0 || c.MaxDeadline <= 0 || c.MinRungBudget < 0:
-		return c, fmt.Errorf("serve: deadlines must be positive")
 	case c.SnapshotKeep < 1:
 		return c, fmt.Errorf("serve: SnapshotKeep must be >= 1 (the newest snapshot must survive pruning), got %d", c.SnapshotKeep)
 	}

@@ -449,8 +449,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{N: 0, M: 2},
 		{N: 3, M: 0},
-		{N: 3, M: 2, ExactFraction: 1.5},
-		{N: 3, M: 2, ExactFraction: -0.1},
 		{N: 3, M: 2, BreakerThreshold: -2},
 	}
 	for i, cfg := range bad {
@@ -557,10 +555,11 @@ func TestHTTPTinyDeadlineStillAnswers(t *testing.T) {
 	default:
 		t.Fatalf("unexpected algorithm %q for n=%d at 50ms", rr.Algorithm, n)
 	}
-	// At 1ms exact search is unaffordable and the deadline has passed by
-	// the time the closure is built: the floor must still answer, and the
-	// response must say the ladder degraded. One new vote moves the
-	// generation first, so the better answer cached above does not apply.
+	// At 1ms the deadline passes before or during exact search, which
+	// cannot prove these conflicted votes within its work cap anyway: the
+	// floor must still answer, and the response must say the ladder
+	// degraded. One new vote moves the generation first, so the better
+	// answer cached above does not apply.
 	flipped := noisyVotes(n, 5, 23)[0]
 	flipped.PrefersI = !flipped.PrefersI
 	if resp := postVotes(t, ts.URL, []crowd.Vote{flipped}); resp.StatusCode != http.StatusOK {
@@ -680,9 +679,11 @@ func TestHTTPRankConditionalGet(t *testing.T) {
 	}
 
 	// Closing the breaker lets the next full request upgrade the entry to
-	// exact search; the floor's tag is stale from then on.
+	// exact search; the floor's tag is stale from then on. Its deadline_ms
+	// is past the cap by so much that it would wrap negative as a Duration
+	// if it were not clamped first.
 	s.breaker.success()
-	exact, h := getRank(t, ts.URL, 1000)
+	exact, h := getRank(t, ts.URL, 10_000_000_000_000)
 	if exact.Algorithm != AlgoExactBranchBound || exact.Gen != floor.Gen {
 		t.Fatalf("want an exact upgrade at generation %d, got %s at %d", floor.Gen, exact.Algorithm, exact.Gen)
 	}
