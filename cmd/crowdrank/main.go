@@ -270,7 +270,7 @@ func runInfer(args []string) error {
 	}
 
 	if *clean {
-		cleaned, report := crowdrank.CleanVotes(vf.Votes, pf.N, vf.Workers, true)
+		cleaned, report := crowdrank.SanitizeVotes(pf.N, vf.Workers, vf.Votes)
 		fmt.Println("cleaning:", report)
 		vf.Votes = cleaned
 	} else if err := crowdrank.ValidateVotes(pf.N, vf.Workers, vf.Votes); err != nil {

@@ -10,7 +10,7 @@
 //	           [-drain 10s] [-addr-file path]
 //	           [-pprof addr] [-slow-request 1s]
 //	           [-read-timeout 1m] [-write-timeout 2m] [-idle-timeout 2m]
-//	           [-idempotency-window N] [-chaos spec]
+//	           [-idempotency-window N]
 //	           [-replicate-from URL] [-epoch-dir path] [-advertise URL]
 //	           [-max-lag N]
 //
@@ -40,12 +40,13 @@
 //
 // Replication: start a warm standby with -replicate-from pointing at the
 // leader's base URL. The follower bootstraps from the leader's snapshot
-// when its own store is empty, tails the journal stream, serves reads,
-// and answers ingest with 503 plus an X-Crowdrank-Leader hint. On leader
-// loss, POST /promote on the survivor; the bumped epoch fences the old
-// leader if it comes back. -advertise sets the URL handed out in hints
-// (defaults to the bound address); -epoch-dir stores the fencing epoch
-// (defaults to the journal directory).
+// when its own store is empty, tails the journal stream (the leader sends
+// each record as its journal appends it, and heartbeats while idle),
+// serves reads, and answers ingest with 503 plus an X-Crowdrank-Leader
+// hint. On leader loss, POST /promote on the survivor; the bumped epoch
+// fences the old leader if it comes back. -advertise sets the URL handed
+// out in hints (defaults to the bound address); -epoch-dir stores the
+// fencing epoch (defaults to the journal directory).
 //
 // -pprof serves net/http/pprof on a SEPARATE listener (loopback it in
 // production); profiling never shares the public API port. Requests
@@ -57,11 +58,6 @@
 // -idempotency-window batches (default 65536, negative disables) returns
 // the original acknowledgement without re-applying, before and after a
 // restart.
-//
-// -chaos wraps the public listener in the internal/netfault
-// fault-injection proxy (e.g. -chaos "seed=7,latency=2ms,reset=0.05") —
-// a deterministic resilience harness for soak tests and drills, never for
-// production. See netfault.ParseSpec for the full grammar.
 //
 // SIGINT/SIGTERM triggers graceful shutdown: the listener stops, in-flight
 // requests drain (bounded by -drain), and the journal is synced and closed.
@@ -87,7 +83,6 @@ import (
 	"time"
 
 	"crowdrank"
-	"crowdrank/internal/netfault"
 	"crowdrank/internal/replica"
 	"crowdrank/internal/serve"
 )
@@ -121,7 +116,6 @@ func run(args []string, out io.Writer) error {
 	writeTimeout := fs.Duration("write-timeout", 2*time.Minute, "HTTP server write timeout (must exceed the rank deadline cap)")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle timeout")
 	idemWindow := fs.Int("idempotency-window", 0, "batch acks remembered for exactly-once retries (0: default 65536, negative: disable)")
-	chaosSpec := fs.String("chaos", "", "TESTING ONLY: netfault spec injecting faults on the public listener (e.g. \"seed=7,latency=2ms,reset=0.05\")")
 	snapshotKeep := fs.Int("snapshot-keep", 2, "on-disk snapshots retained after compaction (minimum 1)")
 	replicateFrom := fs.String("replicate-from", "", "leader base URL to follow as a warm standby (empty: this node leads)")
 	epochDir := fs.String("epoch-dir", "", "directory for the durable fencing epoch (empty: the journal directory)")
@@ -135,13 +129,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *snapshotKeep < 1 {
 		return fmt.Errorf("-snapshot-keep must be >= 1 (the newest snapshot must survive pruning), got %d", *snapshotKeep)
-	}
-	var chaosCfg netfault.Config
-	if *chaosSpec != "" {
-		var err error
-		if chaosCfg, err = netfault.ParseSpec(*chaosSpec); err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
 	}
 
 	cfg := crowdrank.DefaultServeConfig(*n, *m)
@@ -182,14 +169,6 @@ func run(args []string, out io.Writer) error {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
-	}
-	if *chaosSpec != "" {
-		fln, err := netfault.Wrap(ln, chaosCfg)
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
-		ln = fln
-		fmt.Fprintf(out, "crowdrankd: CHAOS MODE: injecting faults on the public listener (%s)\n", *chaosSpec)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

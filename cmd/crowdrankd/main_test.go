@@ -18,8 +18,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{},                                      // missing -n/-m
 		{"-n", "5"},                             // missing -m
 		{"-n", "5", "-m", "2", "-fsync", "ssd"}, // unknown policy
-		{"-n", "5", "-m", "2", "-chaos", "bogus-spec"}, // unparseable fault spec
-		{"-n", "5", "-m", "2", "-chaos", "reset=0.5"},  // chaos without a seed
 		{"-n", "5", "-m", "2", "-write-timeout", "1s"}, // below the rank deadline cap
 		{"-n", "5", "-m", "2", "-write-timeout", "1m"}, // equal to the cap is still unsafe
 		{"-n", "5", "-m", "2", "-snapshot-keep", "0"},  // would prune the newest snapshot

@@ -149,20 +149,3 @@ func TestCSVInferInterop(t *testing.T) {
 		}
 	}
 }
-
-func TestCleanVotesFacade(t *testing.T) {
-	votes := []Vote{
-		{Worker: 0, I: 0, J: 1, PrefersI: true},
-		{Worker: 0, I: 0, J: 1, PrefersI: true}, // duplicate
-		{Worker: 5, I: 0, J: 1, PrefersI: true}, // bad worker
-		{Worker: 0, I: 0, J: 7, PrefersI: true}, // bad pair
-	}
-	clean, rep := CleanVotes(votes, 3, 2, true)
-	if len(clean) != 1 || rep.Kept != 1 || rep.DroppedDuplicates != 1 ||
-		rep.DroppedInvalidWorker != 1 || rep.DroppedInvalidPair != 1 {
-		t.Fatalf("clean = %v, report = %+v", clean, rep)
-	}
-	if rep.String() == "" {
-		t.Error("report string empty")
-	}
-}

@@ -108,7 +108,7 @@ func faultRound(n int, dropout float64, params des.CollectParams, repair bool) (
 		return 0, 0, nil, err
 	}
 
-	valid, _ := crowd.Clean(res.Votes, n, pool, true)
+	valid, _ := crowd.Clean(res.Votes, n, pool)
 	inferred, err := core.Infer(n, pool, valid, core.DefaultOptions(),
 		rand.New(rand.NewPCG(seed+1, seed^0x51afd54db5f78a11)))
 	if err != nil {

@@ -18,38 +18,27 @@ func TestClean(t *testing.T) {
 		{Worker: 1, I: -2, J: 1, PrefersI: true}, // negative object
 		{Worker: 2, I: 1, J: 2, PrefersI: false}, // ok
 	}
-	clean, report := Clean(votes, 3, 3, true)
-	if report.Kept != 3 || len(clean) != 3 {
+	clean, report := Clean(votes, 3, 3)
+	if report.Input != 10 || report.Kept != 3 || len(clean) != 3 || report.Dropped() != 7 {
 		t.Fatalf("report = %+v, clean = %v", report, clean)
 	}
-	if report.DroppedDuplicates != 2 {
-		t.Errorf("duplicates = %d, want 2", report.DroppedDuplicates)
+	if report.Duplicates != 2 {
+		t.Errorf("duplicates = %d, want 2", report.Duplicates)
 	}
-	if report.DroppedInvalidPair != 3 {
-		t.Errorf("invalid pairs = %d, want 3", report.DroppedInvalidPair)
+	if report.OutOfRangePairs != 2 || report.SelfPairs != 1 {
+		t.Errorf("out-of-range pairs = %d, self pairs = %d, want 2 and 1", report.OutOfRangePairs, report.SelfPairs)
 	}
-	if report.DroppedInvalidWorker != 2 {
-		t.Errorf("invalid workers = %d, want 2", report.DroppedInvalidWorker)
+	if report.InvalidWorkers != 2 {
+		t.Errorf("invalid workers = %d, want 2", report.InvalidWorkers)
 	}
 	if !strings.Contains(report.String(), "kept 3") {
 		t.Errorf("report string = %q", report.String())
 	}
 }
 
-func TestCleanWithoutDedupe(t *testing.T) {
-	votes := []Vote{
-		{Worker: 0, I: 0, J: 1, PrefersI: true},
-		{Worker: 0, I: 0, J: 1, PrefersI: true},
-	}
-	clean, report := Clean(votes, 2, 1, false)
-	if len(clean) != 2 || report.DroppedDuplicates != 0 {
-		t.Errorf("dedupe disabled but votes dropped: %+v", report)
-	}
-}
-
 func TestCleanDoesNotMutateInput(t *testing.T) {
 	votes := []Vote{{Worker: 0, I: 0, J: 1, PrefersI: true}}
-	Clean(votes, 2, 1, true)
+	Clean(votes, 2, 1)
 	if votes[0] != (Vote{Worker: 0, I: 0, J: 1, PrefersI: true}) {
 		t.Error("input mutated")
 	}

@@ -262,6 +262,9 @@ type Journal struct {
 	size     int64 // total bytes across live segments
 	poison   error // root cause; non-nil once poisoned
 	closed   bool
+	// ready is handed to readers that caught up (see Reader.Ready) and
+	// closed by the next Append, Poison or Close; nil while nobody waits.
+	ready chan struct{}
 }
 
 // Open opens or creates the journal directory at dir, replays every valid
@@ -749,12 +752,21 @@ func (j *Journal) Append(payload []byte) (seq uint64, err error) {
 	j.segments[len(j.segments)-1].records++
 	seq = j.nextSeq
 	j.nextSeq++
+	j.wakeLocked() // readable now; a woken reader gets j.mu only after the sync below
 	if j.opts.Sync == SyncAlways {
 		if err := j.syncActive("fsync after append"); err != nil {
 			return 0, err
 		}
 	}
 	return seq, nil
+}
+
+// wakeLocked wakes every reader waiting on Ready. Callers must hold j.mu.
+func (j *Journal) wakeLocked() {
+	if j.ready != nil {
+		close(j.ready)
+		j.ready = nil
+	}
 }
 
 // maybeRotateLocked seals the active segment and starts a fresh one when
@@ -858,6 +870,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
+	j.wakeLocked()
 	var syncErr error
 	if j.poison == nil && j.active != nil {
 		//lint:ignore lockcheck the final fsync runs under j.mu so Close linearizes with in-flight appends; after it, closed=true makes them fail fast

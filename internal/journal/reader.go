@@ -3,11 +3,12 @@ package journal
 // Reader gives the replication layer sequential read access to a live
 // journal: the leader streams its own records to warm-standby followers
 // from an arbitrary start sequence, tailing the active segment as new
-// appends land. Reads are safe concurrently with Append because a record's
-// bytes are fully written to the segment file before the sequence counter
-// that admits it is bumped (both happen under the journal mutex), so any
-// sequence below the committed NextSeq is completely on disk — or at least
-// completely in the page cache this same process reads back.
+// appends land (Ready wakes a caught-up reader). Reads are safe
+// concurrently with Append because a record's bytes are fully written to
+// the segment file before the sequence counter that admits it is bumped
+// (both happen under the journal mutex), so any sequence below the
+// committed NextSeq is completely on disk — or at least completely in the
+// page cache this same process reads back.
 
 import (
 	"errors"
@@ -29,6 +30,7 @@ type Reader struct {
 	fIndex uint64 // segment index f points into
 	offset int64  // next read offset in f
 	closed bool
+	ready  <-chan struct{} // captured with the last io.EOF; see Ready
 }
 
 // OpenReader positions a new Reader at sequence from. A from below the
@@ -65,6 +67,12 @@ func (r *Reader) locate(seq uint64) (segment, uint64, error) {
 		return segment{}, 0, fmt.Errorf("journal: read from closed journal %s", j.dir)
 	}
 	if seq >= j.nextSeq {
+		// Captured under the same hold that saw no record, so an append
+		// landing before the caller waits still closes this channel.
+		if j.ready == nil {
+			j.ready = make(chan struct{})
+		}
+		r.ready = j.ready
 		return segment{}, j.nextSeq, io.EOF
 	}
 	if seq < j.segments[0].firstSeq {
@@ -119,10 +127,10 @@ func headerAt(f *os.File, off int64) (record.Header, error) {
 }
 
 // Next returns the payload and sequence number of the next record. A
-// Reader that has caught up with the journal returns io.EOF — poll again
-// after more appends. A start position that fell behind compaction returns
-// an error matching ErrSeqGap. Payloads are freshly allocated; callers own
-// them.
+// Reader that has caught up with the journal returns io.EOF — wait on
+// Ready, then call Next again. A start position that fell behind
+// compaction returns an error matching ErrSeqGap. Payloads are freshly
+// allocated; callers own them.
 func (r *Reader) Next() ([]byte, uint64, error) {
 	if r.closed {
 		return nil, 0, fmt.Errorf("journal: read from closed reader")
@@ -152,6 +160,11 @@ func (r *Reader) Next() ([]byte, uint64, error) {
 	r.offset += record.HeaderSize + int64(h.Len)
 	return payload, seq, nil
 }
+
+// Ready returns a channel that is closed once a record past the last
+// io.EOF from Next is readable, or the journal is poisoned or closed.
+// It is meaningful only after Next returned io.EOF; before that it is nil.
+func (r *Reader) Ready() <-chan struct{} { return r.ready }
 
 // Close releases the reader's segment handle. The journal itself is not
 // affected. Close is idempotent.
@@ -190,11 +203,12 @@ func (j *Journal) FirstSeq() uint64 {
 // a higher epoch exists, every local append must fail before it can be
 // acknowledged, exactly as if the disk had gone bad ("fsyncgate"
 // semantics). Poisoning an already-poisoned journal keeps the original
-// cause.
+// cause. Poison wakes readers waiting on Ready.
 func (j *Journal) Poison(cause error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.poison == nil {
 		j.poison = cause
 	}
+	j.wakeLocked()
 }

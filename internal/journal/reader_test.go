@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 )
 
 // appendN appends payloads p(start)..p(start+n-1) and fails the test on
@@ -242,4 +243,88 @@ func TestPoisonFencesAppends(t *testing.T) {
 	if _, seq, err := r.Next(); err != nil || seq != 0 {
 		t.Fatalf("read after Poison: seq %d err %v", seq, err)
 	}
+}
+
+// TestReaderReadyWakes pins the tailing contract the replication stream
+// waits on: a reader that saw io.EOF is woken by the next Append, by
+// Poison and by Close, and a record appended between the EOF and the
+// wait is not missed.
+func TestReaderReadyWakes(t *testing.T) {
+	cases := []struct {
+		name string
+		wake func(*Journal) error
+	}{
+		{"append", func(j *Journal) error { _, err := j.Append(payloadFor(0)); return err }},
+		{"poison", func(j *Journal) error { j.Poison(errors.New("deposed")); return nil }},
+		{"close", func(j *Journal) error { return j.Close() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j, _, err := Open(t.TempDir(), Options{Sync: SyncOS}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			r, err := j.OpenReader(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if _, _, err := r.Next(); err != io.EOF {
+				t.Fatalf("empty journal: Next = %v, want io.EOF", err)
+			}
+			ready := r.Ready()
+			select {
+			case <-ready:
+				t.Fatal("Ready closed before anything happened")
+			default:
+			}
+			woken := make(chan struct{})
+			go func() {
+				<-ready
+				close(woken)
+			}()
+			if err := tc.wake(j); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-woken:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s did not wake the waiting reader", tc.name)
+			}
+		})
+	}
+
+	t.Run("append before wait", func(t *testing.T) {
+		j, _, err := Open(t.TempDir(), Options{Sync: SyncOS}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		r, err := j.OpenReader(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if _, _, err := r.Next(); err != io.EOF {
+			t.Fatalf("empty journal: Next = %v, want io.EOF", err)
+		}
+		appendN(t, j, 0, 1) // lands after the EOF, before the wait
+		select {
+		case <-r.Ready():
+		default:
+			t.Fatal("an append between io.EOF and the wait was missed")
+		}
+		if _, seq, err := r.Next(); err != nil || seq != 0 {
+			t.Fatalf("Next after wake = seq %d, %v; want seq 0", seq, err)
+		}
+		if _, _, err := r.Next(); err != io.EOF {
+			t.Fatalf("caught-up Next = %v, want io.EOF", err)
+		}
+		select {
+		case <-r.Ready():
+			t.Fatal("a fresh EOF must hand out an open channel")
+		default:
+		}
+	})
 }

@@ -16,7 +16,7 @@
 // flaky. Two entry points share the machinery:
 //
 //   - Wrap turns any net.Listener into one whose accepted connections
-//     misbehave (used by crowdrankd's hidden -chaos flag).
+//     misbehave.
 //   - NewProxy listens on a loopback port and forwards to a target address
 //     through the same fault plans (used by tests to sit between a real
 //     client and a real daemon, surviving daemon restarts via the target
@@ -29,8 +29,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,59 +128,6 @@ func (c Config) dribbleDelay() time.Duration {
 		return 2 * time.Millisecond
 	}
 	return c.DribbleDelay
-}
-
-// ParseSpec parses the compact "key=value,key=value" syntax used by
-// crowdrankd's -chaos flag, e.g.
-//
-//	seed=7,latency=5ms,reset=0.1,blackhole=0.02,halfopen=0.02,dribble=0.05,drop=0.02,bps=65536,after=2048
-//
-// Keys: seed, drop, reset, blackhole, halfopen, dribble (probabilities),
-// latency, dribbledelay (durations), bps, after (integers). Unknown keys
-// are errors so typos cannot silently disable a fault.
-func ParseSpec(spec string) (Config, error) {
-	var cfg Config
-	if strings.TrimSpace(spec) == "" {
-		return cfg, fmt.Errorf("netfault: empty chaos spec")
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return cfg, fmt.Errorf("netfault: spec entry %q is not key=value", kv)
-		}
-		var err error
-		switch key {
-		case "seed":
-			cfg.Seed, err = strconv.ParseUint(val, 10, 64)
-		case "drop":
-			cfg.DropProb, err = strconv.ParseFloat(val, 64)
-		case "reset":
-			cfg.ResetProb, err = strconv.ParseFloat(val, 64)
-		case "blackhole":
-			cfg.BlackholeProb, err = strconv.ParseFloat(val, 64)
-		case "halfopen":
-			cfg.HalfOpenProb, err = strconv.ParseFloat(val, 64)
-		case "dribble":
-			cfg.DribbleProb, err = strconv.ParseFloat(val, 64)
-		case "latency":
-			cfg.Latency, err = time.ParseDuration(val)
-		case "dribbledelay":
-			cfg.DribbleDelay, err = time.ParseDuration(val)
-		case "bps":
-			cfg.BytesPerSec, err = strconv.Atoi(val)
-		case "after":
-			cfg.FaultAfter, err = strconv.Atoi(val)
-		default:
-			return cfg, fmt.Errorf("netfault: unknown chaos spec key %q", key)
-		}
-		if err != nil {
-			return cfg, fmt.Errorf("netfault: spec %s=%s: %w", key, val, err)
-		}
-	}
-	if err := cfg.validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
 }
 
 // Stats counts injected faults across a listener's or proxy's lifetime.

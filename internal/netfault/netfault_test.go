@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,40 +37,22 @@ func echoServer(t *testing.T, ln net.Listener) {
 	}()
 }
 
-func TestParseSpecFull(t *testing.T) {
-	cfg, err := ParseSpec("seed=7,latency=5ms,reset=0.1,blackhole=0.02,halfopen=0.03,dribble=0.05,drop=0.02,bps=65536,after=2048,dribbledelay=1ms")
+// TestWrapRejectsInvalidConfig: a fault mix that cannot be planned
+// deterministically is refused before any connection is accepted.
+func TestWrapRejectsInvalidConfig(t *testing.T) {
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatal(err)
 	}
-	want := Config{
-		Seed: 7, DropProb: 0.02, ResetProb: 0.1, BlackholeProb: 0.02,
-		HalfOpenProb: 0.03, DribbleProb: 0.05,
-		Latency: 5 * time.Millisecond, BytesPerSec: 65536,
-		FaultAfter: 2048, DribbleDelay: time.Millisecond,
-	}
-	if cfg != want {
-		t.Fatalf("ParseSpec = %+v, want %+v", cfg, want)
-	}
-}
-
-func TestParseSpecErrors(t *testing.T) {
-	cases := []struct {
-		spec, wantSub string
-	}{
-		{"", "empty"},
-		{"seed=7,typo=1", "unknown"},
-		{"seed=abc", "seed=abc"},
-		{"reset=0.5", "Seed"},                    // faults without a seed
-		{"seed=1,reset=0.9,drop=0.9", "sum"},     // probabilities over 1
-		{"seed=1,reset=-0.1", "outside"},         // negative probability
-		{"seed=1,reset=0.1,latency=-1s", "non-"}, // negative latency
-		{"seed=1;reset=0.1", "invalid syntax"},   // wrong separator
-	}
-	for _, tc := range cases {
-		if _, err := ParseSpec(tc.spec); err == nil {
-			t.Errorf("ParseSpec(%q): want error containing %q, got nil", tc.spec, tc.wantSub)
-		} else if !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("ParseSpec(%q) = %v, want substring %q", tc.spec, err, tc.wantSub)
+	defer raw.Close()
+	for _, cfg := range []Config{
+		{ResetProb: 0.5},                                 // faults without a seed
+		{Seed: 1, ResetProb: 0.9, DropProb: 0.9},         // probabilities over 1
+		{Seed: 1, ResetProb: -0.1},                       // negative probability
+		{Seed: 1, ResetProb: 0.1, Latency: -time.Second}, // negative latency
+	} {
+		if _, err := Wrap(raw, cfg); err == nil {
+			t.Errorf("Wrap(%+v) accepted an invalid config", cfg)
 		}
 	}
 }

@@ -109,7 +109,6 @@ func TestFailoverChildDaemon(t *testing.T) {
 		Leader:         os.Getenv(failLeaderEnv),
 		EpochDir:       dir,
 		HeartbeatEvery: 50 * time.Millisecond,
-		PollInterval:   5 * time.Millisecond,
 	}
 	// The bootstrap snapshot fetch and first stream dial go through a
 	// fault-injecting proxy; retry startup instead of dying on a reset.

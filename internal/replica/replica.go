@@ -83,15 +83,9 @@ type Config struct {
 	MaxLag uint64
 	// HeartbeatEvery is how often an idle leader stream emits a heartbeat
 	// frame (lag + epoch); the follower treats a stream silent for ~4
-	// heartbeats as dead and re-dials. 0 means the default 500ms.
+	// heartbeats as dead and re-dials. 0 means the default 500ms. Records
+	// need no interval: the stream wakes when the journal appends one.
 	HeartbeatEvery time.Duration
-	// PollInterval is how often the leader's stream handler re-checks the
-	// journal for new records once it has caught up. 0 means the default
-	// 20ms.
-	PollInterval time.Duration
-	// SnapshotTimeout bounds the snapshot fetch that bootstraps a fresh
-	// follower. 0 means the default 60s.
-	SnapshotTimeout time.Duration
 	// HTTPClient issues the follower's stream and snapshot requests; nil
 	// uses a plain &http.Client{} (stream lifetimes are governed by
 	// contexts and the heartbeat watchdog, not a global timeout).
@@ -109,20 +103,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 500 * time.Millisecond
 	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 20 * time.Millisecond
-	}
-	if c.SnapshotTimeout == 0 {
-		c.SnapshotTimeout = 60 * time.Second
-	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.HeartbeatEvery < 0 || c.PollInterval < 0 || c.SnapshotTimeout < 0 {
-		return c, fmt.Errorf("replica: intervals must be positive")
+	if c.HeartbeatEvery < 0 {
+		return c, fmt.Errorf("replica: HeartbeatEvery must not be negative")
 	}
 	if c.Leader != "" && c.Leader == c.Self {
 		return c, fmt.Errorf("replica: node cannot replicate from itself (%s)", c.Self)

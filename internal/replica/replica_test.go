@@ -54,7 +54,6 @@ func startNode(t *testing.T, dir, leaderURL string, tweak func(*Config, *serve.C
 		Leader:         leaderURL,
 		EpochDir:       dir,
 		HeartbeatEvery: 50 * time.Millisecond,
-		PollInterval:   5 * time.Millisecond,
 		Logf:           t.Logf,
 	}
 	if tweak != nil {

@@ -17,11 +17,16 @@ import (
 	"crowdrank/internal/snapshot"
 )
 
+// snapshotTimeout bounds the snapshot fetch that bootstraps a fresh
+// follower.
+const snapshotTimeout = 60 * time.Second
+
 // handleStream is the leader side of replication: a chunked response
-// carrying every journal record from ?from= onward, tailing live appends,
-// with heartbeats while idle. The ?epoch= the follower sends is a fencing
-// probe in both directions: a requester ahead of us deposes us; a
-// requester behind us learns our epoch from the header and heartbeats.
+// carrying every journal record from ?from= onward, tailing live appends
+// as the journal wakes it, with heartbeats while idle. The ?epoch= the
+// follower sends is a fencing probe in both directions: a requester ahead
+// of us deposes us; a requester behind us learns our epoch from the header
+// and heartbeats.
 func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
@@ -86,32 +91,28 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	if writeSlack < 10*time.Second {
 		writeSlack = 10 * time.Second
 	}
-	var lastBeat time.Time // zero forces an immediate first heartbeat
+	// Once caught up, the stream waits for the journal to wake it (an
+	// append, the Poison that deposes us, or Close), for the request to
+	// end, or for the next heartbeat to fall due.
+	beatDue := true // the first frame is a heartbeat
+	beat := time.NewTimer(n.cfg.HeartbeatEvery)
+	defer beat.Stop()
 	for {
-		select {
-		case <-r.Context().Done():
-			return
-		default:
-		}
 		// A leader that stepped down mid-stream stops feeding followers;
 		// dropping the connection makes them re-dial and discover the
 		// truth (503 + hint, or the new leader via their own config).
-		if n.Role() != RoleLeader {
+		if r.Context().Err() != nil || n.Role() != RoleLeader {
 			return
 		}
 		//lint:ignore errcheck a failed deadline extension surfaces as a failed write below
 		_ = rc.SetWriteDeadline(time.Now().Add(writeSlack))
 		wrote := false
+		var err error
 		for i := 0; i < 256; i++ { // drain a burst, then flush
-			payload, seq, err := rd.Next()
-			if err == io.EOF {
+			var payload []byte
+			var seq uint64
+			if payload, seq, err = rd.Next(); err != nil {
 				break
-			}
-			if err != nil {
-				// Compacted under the reader or a local read fault; the
-				// follower re-dials and is told to resync if need be.
-				n.logf("replica: stream at seq %d: %v", rd.Seq(), err)
-				return
 			}
 			if err := writeRecordFrame(bw, seq, payload); err != nil {
 				return
@@ -119,26 +120,41 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 			n.met.streamed.Inc()
 			wrote = true
 		}
-		now := time.Now()
-		beat := now.Sub(lastBeat) >= n.cfg.HeartbeatEvery
-		if beat {
+		if err != nil && err != io.EOF {
+			// Compacted under the reader, a local read fault, or the
+			// journal closed; the follower re-dials and is told to
+			// resync if need be.
+			n.logf("replica: stream at seq %d: %v", rd.Seq(), err)
+			return
+		}
+		select {
+		case <-beat.C:
+			beatDue = true
+		default:
+		}
+		if beatDue {
 			if err := writeHeartbeatFrame(bw, jnl.NextSeq(), n.Epoch()); err != nil {
 				return
 			}
-			lastBeat = now
+			beatDue = false
+			beat.Reset(n.cfg.HeartbeatEvery)
+			wrote = true
 		}
-		if wrote || beat {
+		if wrote {
 			if err := bw.Flush(); err != nil {
 				return
 			}
 			flusher.Flush()
 		}
-		if !wrote {
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(n.cfg.PollInterval):
-			}
+		if err == nil {
+			continue // a full burst: more records may be ready
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case <-rd.Ready():
+		case <-beat.C:
+			beatDue = true
 		}
 	}
 }
@@ -173,7 +189,7 @@ func (n *Node) bootstrap(ctx context.Context, dir string) error {
 	if !empty {
 		return nil
 	}
-	sctx, cancel := context.WithTimeout(ctx, n.cfg.SnapshotTimeout)
+	sctx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
 	url := n.cfg.Leader + "/replicate/snapshot"
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, url, nil)
@@ -309,29 +325,8 @@ func (n *Node) streamOnce(ctx context.Context) (progressed bool, err error) {
 	// black-holed connection would otherwise block the read forever) and
 	// gets cancelled under us.
 	staleAfter := 4*n.cfg.HeartbeatEvery + 2*time.Second
-	lastFrame := time.Now()
-	beats := make(chan struct{}, 1)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		t := time.NewTicker(n.cfg.HeartbeatEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-sctx.Done():
-				return
-			case <-beats:
-				lastFrame = time.Now()
-			case <-t.C:
-				if time.Since(lastFrame) > staleAfter {
-					cancel()
-					return
-				}
-			}
-		}
-	}()
+	watchdog := time.AfterFunc(staleAfter, cancel)
+	defer watchdog.Stop()
 
 	br := bufio.NewReader(resp.Body)
 	for {
@@ -346,10 +341,7 @@ func (n *Node) streamOnce(ctx context.Context) (progressed bool, err error) {
 			return progressed, err
 		}
 		progressed = true
-		select {
-		case beats <- struct{}{}:
-		default:
-		}
+		watchdog.Reset(staleAfter)
 		switch fr.kind {
 		case frameRecord:
 			if err := n.applyRecord(fr.seq, fr.payload); err != nil {

@@ -144,18 +144,9 @@ func acquire(sem chan struct{}) bool {
 	}
 }
 
-// retryAfter derives the Retry-After value (integer seconds, the
-// parseable contract clients rely on) from the current depth of the
-// rejected queue: 1s when the queue just filled, stretching to 5s under
-// sustained saturation.
-func retryAfter(sem chan struct{}) string {
-	depth, capacity := len(sem), cap(sem)
-	secs := 1
-	if capacity > 0 {
-		secs += 4 * depth / capacity
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After value (integer seconds, the parseable
+// contract clients rely on) on every 429: a full queue.
+const retryAfter = "5"
 
 func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
@@ -169,7 +160,7 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 	}
 	if !acquire(s.ingestSem) {
 		s.met.rejectedIngest.Inc()
-		w.Header().Set("Retry-After", retryAfter(s.ingestSem))
+		w.Header().Set("Retry-After", retryAfter)
 		s.writeError(w, http.StatusTooManyRequests, "ingest queue full")
 		return
 	}
@@ -190,15 +181,7 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 	for i, v := range req.Votes {
 		votes[i] = crowd.Vote{Worker: v.Worker, I: v.I, J: v.J, PrefersI: v.PrefersI}
 	}
-	// The server-side deadline bounds how long a request may hold an
-	// ingest slot; the client's own context still applies underneath.
-	ctx := r.Context()
-	if t := s.cfg.IngestTimeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	res, err := s.IngestKeyed(ctx, key, votes)
+	res, err := s.IngestKeyed(r.Context(), key, votes)
 	switch {
 	case err == nil:
 		s.writeJSON(w, http.StatusOK, res)
@@ -214,13 +197,6 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 		// operator replaces the volume and restarts.
 		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() == nil {
-			// The SERVER's ingest deadline fired, not the client's: the
-			// daemon is too slow right now, which is retryable.
-			w.Header().Set("Retry-After", retryAfter(s.ingestSem))
-			s.writeError(w, http.StatusServiceUnavailable, "ingest deadline exceeded before batch committed")
-			return
-		}
 		// Client vanished before the batch committed: nothing was written,
 		// nothing to acknowledge.
 		s.writeError(w, http.StatusBadRequest, "request cancelled before batch committed")
@@ -260,7 +236,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	if !acquire(s.rankSem) {
 		s.met.rejectedRank.Inc()
-		w.Header().Set("Retry-After", retryAfter(s.rankSem))
+		w.Header().Set("Retry-After", retryAfter)
 		s.writeError(w, http.StatusTooManyRequests, "rank queue full")
 		return
 	}

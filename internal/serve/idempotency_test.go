@@ -571,30 +571,6 @@ func TestHTTPPanicAfterWrite(t *testing.T) {
 	}
 }
 
-// TestRetryAfterDerivation pins the header to queue depth while keeping
-// the parseable-integer contract.
-func TestRetryAfterDerivation(t *testing.T) {
-	cfg := DefaultConfig(4, 2)
-	cfg.Seed = 89
-	cfg.MaxConcurrentIngests = 4
-	s := newTestServer(t, cfg)
-
-	if got := retryAfter(s.ingestSem); got != "1" {
-		t.Fatalf("empty queue should hint 1s, got %q", got)
-	}
-	for i := 0; i < cap(s.ingestSem); i++ {
-		s.ingestSem <- struct{}{}
-	}
-	defer func() {
-		for i := 0; i < cap(s.ingestSem); i++ {
-			<-s.ingestSem
-		}
-	}()
-	if got := retryAfter(s.ingestSem); got != "5" {
-		t.Fatalf("saturated queue should hint 5s, got %q", got)
-	}
-}
-
 // TestReplayMixedV1AndV2Records pins the on-disk compatibility contract:
 // a journal holding unkeyed v1 batch records followed by keyed v2 records
 // (the shape left behind by an upgrade mid-stream) replays fully, and the

@@ -96,11 +96,6 @@ type Config struct {
 	// MaxBodyBytes caps one POST /votes request body before decoding
 	// starts (HTTP 413 beyond). 0 means the default 32 MiB.
 	MaxBodyBytes int64
-	// IngestTimeout bounds one POST /votes request server-side, so a
-	// stalled journal cannot pin ingest slots forever. 0 means the default
-	// 30s; negative disables the server-side bound (client deadlines still
-	// apply).
-	IngestTimeout time.Duration
 	// IdempotencyWindow is how many batch acks are remembered (and
 	// persisted through snapshots and journal records) for exactly-once
 	// acknowledgement of retried batches. 0 means the default 65536;
@@ -108,8 +103,8 @@ type Config struct {
 	// rely on vote-level dedup alone.
 	IdempotencyWindow int
 	// MaxConcurrentRanks and MaxConcurrentIngests bound the request
-	// queues; excess requests get HTTP 429 with Retry-After. Defaults 4
-	// and 64.
+	// queues; excess requests get HTTP 429 with Retry-After: 5. Defaults
+	// 4 and 64.
 	MaxConcurrentRanks   int
 	MaxConcurrentIngests int
 
@@ -149,7 +144,6 @@ func DefaultConfig(n, m int) Config {
 		SnapshotKeep:            2,
 		MaxBatchVotes:           65536,
 		MaxBodyBytes:            32 << 20,
-		IngestTimeout:           30 * time.Second,
 		IdempotencyWindow:       65536,
 		MaxConcurrentRanks:      4,
 		MaxConcurrentIngests:    64,
@@ -167,9 +161,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = d.MaxBodyBytes
-	}
-	if c.IngestTimeout == 0 {
-		c.IngestTimeout = d.IngestTimeout
 	}
 	if c.IdempotencyWindow == 0 {
 		c.IdempotencyWindow = d.IdempotencyWindow

@@ -725,15 +725,15 @@ func TestHTTPBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full rank queue should 429, got %d", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 must carry Retry-After")
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Fatalf("429 must carry Retry-After: 5, got %q", got)
 	}
 	resp2 := postVotes(t, ts.URL, agreeingVotes(4, 2))
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full ingest queue should 429, got %d", resp2.StatusCode)
 	}
-	if resp2.Header.Get("Retry-After") == "" {
-		t.Fatal("429 must carry Retry-After")
+	if got := resp2.Header.Get("Retry-After"); got != "5" {
+		t.Fatalf("429 must carry Retry-After: 5, got %q", got)
 	}
 }
 

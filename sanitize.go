@@ -3,6 +3,8 @@ package crowdrank
 import (
 	"fmt"
 	"sort"
+
+	"crowdrank/internal/crowd"
 )
 
 // VoteError is the typed error returned by strict vote validation: it names
@@ -23,33 +25,11 @@ func (e *VoteError) Error() string {
 		e.Index, e.Vote.Worker, e.Vote.I, e.Vote.J, e.Reason)
 }
 
-// SanitizeReport summarizes what lenient sanitization dropped. A zero
-// Dropped() means the input was already clean.
-type SanitizeReport struct {
-	// Input and Kept count votes before and after sanitization.
-	Input int
-	Kept  int
-	// OutOfRangePairs counts votes whose object ids fall outside [0, n);
-	// SelfPairs votes comparing an object with itself; InvalidWorkers votes
-	// from worker ids outside [0, m); Duplicates exact re-submissions (same
-	// worker, same pair, same answer) beyond the first.
-	OutOfRangePairs int
-	SelfPairs       int
-	InvalidWorkers  int
-	Duplicates      int
-}
-
-// Dropped returns how many votes sanitization removed.
-func (r SanitizeReport) Dropped() int { return r.Input - r.Kept }
-
-// Clean reports whether the input needed no repairs.
-func (r SanitizeReport) Clean() bool { return r.Dropped() == 0 }
-
-// String renders the report compactly for logs and CLI output.
-func (r SanitizeReport) String() string {
-	return fmt.Sprintf("kept %d of %d (dropped %d out-of-range pair, %d self-pair, %d invalid-worker, %d duplicate)",
-		r.Kept, r.Input, r.OutOfRangePairs, r.SelfPairs, r.InvalidWorkers, r.Duplicates)
-}
+// SanitizeReport summarizes what lenient sanitization dropped: Input and
+// Kept, and the drops by cause (OutOfRangePairs, SelfPairs,
+// InvalidWorkers, Duplicates). A zero Dropped() means the input was
+// already clean.
+type SanitizeReport = crowd.CleanReport
 
 // submissionKey canonicalizes one (worker, pair, answer) submission so that
 // a vote and its re-submission with swapped object order still collide.
@@ -68,21 +48,19 @@ func (v Vote) submissionKey() submissionKey {
 	return submissionKey{worker: v.Worker, lo: lo, hi: hi, prefersLow: prefersLow}
 }
 
-// checkVote classifies one vote against the object universe [0, n) and the
-// worker universe [0, m), returning a reason string for invalid votes.
-func checkVote(v Vote, n, m int) (reason string, counts func(*SanitizeReport)) {
+// checkVote returns why one vote is invalid against the object universe
+// [0, n) and the worker universe [0, m), or "" for a valid vote. The
+// checks and their order match crowd.Clean's.
+func checkVote(v Vote, n, m int) string {
 	switch {
 	case v.I < 0 || v.I >= n || v.J < 0 || v.J >= n:
-		return fmt.Sprintf("object id outside [0,%d)", n),
-			func(r *SanitizeReport) { r.OutOfRangePairs++ }
+		return fmt.Sprintf("object id outside [0,%d)", n)
 	case v.I == v.J:
-		return "object compared with itself",
-			func(r *SanitizeReport) { r.SelfPairs++ }
+		return "object compared with itself"
 	case v.Worker < 0 || v.Worker >= m:
-		return fmt.Sprintf("worker id outside [0,%d)", m),
-			func(r *SanitizeReport) { r.InvalidWorkers++ }
+		return fmt.Sprintf("worker id outside [0,%d)", m)
 	}
-	return "", nil
+	return ""
 }
 
 // ValidateVotes checks every vote against n objects and m workers and
@@ -95,7 +73,7 @@ func checkVote(v Vote, n, m int) (reason string, counts func(*SanitizeReport)) {
 func ValidateVotes(n, m int, votes []Vote) error {
 	seen := make(map[submissionKey]int, len(votes))
 	for i, v := range votes {
-		if reason, _ := checkVote(v, n, m); reason != "" {
+		if reason := checkVote(v, n, m); reason != "" {
 			return &VoteError{Index: i, Vote: v, Reason: reason}
 		}
 		key := v.submissionKey()
@@ -115,24 +93,8 @@ func ValidateVotes(n, m int, votes []Vote) error {
 // lenient mode Infer applies by default, recording the report in
 // Result.Sanitization.
 func SanitizeVotes(n, m int, votes []Vote) ([]Vote, SanitizeReport) {
-	report := SanitizeReport{Input: len(votes)}
-	out := make([]Vote, 0, len(votes))
-	seen := make(map[submissionKey]bool, len(votes))
-	for _, v := range votes {
-		if _, count := checkVote(v, n, m); count != nil {
-			count(&report)
-			continue
-		}
-		key := v.submissionKey()
-		if seen[key] {
-			report.Duplicates++
-			continue
-		}
-		seen[key] = true
-		out = append(out, v)
-	}
-	report.Kept = len(out)
-	return out, report
+	clean, report := crowd.Clean(toInternalVotes(votes), n, m)
+	return fromInternalVotes(clean), report
 }
 
 // CoverageReport describes how well the delivered votes cover the object

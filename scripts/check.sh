@@ -26,10 +26,11 @@ go build ./...
 echo "== go test -race ./... =="
 go test -race ./...
 
-echo "== benchmark module: go -C cmd/crowdload test -short ./... =="
+echo "== benchmark module: go -C cmd/crowdload vet ./... and test -short ./... =="
 # cmd/crowdload is its own module (replace crowdrank => ../..), so the
 # root ./... patterns above skip it; this keeps serve and client changes
 # from silently breaking the benchmark.
+go -C cmd/crowdload vet ./...
 go -C cmd/crowdload test -short ./...
 
 echo "== chaos: SIGKILL mid-ingest and mid-snapshot recovery =="

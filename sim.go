@@ -191,35 +191,6 @@ func toInternalVotes(vs []Vote) []crowd.Vote {
 	return out
 }
 
-// CleanReport summarizes what CleanVotes dropped.
-type CleanReport struct {
-	Kept                 int
-	DroppedInvalidPair   int
-	DroppedInvalidWorker int
-	DroppedDuplicates    int
-}
-
-// String renders the report compactly.
-func (r CleanReport) String() string {
-	return fmt.Sprintf("kept %d, dropped %d invalid-pair, %d invalid-worker, %d duplicate",
-		r.Kept, r.DroppedInvalidPair, r.DroppedInvalidWorker, r.DroppedDuplicates)
-}
-
-// CleanVotes filters a raw vote list (for example a spreadsheet import)
-// down to votes valid for n objects and m workers, optionally removing
-// exact duplicate submissions (same worker, same pair, same answer).
-// Conflicting repeat answers by the same worker are kept — they are
-// genuine observations for truth discovery.
-func CleanVotes(votes []Vote, n, m int, dedupe bool) ([]Vote, CleanReport) {
-	clean, rep := crowd.Clean(toInternalVotes(votes), n, m, dedupe)
-	return fromInternalVotes(clean), CleanReport{
-		Kept:                 rep.Kept,
-		DroppedInvalidPair:   rep.DroppedInvalidPair,
-		DroppedInvalidWorker: rep.DroppedInvalidWorker,
-		DroppedDuplicates:    rep.DroppedDuplicates,
-	}
-}
-
 // String names the distribution for logs and CLI output.
 func (d WorkerDistribution) String() string {
 	switch d {
