@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
@@ -568,6 +569,38 @@ func TestHTTPPanicAfterWrite(t *testing.T) {
 	}
 	if got := s.met.panics.Value(); got != 1 {
 		t.Fatalf("late panic should still count, got %d", got)
+	}
+}
+
+// TestRetryAfterDerivation pins what the Retry-After on a 429 is derived
+// from: nothing but the full queue. An open breaker with a long cooldown
+// adds nothing to a rank 429, and the value stays the parseable "5".
+func TestRetryAfterDerivation(t *testing.T) {
+	cfg := DefaultConfig(4, 2)
+	cfg.Seed = 89
+	cfg.MaxConcurrentRanks = 1
+	cfg.BreakerCooldown = 10 * time.Second
+	s, ts := httpServer(t, cfg)
+
+	for i := 0; i < cfg.BreakerThreshold; i++ {
+		s.breaker.failure()
+	}
+	if s.breaker.state() != "open" {
+		t.Fatalf("breaker should be open, is %s", s.breaker.state())
+	}
+	s.rankSem <- struct{}{}
+	defer func() { <-s.rankSem }()
+
+	resp, err := http.Get(ts.URL + "/rank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("full rank queue should 429, got %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Fatalf("open breaker must not stretch Retry-After past 5, got %q", got)
 	}
 }
 
