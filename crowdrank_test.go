@@ -279,6 +279,13 @@ func TestInferOptions(t *testing.T) {
 	if _, err := Infer(plan.N, 30, round.Votes, WithObjective(PathObjective(99))); err == nil {
 		t.Error("unknown objective should fail")
 	}
+	identity := make([]int, plan.N)
+	for i := range identity {
+		identity[i] = i
+	}
+	if _, err := CertifyRanking(plan.N, 30, round.Votes, identity, WithObjective(PathObjective(99))); err == nil {
+		t.Error("CertifyRanking with an unknown objective should fail")
+	}
 	if _, err := Infer(plan.N, 30, round.Votes, WithAlpha(2)); err == nil {
 		t.Error("alpha out of range should fail at validation")
 	}
