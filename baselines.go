@@ -17,7 +17,7 @@ import (
 // better than a random guess, as the paper reports.
 func RepeatChoice(n int, votes []Vote, seed uint64) ([]int, error) {
 	rng := rand.New(rand.NewPCG(seed, seed^0xe7037ed1a0b428db))
-	return rc.Rank(n, toInternalVotes(votes), rng)
+	return rc.Rank(n, votes, rng)
 }
 
 // QuickSortRank aggregates the votes with the Condorcet-graph QuickSort
@@ -25,7 +25,7 @@ func RepeatChoice(n int, votes []Vote, seed uint64) ([]int, error) {
 // follows the pairwise majority, flipping a coin for uncompared pairs.
 func QuickSortRank(n int, votes []Vote, seed uint64) ([]int, error) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x8ebc6af09c88c6e3))
-	return qs.Rank(n, toInternalVotes(votes), rng)
+	return qs.Rank(n, votes, rng)
 }
 
 // MajorityRank aggregates the votes by plain majority voting followed by
@@ -33,7 +33,7 @@ func QuickSortRank(n int, votes []Vote, seed uint64) ([]int, error) {
 // paper's introduction contrasts with truth discovery.
 func MajorityRank(n int, votes []Vote, seed uint64) ([]int, error) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x589965cc75374cc3))
-	majority, err := mv.NewPairwiseMajority(n, toInternalVotes(votes))
+	majority, err := mv.NewPairwiseMajority(n, votes)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +44,7 @@ func MajorityRank(n int, votes []Vote, seed uint64) ([]int, error) {
 // per object (a Borda-style score over the compared pairs).
 func BordaRank(n int, votes []Vote, seed uint64) ([]int, error) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x1d8e4e27c47d124f))
-	majority, err := mv.NewPairwiseMajority(n, toInternalVotes(votes))
+	majority, err := mv.NewPairwiseMajority(n, votes)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func BordaRank(n int, votes []Vote, seed uint64) ([]int, error) {
 // control baseline between the majority heuristics and CrowdBT: it models
 // latent object strengths but not worker reliability.
 func BradleyTerryRank(n int, votes []Vote) ([]int, error) {
-	model, err := btl.Fit(n, toInternalVotes(votes), btl.DefaultParams())
+	model, err := btl.Fit(n, votes, btl.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ type CrowdBTResult struct {
 // reliability, Chen et al. WSDM 2013) to a fixed vote set by gradient
 // ascent — the offline use of the paper's learning-based baseline.
 func CrowdBTFit(n, m int, votes []Vote) (*CrowdBTResult, error) {
-	model, err := crowdbt.Fit(n, m, toInternalVotes(votes), crowdbt.DefaultParams())
+	model, err := crowdbt.Fit(n, m, votes, crowdbt.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

@@ -129,7 +129,7 @@ func BenchmarkSAPSSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl, err := core.BuildClosure(plan.N, cfg.Workers, toInternalVotes(round.Votes), core.DefaultOptions(), rand.New(rand.NewPCG(9, 10)))
+	cl, err := core.BuildClosure(plan.N, cfg.Workers, round.Votes, core.DefaultOptions(), rand.New(rand.NewPCG(9, 10)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func BenchmarkBuildClosure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	votes := toInternalVotes(round.Votes)
+	votes := round.Votes
 	opts := core.DefaultOptions()
 	report := func(b *testing.B, sum core.StepTimings) {
 		perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }

@@ -254,6 +254,9 @@ func run(args []string, out io.Writer) error {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
+	// Follower streams live as long as their follower; Shutdown ends
+	// them instead of waiting out the whole drain bound.
+	httpSrv.RegisterOnShutdown(node.StopReplication)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

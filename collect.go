@@ -2,15 +2,11 @@ package crowdrank
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"crowdrank/internal/des"
 	"crowdrank/internal/faults"
 	"crowdrank/internal/feq"
-	"crowdrank/internal/graph"
-	"crowdrank/internal/platform"
-	"crowdrank/internal/simulate"
 )
 
 // FaultConfig selects the unreliable-marketplace failure modes injected
@@ -150,46 +146,7 @@ func (r CollectionReport) String() string {
 // graph survived. cfg.BalancedAssignment is ignored — the marketplace
 // assigns each HIT to the earliest-available workers.
 func SimulateUnreliableVotes(plan *Plan, cfg SimConfig, fc FaultConfig, cc CollectConfig) (*SimRound, *CollectionReport, error) {
-	if plan == nil {
-		return nil, nil, fmt.Errorf("crowdrank: nil plan")
-	}
-	if cfg.Workers < 1 {
-		return nil, nil, fmt.Errorf("crowdrank: need at least one worker, got %d", cfg.Workers)
-	}
-	if cfg.WorkersPerTask < 1 || cfg.WorkersPerTask > cfg.Workers {
-		return nil, nil, fmt.Errorf("crowdrank: workers per task %d outside [1, %d]", cfg.WorkersPerTask, cfg.Workers)
-	}
-	if cfg.PairsPerHIT < 1 {
-		return nil, nil, fmt.Errorf("crowdrank: pairs per HIT must be >= 1, got %d", cfg.PairsPerHIT)
-	}
-	dist, err := cfg.Distribution.internal()
-	if err != nil {
-		return nil, nil, err
-	}
-	level, err := cfg.Level.internal()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xa0761d6478bd642f))
-	truth, err := simulate.GroundTruth(plan.N, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	pool, err := simulate.NewCrowd(cfg.Workers, dist, level, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	oracle, err := simulate.NewGroundTruthOracle(pool, truth, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	pairs := make([]graph.Pair, len(plan.Pairs))
-	for i, pr := range plan.Pairs {
-		pairs[i] = graph.Pair{I: pr.I, J: pr.J}
-	}
-	hits, err := platform.PackHITs(pairs, cfg.PairsPerHIT)
+	sim, err := newSimulation(plan, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,17 +154,17 @@ func SimulateUnreliableVotes(plan *Plan, cfg SimConfig, fc FaultConfig, cc Colle
 	if err != nil {
 		return nil, nil, err
 	}
-	market, err := des.New(oracle, des.DefaultWorkerModel(), rng)
+	market, err := des.New(sim.oracle, des.DefaultWorkerModel(), sim.rng)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	plannedAnswers := len(pairs) * cfg.WorkersPerTask
+	plannedAnswers := len(plan.Pairs) * cfg.WorkersPerTask
 	repairBudget := cc.BudgetSlack * float64(plannedAnswers)
 	if cc.BudgetSlack < 0 {
 		repairBudget = -1
 	}
-	res, err := market.RunBatchFaulty(hits, cfg.WorkersPerTask, inj, des.CollectParams{
+	res, err := market.RunBatchFaulty(sim.hits, cfg.WorkersPerTask, inj, des.CollectParams{
 		Deadline:     cc.Deadline,
 		MaxReposts:   cc.MaxReposts,
 		RepairBudget: repairBudget,
@@ -217,7 +174,6 @@ func SimulateUnreliableVotes(plan *Plan, cfg SimConfig, fc FaultConfig, cc Colle
 		return nil, nil, err
 	}
 
-	votes := fromInternalVotes(res.Votes)
 	report := &CollectionReport{
 		PlannedVotes:  res.Stats.PlannedAnswers,
 		Delivered:     res.Stats.Delivered,
@@ -234,19 +190,8 @@ func SimulateUnreliableVotes(plan *Plan, cfg SimConfig, fc FaultConfig, cc Colle
 		RepairSpent:   res.Stats.RepairSpent,
 		Makespan:      res.Stats.Makespan,
 	}
-	report.ResidualCoverage, report.UncoveredPairs = residualCoverage(plan, votes, cfg.Workers)
-
-	sigmas := make([]float64, cfg.Workers)
-	for k := range sigmas {
-		sigmas[k] = pool.Sigma(k)
-	}
-	round := &SimRound{
-		Votes:        votes,
-		GroundTruth:  truth,
-		WorkerSigmas: sigmas,
-		Spent:        res.Stats.Spent + res.Stats.RepairSpent,
-	}
-	return round, report, nil
+	report.ResidualCoverage, report.UncoveredPairs = residualCoverage(plan, res.Votes, cfg.Workers)
+	return sim.round(res.Votes, res.Stats.Spent+res.Stats.RepairSpent), report, nil
 }
 
 // residualCoverage measures how much of the plan's task graph survived
@@ -256,11 +201,7 @@ func residualCoverage(plan *Plan, votes []Vote, workers int) (float64, []Pair) {
 	valid, _ := SanitizeVotes(plan.N, workers, votes)
 	have := make(map[Pair]bool, len(valid))
 	for _, v := range valid {
-		lo, hi := v.I, v.J
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		have[Pair{I: lo, J: hi}] = true
+		have[v.Pair()] = true
 	}
 	var uncovered []Pair
 	covered := 0

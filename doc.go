@@ -56,6 +56,16 @@
 // rather than overstate durability. See cmd/crowdrankd and the README's
 // Serving and Operations sections.
 //
+// # Types
+//
+// The package is a facade over internal packages, and its vocabulary
+// types are theirs, re-exported as aliases rather than copied: Vote, Pair,
+// HIT, Budget, StepTimings, Certificate, SearchAlgorithm, PathObjective,
+// WorkerDistribution and WorkerQualityLevel, and for the daemon and
+// sanitization ServeConfig, RankServer and SanitizeReport. Votes therefore
+// reach the pipeline without a copy, and the aliases bring their library
+// methods along (Vote.Pair, Pair.String, Budget.Cost).
+//
 // The package also exposes the paper's evaluation apparatus: simulated
 // crowds with Gaussian/Uniform quality distributions, a synthetic
 // PubFig-style image study, the RC / QS / CrowdBT baselines, and Kendall

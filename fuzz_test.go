@@ -159,7 +159,7 @@ func FuzzPipelineInvariants(f *testing.F) {
 			return
 		}
 
-		cl, err := core.BuildClosure(n, m, toInternalVotes(clean), core.DefaultOptions(), core.NewPipelineRNG(1))
+		cl, err := core.BuildClosure(n, m, clean, core.DefaultOptions(), core.NewPipelineRNG(1))
 		if err != nil {
 			return // graceful rejection is fine; invariants apply to successes
 		}

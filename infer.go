@@ -7,39 +7,39 @@ import (
 	"time"
 
 	"crowdrank/internal/core"
+	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
 	"crowdrank/internal/search"
 	"crowdrank/internal/serve"
 )
 
 // Vote records that Worker compared objects I and J and preferred I when
-// PrefersI is true (I should rank before J).
-type Vote struct {
-	Worker   int
-	I, J     int
-	PrefersI bool
-}
+// PrefersI is true (I should rank before J). Its fields are Worker, I, J
+// and PrefersI; Pair returns the canonical pair it answers.
+type Vote = crowd.Vote
 
-// SearchAlgorithm selects the Step 4 best-ranking searcher.
-type SearchAlgorithm int
+// SearchAlgorithm selects the Step 4 best-ranking searcher: SearchAuto,
+// SearchSAPS, SearchTAPS, SearchHeldKarp, SearchBruteForce or
+// SearchBranchBound. Its String is the name the CLI's -search flag takes.
+type SearchAlgorithm = core.Searcher
 
 const (
 	// SearchAuto uses an exact method up to 16 objects and simulated
 	// annealing beyond.
-	SearchAuto SearchAlgorithm = iota
+	SearchAuto = core.SearcherAuto
 	// SearchSAPS forces the paper's simulated-annealing path search.
-	SearchSAPS
+	SearchSAPS = core.SearcherSAPS
 	// SearchTAPS forces the paper's exact threshold algorithm (n <= ~9).
-	SearchTAPS
+	SearchTAPS = core.SearcherTAPS
 	// SearchHeldKarp forces the exact subset DP (n <= ~20).
-	SearchHeldKarp
+	SearchHeldKarp = core.SearcherHeldKarp
 	// SearchBruteForce forces exhaustive enumeration (n <= ~10).
-	SearchBruteForce
+	SearchBruteForce = core.SearcherBruteForce
 	// SearchBranchBound forces the exact all-pairs branch-and-bound,
 	// effective on near-consistent closures well beyond Held-Karp's reach
 	// (it returns an error on cycle-heavy instances instead of an unproven
 	// answer).
-	SearchBranchBound
+	SearchBranchBound = core.SearcherBranchBound
 )
 
 // options carries the assembled inference configuration.
@@ -84,38 +84,37 @@ func WithMaxHops(hops int) Option {
 
 // PathObjective selects what "preference probability of a ranking" means in
 // the Step 4 search (the paper's Pr[P] over a Hamiltonian path of the
-// transitive closure).
-type PathObjective int
+// transitive closure): AllPairsObjective ("all-pairs") or
+// ConsecutiveObjective ("consecutive").
+type PathObjective = search.Objective
 
 const (
 	// AllPairsObjective scores a ranking by the product of preference
 	// weights over all object pairs it implies — the sound reading used by
 	// default (see DESIGN.md, "objective reading").
-	AllPairsObjective PathObjective = iota
+	AllPairsObjective = search.ObjectiveAllPairs
 	// ConsecutiveObjective scores only the n-1 consecutive edges of the
 	// path, the literal reading of the paper's formula; kept for fidelity
 	// and ablations.
-	ConsecutiveObjective
+	ConsecutiveObjective = search.ObjectiveConsecutive
 )
 
-// WithObjective selects the Step 4 path-preference objective.
+// WithObjective selects the Step 4 path-preference objective; an unknown
+// one fails inference before any step runs.
 func WithObjective(obj PathObjective) Option {
 	return func(o *options) {
-		switch obj {
-		case AllPairsObjective:
-			o.core.Objective = search.ObjectiveAllPairs
-		case ConsecutiveObjective:
-			o.core.Objective = search.ObjectiveConsecutive
-		default:
+		if obj != AllPairsObjective && obj != ConsecutiveObjective {
 			o.err = fmt.Errorf("crowdrank: unknown objective %d", int(obj))
+			return
 		}
+		o.core.Objective = obj
 	}
 }
 
 // WithSearch selects the Step 4 algorithm; an unknown one fails
 // inference before any step runs.
 func WithSearch(alg SearchAlgorithm) Option {
-	return func(o *options) { o.core.Searcher = core.Searcher(alg) }
+	return func(o *options) { o.core.Searcher = alg }
 }
 
 // WithSAPS tunes the simulated-annealing searcher: iterations per start,
@@ -219,18 +218,9 @@ func (r *Result) SuspectWorkers(threshold float64) []int {
 	return suspects
 }
 
-// StepTimings records per-step wall-clock durations of the pipeline.
-type StepTimings struct {
-	TruthDiscovery time.Duration
-	Smoothing      time.Duration
-	Propagation    time.Duration
-	Search         time.Duration
-}
-
-// Total returns the end-to-end inference time.
-func (t StepTimings) Total() time.Duration {
-	return t.TruthDiscovery + t.Smoothing + t.Propagation + t.Search
-}
+// StepTimings records per-step wall-clock durations of the pipeline:
+// TruthDiscovery, Smoothing, Propagation and Search; Total sums them.
+type StepTimings = core.StepTimings
 
 // Infer aggregates the crowd's votes into a full ranking of n objects using
 // the paper's four-step pipeline. m is the worker-pool size (worker ids in
@@ -253,7 +243,7 @@ func InferContext(ctx context.Context, n, m int, votes []Vote, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.InferContext(ctx, n, m, toInternalVotes(votes), o.core, core.NewPipelineRNG(o.seed))
+	res, err := core.InferContext(ctx, n, m, votes, o.core, core.NewPipelineRNG(o.seed))
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +258,7 @@ func InferContext(ctx context.Context, n, m int, votes []Vote, opts ...Option) (
 		Seed:            o.seed,
 		Sanitization:    report,
 		Coverage:        MeasureCoverage(n, votes),
-		Timings:         StepTimings(res.Timings),
+		Timings:         res.Timings,
 	}, nil
 }
 
@@ -293,29 +283,12 @@ func resolveOptions(n, m int, votes []Vote, opts []Option) (*options, []Vote, Sa
 	return o, votes, SanitizeReport{Input: len(votes), Kept: len(votes)}, nil
 }
 
-// String names the search algorithm for logs and CLI output.
-func (s SearchAlgorithm) String() string { return core.Searcher(s).String() }
-
-// String names the objective for logs and CLI output.
-func (o PathObjective) String() string {
-	switch o {
-	case AllPairsObjective:
-		return "all-pairs"
-	case ConsecutiveObjective:
-		return "consecutive"
-	default:
-		return fmt.Sprintf("PathObjective(%d)", int(o))
-	}
-}
-
 // Certificate bounds how far a ranking can be from the all-pairs optimum
-// without any search: the true optimality gap is at most Gap, and Gap == 0
-// proves optimality. See CertifyRanking.
-type Certificate struct {
-	Score      float64
-	UpperBound float64
-	Gap        float64
-}
+// without any search: Score is the ranking's all-pairs log score,
+// UpperBound the bound no ranking can exceed, and Gap = UpperBound - Score
+// bounds the true optimality gap, so Gap == 0 proves optimality. See
+// CertifyRanking.
+type Certificate = search.Certificate
 
 // CertifyRanking recomputes the Step 1-3 closure from the votes and returns
 // the optimality certificate of the ranking under the all-pairs objective.
@@ -335,15 +308,11 @@ func CertifyRanking(n, m int, votes []Vote, ranking []int, opts ...Option) (*Cer
 	if err != nil {
 		return nil, err
 	}
-	cl, err := core.BuildClosure(n, m, toInternalVotes(votes), o.core, core.NewPipelineRNG(o.seed))
+	cl, err := core.BuildClosure(n, m, votes, o.core, core.NewPipelineRNG(o.seed))
 	if err != nil {
 		return nil, err
 	}
-	cert, err := search.Certify(cl.Closure, ranking)
-	if err != nil {
-		return nil, err
-	}
-	return &Certificate{Score: cert.Score, UpperBound: cert.UpperBound, Gap: cert.Gap}, nil
+	return search.Certify(cl.Closure, ranking)
 }
 
 // ServeConfig configures the crowdrankd ranking daemon: journaled vote
@@ -395,5 +364,5 @@ func NewRankServer(cfg ServeConfig) (*RankServer, error) { return serve.New(cfg)
 // IngestVotes feeds public Votes into a RankServer; a nil error means the
 // batch is durable under the configured journal policy.
 func IngestVotes(s *RankServer, votes []Vote) (ServeIngestResult, error) {
-	return s.Ingest(toInternalVotes(votes))
+	return s.Ingest(votes)
 }

@@ -1,13 +1,14 @@
-// Package mv implements the simple aggregation heuristics the paper's
-// introduction contrasts with (majority voting and weighted majority
-// voting), plus the classical Borda and Copeland rules they induce on
-// pairwise data. These serve as sanity baselines and as building blocks for
+// Package mv implements the simple aggregation heuristic the paper's
+// introduction contrasts with (majority voting), plus the classical Borda
+// and Copeland rules it induces on pairwise data. These serve as sanity baselines and as building blocks for
 // the QuickSort baseline's Condorcet graph.
 package mv
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"crowdrank/internal/crowd"
@@ -17,27 +18,14 @@ import (
 // PairwiseMajority summarizes the crowd's votes per canonical pair.
 type PairwiseMajority struct {
 	n int
-	// pref[p] is the (possibly weighted) fraction of votes preferring the
-	// lower-indexed object of pair p.
+	// pref[p] is the fraction of votes preferring the lower-indexed object
+	// of pair p.
 	pref map[graph.Pair]float64
 }
 
 // NewPairwiseMajority aggregates votes by plain majority voting: every
 // worker counts equally.
 func NewPairwiseMajority(n int, votes []crowd.Vote) (*PairwiseMajority, error) {
-	return newMajority(n, votes, nil)
-}
-
-// NewWeightedMajority aggregates votes weighted by the provided per-worker
-// qualities (weighted majority voting).
-func NewWeightedMajority(n int, votes []crowd.Vote, quality []float64) (*PairwiseMajority, error) {
-	if quality == nil {
-		return nil, fmt.Errorf("mv: nil quality weights; use NewPairwiseMajority for unweighted voting")
-	}
-	return newMajority(n, votes, quality)
-}
-
-func newMajority(n int, votes []crowd.Vote, quality []float64) (*PairwiseMajority, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("mv: need at least two objects, got n=%d", n)
 	}
@@ -45,32 +33,18 @@ func newMajority(n int, votes []crowd.Vote, quality []float64) (*PairwiseMajorit
 		return nil, fmt.Errorf("mv: no votes")
 	}
 	sums := make(map[graph.Pair]float64)
-	weights := make(map[graph.Pair]float64)
+	counts := make(map[graph.Pair]int)
 	for idx, v := range votes {
 		if v.I < 0 || v.I >= n || v.J < 0 || v.J >= n || v.I == v.J {
 			return nil, fmt.Errorf("mv: vote %d has invalid pair (%d,%d)", idx, v.I, v.J)
 		}
-		w := 1.0
-		if quality != nil {
-			if v.Worker < 0 || v.Worker >= len(quality) {
-				return nil, fmt.Errorf("mv: vote %d from worker %d outside quality table", idx, v.Worker)
-			}
-			w = quality[v.Worker]
-			if w < 0 {
-				return nil, fmt.Errorf("mv: negative quality %v for worker %d", w, v.Worker)
-			}
-		}
 		p := v.Pair()
-		sums[p] += v.Value() * w
-		weights[p] += w
+		sums[p] += v.Value()
+		counts[p]++
 	}
 	pref := make(map[graph.Pair]float64, len(sums))
 	for p, s := range sums {
-		if weights[p] > 0 {
-			pref[p] = s / weights[p]
-		} else {
-			pref[p] = 0.5
-		}
+		pref[p] = s / float64(counts[p])
 	}
 	return &PairwiseMajority{n: n, pref: pref}, nil
 }
@@ -89,12 +63,6 @@ func (pm *PairwiseMajority) Preference(i, j int) (float64, bool) {
 		p = 1 - p
 	}
 	return p, true
-}
-
-// Compared reports whether the pair (i, j) received any votes.
-func (pm *PairwiseMajority) Compared(i, j int) bool {
-	_, ok := pm.pref[graph.Pair{I: i, J: j}.Canon()]
-	return ok
 }
 
 // CopelandRanking ranks objects by their Copeland score: +1 for every
@@ -125,10 +93,17 @@ func (pm *PairwiseMajority) BordaRanking(rng *rand.Rand) ([]int, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("mv: nil random source")
 	}
+	// Sum in canonical pair order, not map order: float addition is not
+	// associative, and near-tied scores must break the same way every run.
+	pairs := make([]graph.Pair, 0, len(pm.pref))
+	for p := range pm.pref {
+		pairs = append(pairs, p)
+	}
+	slices.SortFunc(pairs, func(a, b graph.Pair) int { return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J)) })
 	score := make([]float64, pm.n)
-	for p, pref := range pm.pref {
-		score[p.I] += pref
-		score[p.J] += 1 - pref
+	for _, p := range pairs {
+		score[p.I] += pm.pref[p]
+		score[p.J] += 1 - pm.pref[p]
 	}
 	return rankByScore(score, rng), nil
 }

@@ -3,6 +3,7 @@ package mv
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"crowdrank/internal/crowd"
@@ -63,33 +64,6 @@ func TestPreferenceOrientation(t *testing.T) {
 	if _, ok := pm.Preference(0, 1); !ok || pm.N() != 2 {
 		t.Error("metadata wrong")
 	}
-	if pm.Compared(1, 0) != true {
-		t.Error("Compared should be orientation-agnostic")
-	}
-}
-
-func TestWeightedMajority(t *testing.T) {
-	// One heavyweight truthful worker outvotes two lightweight liars.
-	votes := []crowd.Vote{
-		vote(0, 0, 1, true), vote(1, 0, 1, false), vote(2, 0, 1, false),
-	}
-	quality := []float64{0.9, 0.1, 0.1}
-	pm, err := NewWeightedMajority(2, votes, quality)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := pm.Preference(0, 1); p <= 0.5 {
-		t.Errorf("weighted preference = %v, want > 0.5", p)
-	}
-	if _, err := NewWeightedMajority(2, votes, nil); err == nil {
-		t.Error("nil quality should fail")
-	}
-	if _, err := NewWeightedMajority(2, votes, []float64{1}); err == nil {
-		t.Error("short quality table should fail")
-	}
-	if _, err := NewWeightedMajority(2, votes, []float64{1, -1, 1}); err == nil {
-		t.Error("negative quality should fail")
-	}
 }
 
 func TestCopelandRecoversCleanOrder(t *testing.T) {
@@ -106,6 +80,28 @@ func TestCopelandRecoversCleanOrder(t *testing.T) {
 	for i, v := range ranking {
 		if v != i {
 			t.Fatalf("Copeland ranking %v should be the identity", ranking)
+		}
+	}
+}
+
+// TestBordaDeterministic: the same votes and seed give the same Borda
+// ranking on every run, although the per-pair preferences live in a map.
+func TestBordaDeterministic(t *testing.T) {
+	votes := fullVotes(30, 7, 0.3, newRNG(5))
+	var first []int
+	for run := 0; run < 50; run++ {
+		pm, err := NewPairwiseMajority(30, votes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranking, err := pm.BordaRanking(newRNG(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = ranking
+		} else if !slices.Equal(ranking, first) {
+			t.Fatalf("run %d ranked %v, run 0 %v", run, ranking, first)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -223,31 +221,6 @@ func (p *Pool) Rank(ctx context.Context, deadline time.Duration) (Ranking, error
 		}
 	}
 	return Ranking{}, fmt.Errorf("client: pool rank failed on every node: %w", lastErr)
-}
-
-// Healthz fetches one node's /healthz body (any status), for operators
-// and tests watching replication lag through the pool's endpoints.
-func (p *Pool) Healthz(ctx context.Context, endpoint string) ([]byte, error) {
-	p.mu.Lock()
-	c, ok := p.clients[strings.TrimRight(endpoint, "/")]
-	p.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("client: pool has no endpoint %q", endpoint)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		//lint:ignore errcheck response body close after a full read carries nothing actionable
-		_ = resp.Body.Close()
-	}()
-	c.noteEpoch(resp.Header)
-	return io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 }
 
 // ring returns the endpoints starting from `from` (or the configured

@@ -1,11 +1,6 @@
 package crowd
 
-import (
-	"fmt"
-
-	"crowdrank/internal/feq"
-	"crowdrank/internal/graph"
-)
+import "fmt"
 
 // CleanReport summarizes what Clean dropped. A zero Dropped() means the
 // input was already clean.
@@ -45,12 +40,7 @@ func (r CleanReport) String() string {
 func Clean(votes []Vote, n, m int) ([]Vote, CleanReport) {
 	report := CleanReport{Input: len(votes)}
 	out := make([]Vote, 0, len(votes))
-	type submission struct {
-		worker   int
-		pair     graph.Pair
-		prefersI bool
-	}
-	seen := make(map[submission]bool, len(votes))
+	seen := make(map[Submission]bool, len(votes))
 	for _, v := range votes {
 		switch {
 		case v.I < 0 || v.I >= n || v.J < 0 || v.J >= n:
@@ -63,7 +53,7 @@ func Clean(votes []Vote, n, m int) ([]Vote, CleanReport) {
 			report.InvalidWorkers++
 			continue
 		}
-		key := submission{worker: v.Worker, pair: v.Pair(), prefersI: feq.One(v.Value())}
+		key := v.Submission()
 		if seen[key] {
 			report.Duplicates++
 			continue
@@ -73,30 +63,4 @@ func Clean(votes []Vote, n, m int) ([]Vote, CleanReport) {
 	}
 	report.Kept = len(out)
 	return out, report
-}
-
-// CoverageGaps returns the canonical pairs from tasks that received no
-// votes — the requester-side check for abandoned HITs before inference.
-func CoverageGaps(tasks []Vote, votes []Vote) []struct{ I, J int } {
-	// tasks is interpreted loosely: any structure with I, J identifying the
-	// planned pairs; here we accept Votes for symmetry with CSV imports.
-	have := make(map[[2]int]bool)
-	for _, v := range votes {
-		p := v.Pair()
-		have[[2]int{p.I, p.J}] = true
-	}
-	var gaps []struct{ I, J int }
-	seen := make(map[[2]int]bool)
-	for _, t := range tasks {
-		p := t.Pair()
-		key := [2]int{p.I, p.J}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if !have[key] {
-			gaps = append(gaps, struct{ I, J int }{I: p.I, J: p.J})
-		}
-	}
-	return gaps
 }

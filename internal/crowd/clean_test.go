@@ -43,22 +43,3 @@ func TestCleanDoesNotMutateInput(t *testing.T) {
 		t.Error("input mutated")
 	}
 }
-
-func TestCoverageGaps(t *testing.T) {
-	tasks := []Vote{
-		{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}, {I: 2, J: 1}, // duplicate task (1,2)
-	}
-	votes := []Vote{
-		{Worker: 0, I: 1, J: 0, PrefersI: true}, // covers (0,1)
-	}
-	gaps := CoverageGaps(tasks, votes)
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %v, want 2 entries", gaps)
-	}
-	want := map[[2]int]bool{{1, 2}: true, {0, 2}: true}
-	for _, g := range gaps {
-		if !want[[2]int{g.I, g.J}] {
-			t.Errorf("unexpected gap %+v", g)
-		}
-	}
-}

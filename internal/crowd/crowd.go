@@ -23,6 +23,21 @@ type Vote struct {
 // Pair returns the canonical pair this vote answers.
 func (v Vote) Pair() graph.Pair { return graph.Pair{I: v.I, J: v.J}.Canon() }
 
+// Submission identifies one (worker, pair, answer) submission. A vote and
+// its re-submission with the objects swapped have the same Submission, so
+// it keys exact-duplicate detection.
+type Submission struct {
+	Worker     int
+	Pair       graph.Pair
+	PrefersLow bool
+}
+
+// Submission returns the submission v makes: its worker, its canonical
+// pair, and whether it prefers the pair's lower-indexed object.
+func (v Vote) Submission() Submission {
+	return Submission{Worker: v.Worker, Pair: v.Pair(), PrefersLow: v.PrefersI != (v.I > v.J)}
+}
+
 // Value returns the paper's x_ij^k encoding with respect to the canonical
 // pair (low index first): 1 when the worker prefers the lower-indexed
 // object, 0 otherwise.
@@ -95,17 +110,6 @@ func ReadVote(data []byte) (Vote, []byte, error) {
 	return Vote{Worker: ids[0], I: ids[1], J: ids[2], PrefersI: data[0] == 1}, data[1:], nil
 }
 
-// ByPair groups votes by canonical pair, preserving input order within each
-// group.
-func ByPair(votes []Vote) map[graph.Pair][]Vote {
-	out := make(map[graph.Pair][]Vote)
-	for _, v := range votes {
-		p := v.Pair()
-		out[p] = append(out[p], v)
-	}
-	return out
-}
-
 // ByWorker groups votes by worker id, preserving input order within each
 // group.
 func ByWorker(votes []Vote) map[int][]Vote {
@@ -127,23 +131,5 @@ func Workers(votes []Vote) []int {
 		out = append(out, w)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// MajorityPreference returns, for each canonical pair, the fraction of votes
-// preferring the lower-indexed object — unweighted majority voting, the
-// naive aggregation the paper's truth discovery improves upon.
-func MajorityPreference(votes []Vote) map[graph.Pair]float64 {
-	sums := make(map[graph.Pair]float64)
-	counts := make(map[graph.Pair]int)
-	for _, v := range votes {
-		p := v.Pair()
-		sums[p] += v.Value()
-		counts[p]++
-	}
-	out := make(map[graph.Pair]float64, len(sums))
-	for p, s := range sums {
-		out[p] = s / float64(counts[p])
-	}
 	return out
 }

@@ -59,17 +59,27 @@ func sampleVotes() []Vote {
 }
 
 func TestByPairAndByWorker(t *testing.T) {
-	votes := sampleVotes()
-	byPair := ByPair(votes)
-	if len(byPair[graph.Pair{I: 0, J: 1}]) != 2 {
-		t.Errorf("pair (0,1) group = %v", byPair[graph.Pair{I: 0, J: 1}])
-	}
-	if len(byPair[graph.Pair{I: 1, J: 2}]) != 2 {
-		t.Errorf("pair (1,2) group = %v", byPair[graph.Pair{I: 1, J: 2}])
-	}
-	byWorker := ByWorker(votes)
+	byWorker := ByWorker(sampleVotes())
 	if len(byWorker[0]) != 2 || len(byWorker[1]) != 1 || len(byWorker[2]) != 1 {
 		t.Errorf("ByWorker = %v", byWorker)
+	}
+}
+
+// TestSubmissionIgnoresObjectOrder: a vote and its re-submission with the
+// objects swapped are one submission; the opposite answer is another.
+func TestSubmissionIgnoresObjectOrder(t *testing.T) {
+	v := Vote{Worker: 3, I: 0, J: 1, PrefersI: true}
+	swapped := Vote{Worker: 3, I: 1, J: 0, PrefersI: false}
+	if v.Submission() != swapped.Submission() {
+		t.Errorf("%+v and %+v should be one submission", v.Submission(), swapped.Submission())
+	}
+	want := Submission{Worker: 3, Pair: graph.Pair{I: 0, J: 1}, PrefersLow: true}
+	if got := v.Submission(); got != want {
+		t.Errorf("Submission() = %+v, want %+v", got, want)
+	}
+	opposite := Vote{Worker: 3, I: 1, J: 0, PrefersI: true}
+	if opposite.Submission() == v.Submission() {
+		t.Error("the opposite answer should be a different submission")
 	}
 }
 
@@ -77,20 +87,6 @@ func TestWorkersSorted(t *testing.T) {
 	workers := Workers(sampleVotes())
 	if len(workers) != 3 || workers[0] != 0 || workers[2] != 2 {
 		t.Errorf("Workers = %v", workers)
-	}
-}
-
-func TestMajorityPreference(t *testing.T) {
-	votes := sampleVotes()
-	pref := MajorityPreference(votes)
-	// Pair (0,1): worker 0 says 0<1 (value 1), worker 1 says 1<0 (value 0).
-	if got := pref[graph.Pair{I: 0, J: 1}]; got != 0.5 {
-		t.Errorf("pref(0,1) = %v, want 0.5", got)
-	}
-	// Pair (1,2): worker 0 says 1<2 (value 1), worker 2 vote (2,1,false)
-	// means prefers 1, i.e. 1<2 (value 1).
-	if got := pref[graph.Pair{I: 1, J: 2}]; got != 1 {
-		t.Errorf("pref(1,2) = %v, want 1", got)
 	}
 }
 

@@ -90,14 +90,6 @@ type CollectStats struct {
 // Unrecovered returns the planned answers that never arrived.
 func (s CollectStats) Unrecovered() int { return s.PlannedAnswers - s.Delivered }
 
-// DeliveryRate returns Delivered / PlannedAnswers in [0, 1].
-func (s CollectStats) DeliveryRate() float64 {
-	if s.PlannedAnswers == 0 {
-		return 1
-	}
-	return float64(s.Delivered) / float64(s.PlannedAnswers)
-}
-
 // FaultyBatchResult is the outcome of RunBatchFaulty.
 type FaultyBatchResult struct {
 	// Votes holds every delivered submission in arrival order, including

@@ -209,10 +209,4 @@ func TestCollectStatsHelpers(t *testing.T) {
 	if got := s.Unrecovered(); got != 20 {
 		t.Errorf("Unrecovered = %d", got)
 	}
-	if got := s.DeliveryRate(); got != 0.8 {
-		t.Errorf("DeliveryRate = %v", got)
-	}
-	if got := (CollectStats{}).DeliveryRate(); got != 1 {
-		t.Errorf("empty DeliveryRate = %v", got)
-	}
 }

@@ -160,19 +160,6 @@ func (g *TaskGraph) Edges() []Pair {
 	return out
 }
 
-// Neighbors returns the sorted neighbor list of vertex i.
-func (g *TaskGraph) Neighbors(i int) []int {
-	if i < 0 || i >= g.n {
-		return nil
-	}
-	out := make([]int, 0, len(g.adj[i]))
-	for j := range g.adj[i] {
-		out = append(out, j)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Connected reports whether the task graph is connected. A disconnected task
 // graph can never yield a full ranking (Theorem 4.2), so callers treat this
 // as a validity check.

@@ -187,15 +187,6 @@ func (g *PreferenceGraph) OutDegree(i int) int { return len(g.Out(i)) }
 // InDegree returns the number of incoming edges of j.
 func (g *PreferenceGraph) InDegree(j int) int { return len(g.In(j)) }
 
-// EdgeCount returns the number of directed edges with positive weight.
-func (g *PreferenceGraph) EdgeCount() int {
-	total := 0
-	for i := 0; i < g.n; i++ {
-		total += len(g.out[i])
-	}
-	return total
-}
-
 // IsInNode reports whether v has only incoming edges (Section III). In-nodes
 // force their object to rank last, so Theorem 4.3 makes two of them fatal
 // for a full ranking.
@@ -241,23 +232,6 @@ func (g *PreferenceGraph) OneEdges() []Pair {
 		return cmp.Compare(a.J, b.J)
 	})
 	return edges
-}
-
-// PathWeight returns the product of edge weights along path, the paper's
-// per-path preference measure w_ij^P. It returns 0 when any hop is missing.
-func (g *PreferenceGraph) PathWeight(path []int) float64 {
-	if len(path) < 2 {
-		return 0
-	}
-	product := 1.0
-	for idx := 1; idx < len(path); idx++ {
-		w := g.Weight(path[idx-1], path[idx])
-		if w <= 0 {
-			return 0
-		}
-		product *= w
-	}
-	return product
 }
 
 // IsHamiltonianPath reports whether path visits every vertex exactly once

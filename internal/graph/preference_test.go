@@ -29,7 +29,7 @@ func TestPreferenceGraphBasics(t *testing.T) {
 		t.Error("n=0 should fail")
 	}
 	g := mustPrefGraph(t, 3)
-	if g.N() != 3 || g.EdgeCount() != 0 {
+	if g.N() != 3 || g.OutDegree(0)+g.OutDegree(1)+g.OutDegree(2) != 0 {
 		t.Fatal("fresh graph wrong")
 	}
 	setW(t, g, 0, 1, 0.7)
@@ -66,9 +66,6 @@ func TestPreferenceGraphEdgeRemovalViaZero(t *testing.T) {
 	}
 	if g.OutDegree(0) != 1 {
 		t.Errorf("OutDegree(0) = %d, want 1", g.OutDegree(0))
-	}
-	if g.EdgeCount() != 1 {
-		t.Errorf("EdgeCount = %d", g.EdgeCount())
 	}
 	out := g.Out(0)
 	if len(out) != 1 || out[0] != 2 {
@@ -115,15 +112,6 @@ func TestPathWeightAndHP(t *testing.T) {
 	g := mustPrefGraph(t, 3)
 	setW(t, g, 0, 1, 0.5)
 	setW(t, g, 1, 2, 0.4)
-	if w := g.PathWeight([]int{0, 1, 2}); w != 0.2 {
-		t.Errorf("PathWeight = %v, want 0.2", w)
-	}
-	if w := g.PathWeight([]int{0, 2}); w != 0 {
-		t.Errorf("missing edge should zero the path, got %v", w)
-	}
-	if w := g.PathWeight([]int{0}); w != 0 {
-		t.Errorf("degenerate path weight = %v", w)
-	}
 	if !g.IsHamiltonianPath([]int{0, 1, 2}) {
 		t.Error("0-1-2 should be an HP")
 	}

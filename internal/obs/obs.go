@@ -1,17 +1,17 @@
 // Package obs is the daemon's dependency-free observability toolkit:
-// atomic counters, gauges, and fixed-bucket histograms collected in a
-// Registry and exposed in the Prometheus text format, plus an injectable
-// Clock (clock.go) so timing-dependent behavior stays testable without
-// sleeps.
+// atomic counters, scrape-time gauges, and fixed-bucket histograms
+// collected in a Registry and exposed in the Prometheus text format, plus
+// an injectable Clock (clock.go) so timing-dependent behavior stays
+// testable without sleeps.
 //
 // The package is deliberately tiny and stdlib-only. Metric operations are
-// lock-free (single atomic op for counters and gauges, one atomic add plus
-// a CAS loop for histogram sums); the registry mutex is touched only at
+// lock-free (a single atomic op for counters, one atomic add plus a CAS
+// loop for histogram sums); the registry mutex is touched only at
 // registration and exposition time, never on the hot ingest→infer path.
 //
-// Every metric type is safe to use through a nil pointer: a nil *Counter,
-// *Gauge, or *Histogram silently discards observations and reads as zero.
-// That lets lower layers (internal/journal) hold optional metric handles
+// Every metric type is safe to use through a nil pointer: a nil *Counter
+// or *Histogram silently discards observations and reads as zero. That
+// lets lower layers (internal/journal) hold optional metric handles
 // without caring whether observability is wired up.
 package obs
 
@@ -60,35 +60,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value. Safe on a nil receiver (no-op).
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the value by delta. Safe on a nil receiver (no-op).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (0 through a nil receiver).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram with cumulative Prometheus
@@ -160,7 +131,6 @@ type kind int
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -181,7 +151,6 @@ func (k kind) String() string {
 type series struct {
 	labels  string // rendered `k="v",k2="v2"` (no braces), sorted by key
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -248,28 +217,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	f.byLabel[ls] = len(f.series)
 	f.series = append(f.series, series{labels: ls, counter: c})
 	return c
-}
-
-// Gauge registers (or finds) the gauge name with the given labels, with
-// the same collision semantics as Counter.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	ls := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, kindGauge, nil)
-	if f == nil {
-		return &Gauge{}
-	}
-	if i, ok := f.byLabel[ls]; ok {
-		return f.series[i].gauge
-	}
-	g := &Gauge{}
-	f.byLabel[ls] = len(f.series)
-	f.series = append(f.series, series{labels: ls, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
@@ -368,8 +315,6 @@ func writeSeries(b *bytes.Buffer, f family, s series) {
 	switch f.kind {
 	case kindCounter:
 		fmt.Fprintf(b, "%s %s\n", sampleName(f.name, s.labels), strconv.FormatUint(s.counter.Value(), 10))
-	case kindGauge:
-		fmt.Fprintf(b, "%s %s\n", sampleName(f.name, s.labels), strconv.FormatInt(s.gauge.Value(), 10))
 	case kindGaugeFunc:
 		fmt.Fprintf(b, "%s %s\n", sampleName(f.name, s.labels), formatFloat(s.fn()))
 	case kindHistogram:

@@ -22,9 +22,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c := r.Counter("requests_total", "Total requests.")
 	c.Inc()
 	c.Add(2)
-	g := r.Gauge("queue_depth", "Current depth.", L("queue", "rank"))
-	g.Set(5)
-	g.Add(-2)
+	r.GaugeFunc("queue_depth", "Current depth.", func() float64 { return 3 }, L("queue", "rank"))
 	r.GaugeFunc("disk_bytes", "Bytes on disk.", func() float64 { return 1.5 })
 
 	got := scrape(t, r)
@@ -108,8 +106,7 @@ func TestReregistrationReturnsSameMetric(t *testing.T) {
 func TestKindCollisionReturnsDetached(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("clash", "").Inc()
-	g := r.Gauge("clash", "")
-	g.Set(9) // must not crash
+	r.GaugeFunc("clash", "", func() float64 { return 9 }) // must not crash
 	h := r.Histogram("clash", "", nil)
 	h.Observe(1)
 
@@ -132,12 +129,6 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter should read 0")
 	}
-	var g *Gauge
-	g.Set(1)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge should read 0")
-	}
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
@@ -145,7 +136,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil histogram should read 0")
 	}
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
+	if r.Counter("x", "") != nil || r.Histogram("x", "", nil) != nil {
 		t.Fatal("nil registry should hand out nil metrics")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 0 })
@@ -184,7 +175,6 @@ func TestConcurrentObservations(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "")
 	h := r.Histogram("conc_seconds", "", nil)
-	g := r.Gauge("conc_gauge", "")
 	const workers, each = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -194,7 +184,6 @@ func TestConcurrentObservations(t *testing.T) {
 			for i := 0; i < each; i++ {
 				c.Inc()
 				h.Observe(0.001)
-				g.Add(1)
 			}
 		}()
 	}
@@ -212,8 +201,5 @@ func TestConcurrentObservations(t *testing.T) {
 	}
 	if h.Count() != workers*each {
 		t.Fatalf("lost observations: %d != %d", h.Count(), workers*each)
-	}
-	if g.Value() != workers*each {
-		t.Fatalf("lost gauge adds: %d != %d", g.Value(), workers*each)
 	}
 }

@@ -143,6 +143,8 @@ type Node struct {
 
 	bootstrapped bool // this Open installed a snapshot from the leader
 
+	// ctx bounds replication: the follower loop and every leader stream
+	// end when StopReplication or Close cancels it.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -510,8 +512,14 @@ func (n *Node) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	n.writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": string(n.Role())})
 }
 
-// Close stops the replication loop and shuts the serving engine down.
-// Idempotent.
+// StopReplication ends replication without closing the node: leader
+// streams return and a follower's replication loop stops, while client
+// requests are still served. Register it with
+// http.Server.RegisterOnShutdown so a graceful Shutdown does not wait on
+// long-lived follower streams.
+func (n *Node) StopReplication() { n.cancel() }
+
+// Close stops replication and shuts the serving engine down. Idempotent.
 func (n *Node) Close() error {
 	if n.closed.Swap(true) {
 		return nil

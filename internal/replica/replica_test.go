@@ -40,17 +40,30 @@ func testVotes(b int) []crowd.Vote {
 // follower started after its leader shuts down first.
 func startNode(t *testing.T, dir, leaderURL string, tweak func(*Config, *serve.Config)) (*Node, string) {
 	t.Helper()
+	n, ln := openNode(t, dir, leaderURL, tweak)
+	ts := httptest.NewUnstartedServer(n.Handler())
+	//lint:ignore errcheck the placeholder listener httptest allocated is being replaced, not used
+	_ = ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return n, n.cfg.Self
+}
+
+// openNode opens a Node over dir advertised at a fresh listener, which it
+// returns unserved; the node is closed at cleanup.
+func openNode(t *testing.T, dir, leaderURL string, tweak func(*Config, *serve.Config)) (*Node, net.Listener) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	self := "http://" + ln.Addr().String()
 	scfg := serve.DefaultConfig(testN, testM)
 	scfg.JournalPath = dir
 	scfg.Seed = 42
 	scfg.Logf = t.Logf
 	rcfg := Config{
-		Self:           self,
+		Self:           "http://" + ln.Addr().String(),
 		Leader:         leaderURL,
 		EpochDir:       dir,
 		HeartbeatEvery: 50 * time.Millisecond,
@@ -65,17 +78,11 @@ func startNode(t *testing.T, dir, leaderURL string, tweak func(*Config, *serve.C
 		_ = ln.Close()
 		t.Fatalf("Open: %v", err)
 	}
-	ts := httptest.NewUnstartedServer(n.Handler())
-	//lint:ignore errcheck the placeholder listener httptest allocated is being replaced, not used
-	_ = ts.Listener.Close()
-	ts.Listener = ln
-	ts.Start()
 	t.Cleanup(func() {
 		//lint:ignore errcheck test teardown; a double-close error carries nothing actionable
 		_ = n.Close()
 	})
-	t.Cleanup(ts.Close)
-	return n, self
+	return n, ln
 }
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -157,6 +164,38 @@ func TestFollowerTailsLeaderAndRejectsIngest(t *testing.T) {
 	}
 	if hint := resp.Header.Get(LeaderHeader); hint != leaderURL {
 		t.Fatalf("leader hint %q, want %q", hint, leaderURL)
+	}
+}
+
+// TestShutdownEndsLeaderStreams: a graceful Shutdown of a leader's
+// http.Server with a follower attached returns at once, because
+// StopReplication, registered as a shutdown hook, ends the long-lived
+// /replicate/stream handler that Shutdown would otherwise wait on until its
+// context expired.
+func TestShutdownEndsLeaderStreams(t *testing.T) {
+	leader, ln := openNode(t, t.TempDir(), "", nil)
+	srv := &http.Server{Handler: leader.Handler()}
+	srv.RegisterOnShutdown(leader.StopReplication)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	ingestKeyed(t, leader, 0, 3)
+	follower, _ := startNode(t, t.TempDir(), leader.cfg.Self, nil)
+	waitFor(t, "follower attached", func() bool {
+		st := follower.Status()
+		return st.Connected && st.Lag == 0
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown after %v: %v", time.Since(start), err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Shutdown took %v with a follower attached, want under 1s", took)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 }
 

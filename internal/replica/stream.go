@@ -92,8 +92,8 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeSlack = 10 * time.Second
 	}
 	// Once caught up, the stream waits for the journal to wake it (an
-	// append, the Poison that deposes us, or Close), for the request to
-	// end, or for the next heartbeat to fall due.
+	// append, the Poison that deposes us, or Close), for the request or
+	// replication to end, or for the next heartbeat to fall due.
 	beatDue := true // the first frame is a heartbeat
 	beat := time.NewTimer(n.cfg.HeartbeatEvery)
 	defer beat.Stop()
@@ -101,7 +101,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 		// A leader that stepped down mid-stream stops feeding followers;
 		// dropping the connection makes them re-dial and discover the
 		// truth (503 + hint, or the new leader via their own config).
-		if r.Context().Err() != nil || n.Role() != RoleLeader {
+		if r.Context().Err() != nil || n.ctx.Err() != nil || n.Role() != RoleLeader {
 			return
 		}
 		//lint:ignore errcheck a failed deadline extension surfaces as a failed write below
@@ -151,6 +151,8 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-r.Context().Done():
+			return
+		case <-n.ctx.Done():
 			return
 		case <-rd.Ready():
 		case <-beat.C:

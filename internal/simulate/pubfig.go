@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -166,10 +165,4 @@ func (o *HumanOracle) ScoreRanking() []int {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return o.scores[idx[a]] > o.scores[idx[b]] })
 	return idx
-}
-
-// PairCloseness reports the |score gap| between two local objects; tests use
-// it to verify the conflicting-opinion regime.
-func (o *HumanOracle) PairCloseness(i, j int) float64 {
-	return math.Abs(o.scores[i] - o.scores[j])
 }

@@ -11,30 +11,19 @@ import (
 )
 
 // Pair identifies one pairwise comparison task between objects I and J
-// (object ids are 0-based indices; pairs are canonical with I < J).
-type Pair struct {
-	I, J int
-}
+// (object ids are 0-based indices; pairs are canonical with I < J). It
+// prints as (I,J).
+type Pair = graph.Pair
 
 // Budget models the requester's money: each of the l unique comparisons is
-// answered by WorkersPerTask workers, each paid Reward, so
-// l = floor(Total / (WorkersPerTask * Reward)).
-type Budget struct {
-	Total          float64
-	Reward         float64
-	WorkersPerTask int
-}
+// answered by WorkersPerTask workers, each paid Reward, so MaxTasks is
+// l = floor(Total / (WorkersPerTask * Reward)) and Cost(l) the money l
+// comparisons spend.
+type Budget = platform.Budget
 
-// MaxTasks returns the number of unique comparisons the budget affords.
-func (b Budget) MaxTasks() (int, error) {
-	return platform.Budget{Total: b.Total, Reward: b.Reward, WorkersPerTask: b.WorkersPerTask}.MaxTasks()
-}
-
-// HIT is a batch of comparisons released to a single worker as one unit.
-type HIT struct {
-	ID    int
-	Pairs []Pair
-}
+// HIT is a batch of comparisons released to a single worker as one unit:
+// its ID and its Pairs.
+type HIT = platform.HIT
 
 // Plan is a generated task assignment: l comparison tasks over n objects
 // forming a fair, high-HP-likelihood task graph.
@@ -60,14 +49,10 @@ func PlanTasks(n, l int, seed uint64) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs := make([]Pair, 0, tp.L)
-	for _, pr := range tp.Pairs() {
-		pairs = append(pairs, Pair{I: pr.I, J: pr.J})
-	}
 	return &Plan{
 		N:            n,
 		L:            tp.L,
-		Pairs:        pairs,
+		Pairs:        tp.Pairs(),
 		SeedPath:     tp.SeedPath,
 		TargetDegree: tp.TargetDegree,
 		taskGraph:    tp.Graph,
@@ -121,23 +106,7 @@ func (p *Plan) HPLikelihoodLowerBound() (float64, error) {
 
 // PackHITs splits the plan's tasks into HITs of at most perHIT comparisons.
 func (p *Plan) PackHITs(perHIT int) ([]HIT, error) {
-	pairs := make([]graph.Pair, len(p.Pairs))
-	for i, pr := range p.Pairs {
-		pairs[i] = graph.Pair{I: pr.I, J: pr.J}
-	}
-	hits, err := platform.PackHITs(pairs, perHIT)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]HIT, len(hits))
-	for i, h := range hits {
-		ps := make([]Pair, len(h.Pairs))
-		for k, pr := range h.Pairs {
-			ps[k] = Pair{I: pr.I, J: pr.J}
-		}
-		out[i] = HIT{ID: h.ID, Pairs: ps}
-	}
-	return out, nil
+	return platform.PackHITs(p.Pairs, perHIT)
 }
 
 // Validate checks structural invariants of the plan: connectivity (without

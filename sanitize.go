@@ -31,23 +31,6 @@ func (e *VoteError) Error() string {
 // already clean.
 type SanitizeReport = crowd.CleanReport
 
-// submissionKey canonicalizes one (worker, pair, answer) submission so that
-// a vote and its re-submission with swapped object order still collide.
-type submissionKey struct {
-	worker     int
-	lo, hi     int
-	prefersLow bool
-}
-
-func (v Vote) submissionKey() submissionKey {
-	lo, hi, prefersLow := v.I, v.J, v.PrefersI
-	if lo > hi {
-		lo, hi = hi, lo
-		prefersLow = !prefersLow
-	}
-	return submissionKey{worker: v.Worker, lo: lo, hi: hi, prefersLow: prefersLow}
-}
-
 // checkVote returns why one vote is invalid against the object universe
 // [0, n) and the worker universe [0, m), or "" for a valid vote. The
 // checks and their order match crowd.Clean's.
@@ -71,12 +54,12 @@ func checkVote(v Vote, n, m int) string {
 // truth discovery. This is the strict counterpart of SanitizeVotes; Infer
 // applies it under WithStrictVotes.
 func ValidateVotes(n, m int, votes []Vote) error {
-	seen := make(map[submissionKey]int, len(votes))
+	seen := make(map[crowd.Submission]int, len(votes))
 	for i, v := range votes {
 		if reason := checkVote(v, n, m); reason != "" {
 			return &VoteError{Index: i, Vote: v, Reason: reason}
 		}
-		key := v.submissionKey()
+		key := v.Submission()
 		if first, dup := seen[key]; dup {
 			return &VoteError{Index: i, Vote: v,
 				Reason: fmt.Sprintf("duplicate of vote %d (same worker, pair, and answer)", first)}
@@ -93,8 +76,7 @@ func ValidateVotes(n, m int, votes []Vote) error {
 // lenient mode Infer applies by default, recording the report in
 // Result.Sanitization.
 func SanitizeVotes(n, m int, votes []Vote) ([]Vote, SanitizeReport) {
-	clean, report := crowd.Clean(toInternalVotes(votes), n, m)
-	return fromInternalVotes(clean), report
+	return crowd.Clean(votes, n, m)
 }
 
 // CoverageReport describes how well the delivered votes cover the object

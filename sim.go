@@ -4,58 +4,35 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"crowdrank/internal/crowd"
-	"crowdrank/internal/graph"
 	"crowdrank/internal/platform"
 	"crowdrank/internal/simulate"
 )
 
 // WorkerDistribution selects how simulated workers' error deviations are
-// drawn (the paper's Section VI-A4 settings).
-type WorkerDistribution int
+// drawn (the paper's Section VI-A4 settings): GaussianWorkers ("gaussian")
+// or UniformWorkers ("uniform").
+type WorkerDistribution = simulate.QualityDistribution
 
 const (
 	// GaussianWorkers draws sigma_k ~ |N(0, sigma_s^2)|.
-	GaussianWorkers WorkerDistribution = iota + 1
+	GaussianWorkers = simulate.Gaussian
 	// UniformWorkers draws sigma_k uniformly from a level-dependent range.
-	UniformWorkers
+	UniformWorkers = simulate.Uniform
 )
 
-// WorkerQualityLevel selects the high / medium / low quality scenarios.
-type WorkerQualityLevel int
+// WorkerQualityLevel selects the high / medium / low quality scenarios:
+// HighQualityWorkers ("high"), MediumQualityWorkers ("medium") or
+// LowQualityWorkers ("low").
+type WorkerQualityLevel = simulate.QualityLevel
 
 const (
 	// HighQualityWorkers: sigma_s = 0.01 (Gaussian) or sigma_k in [0, 0.2].
-	HighQualityWorkers WorkerQualityLevel = iota + 1
+	HighQualityWorkers = simulate.HighQuality
 	// MediumQualityWorkers: sigma_s = 0.1 or sigma_k in [0.1, 0.3].
-	MediumQualityWorkers
+	MediumQualityWorkers = simulate.MediumQuality
 	// LowQualityWorkers: sigma_s = 1 or sigma_k in [0.2, 0.4].
-	LowQualityWorkers
+	LowQualityWorkers = simulate.LowQuality
 )
-
-func (d WorkerDistribution) internal() (simulate.QualityDistribution, error) {
-	switch d {
-	case GaussianWorkers:
-		return simulate.Gaussian, nil
-	case UniformWorkers:
-		return simulate.Uniform, nil
-	default:
-		return 0, fmt.Errorf("crowdrank: unknown worker distribution %d", int(d))
-	}
-}
-
-func (l WorkerQualityLevel) internal() (simulate.QualityLevel, error) {
-	switch l {
-	case HighQualityWorkers:
-		return simulate.HighQuality, nil
-	case MediumQualityWorkers:
-		return simulate.MediumQuality, nil
-	case LowQualityWorkers:
-		return simulate.LowQuality, nil
-	default:
-		return 0, fmt.Errorf("crowdrank: unknown worker quality level %d", int(l))
-	}
-}
 
 // SimConfig describes a simulated crowdsourcing round.
 type SimConfig struct {
@@ -107,6 +84,40 @@ type SimRound struct {
 // configured quality answers every HIT, and the (noisy, conflicting) votes
 // are returned together with the hidden truth for scoring.
 func SimulateVotes(plan *Plan, cfg SimConfig) (*SimRound, error) {
+	sim, err := newSimulation(plan, cfg)
+	if err != nil {
+		return nil, err
+	}
+	assign := platform.AssignWorkers
+	if cfg.BalancedAssignment {
+		assign = platform.AssignWorkersBalanced
+	}
+	assigned, err := assign(sim.hits, cfg.Workers, cfg.WorkersPerTask, sim.rng)
+	if err != nil {
+		return nil, err
+	}
+	round, err := platform.RunNonInteractive(sim.hits, assigned, sim.oracle, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sim.round(round.Votes, round.Spent), nil
+}
+
+// simulation is the set-up every simulated round shares: its random
+// source, the hidden truth, and the crowd that answers through oracle;
+// SimulateVotes and SimulateUnreliableVotes add the plan packed into HITs.
+type simulation struct {
+	rng    *rand.Rand
+	truth  []int
+	pool   *simulate.Crowd
+	oracle *simulate.GroundTruthOracle
+	hits   []platform.HIT
+}
+
+// newSimulation checks cfg against plan and draws the round's truth and
+// crowd from cfg.Seed, so both collection paths see the same crowd for
+// the same seed.
+func newSimulation(plan *Plan, cfg SimConfig) (*simulation, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("crowdrank: nil plan")
 	}
@@ -119,21 +130,25 @@ func SimulateVotes(plan *Plan, cfg SimConfig) (*SimRound, error) {
 	if cfg.PairsPerHIT < 1 {
 		return nil, fmt.Errorf("crowdrank: pairs per HIT must be >= 1, got %d", cfg.PairsPerHIT)
 	}
-	dist, err := cfg.Distribution.internal()
+	sim, err := drawCrowd(plan.N, cfg, rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xa0761d6478bd642f)))
 	if err != nil {
 		return nil, err
 	}
-	level, err := cfg.Level.internal()
-	if err != nil {
+	if sim.hits, err = platform.PackHITs(plan.Pairs, cfg.PairsPerHIT); err != nil {
 		return nil, err
 	}
+	return sim, nil
+}
 
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xa0761d6478bd642f))
-	truth, err := simulate.GroundTruth(plan.N, rng)
+// drawCrowd draws, in this order from rng, a hidden ground-truth ranking
+// of n objects, a crowd of cfg.Workers at cfg's quality, and the oracle
+// through which that crowd answers.
+func drawCrowd(n int, cfg SimConfig, rng *rand.Rand) (*simulation, error) {
+	truth, err := simulate.GroundTruth(n, rng)
 	if err != nil {
 		return nil, err
 	}
-	pool, err := simulate.NewCrowd(cfg.Workers, dist, level, rng)
+	pool, err := simulate.NewCrowd(cfg.Workers, cfg.Distribution, cfg.Level, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -141,78 +156,14 @@ func SimulateVotes(plan *Plan, cfg SimConfig) (*SimRound, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &simulation{rng: rng, truth: truth, pool: pool, oracle: oracle}, nil
+}
 
-	pairs := make([]graph.Pair, len(plan.Pairs))
-	for i, pr := range plan.Pairs {
-		pairs[i] = graph.Pair{I: pr.I, J: pr.J}
-	}
-	hits, err := platform.PackHITs(pairs, cfg.PairsPerHIT)
-	if err != nil {
-		return nil, err
-	}
-	assign := platform.AssignWorkers
-	if cfg.BalancedAssignment {
-		assign = platform.AssignWorkersBalanced
-	}
-	assigned, err := assign(hits, cfg.Workers, cfg.WorkersPerTask, rng)
-	if err != nil {
-		return nil, err
-	}
-	round, err := platform.RunNonInteractive(hits, assigned, oracle, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	sigmas := make([]float64, cfg.Workers)
+// round packages the collected votes with the simulation's hidden truth.
+func (s *simulation) round(votes []Vote, spent float64) *SimRound {
+	sigmas := make([]float64, s.pool.Size())
 	for k := range sigmas {
-		sigmas[k] = pool.Sigma(k)
+		sigmas[k] = s.pool.Sigma(k)
 	}
-	return &SimRound{
-		Votes:        fromInternalVotes(round.Votes),
-		GroundTruth:  truth,
-		WorkerSigmas: sigmas,
-		Spent:        round.Spent,
-	}, nil
-}
-
-func fromInternalVotes(vs []crowd.Vote) []Vote {
-	out := make([]Vote, len(vs))
-	for i, v := range vs {
-		out[i] = Vote{Worker: v.Worker, I: v.I, J: v.J, PrefersI: v.PrefersI}
-	}
-	return out
-}
-
-func toInternalVotes(vs []Vote) []crowd.Vote {
-	out := make([]crowd.Vote, len(vs))
-	for i, v := range vs {
-		out[i] = crowd.Vote{Worker: v.Worker, I: v.I, J: v.J, PrefersI: v.PrefersI}
-	}
-	return out
-}
-
-// String names the distribution for logs and CLI output.
-func (d WorkerDistribution) String() string {
-	switch d {
-	case GaussianWorkers:
-		return "gaussian"
-	case UniformWorkers:
-		return "uniform"
-	default:
-		return fmt.Sprintf("WorkerDistribution(%d)", int(d))
-	}
-}
-
-// String names the quality level for logs and CLI output.
-func (l WorkerQualityLevel) String() string {
-	switch l {
-	case HighQualityWorkers:
-		return "high"
-	case MediumQualityWorkers:
-		return "medium"
-	case LowQualityWorkers:
-		return "low"
-	default:
-		return fmt.Sprintf("WorkerQualityLevel(%d)", int(l))
-	}
+	return &SimRound{Votes: votes, GroundTruth: s.truth, WorkerSigmas: sigmas, Spent: spent}
 }

@@ -117,7 +117,7 @@ func SimulateImageRanking(cfg ImageStudyConfig) (*ImageStudyRound, error) {
 	return &ImageStudyRound{
 		N:       cfg.Images,
 		Workers: poolSize,
-		Votes:   fromInternalVotes(round.Votes),
+		Votes:   round.Votes,
 		Spent:   round.Spent,
 	}, nil
 }
@@ -147,39 +147,18 @@ func RunInteractiveCrowdBT(n int, budget Budget, cfg SimConfig, roundLatency tim
 	if n < 2 {
 		return nil, fmt.Errorf("crowdrank: need at least two objects, got n=%d", n)
 	}
-	dist, err := cfg.Distribution.internal()
+	sim, err := drawCrowd(n, cfg, rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)))
 	if err != nil {
 		return nil, err
 	}
-	level, err := cfg.Level.internal()
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15))
-	truth, err := simulate.GroundTruth(n, rng)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := simulate.NewCrowd(cfg.Workers, dist, level, rng)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := simulate.NewGroundTruthOracle(pool, truth, rng)
-	if err != nil {
-		return nil, err
-	}
-	session, err := platform.NewInteractiveSession(oracle, platform.Budget{
-		Total:          budget.Total,
-		Reward:         budget.Reward,
-		WorkersPerTask: budget.WorkersPerTask,
-	}, roundLatency, rng)
+	session, err := platform.NewInteractiveSession(sim.oracle, budget, roundLatency, sim.rng)
 	if err != nil {
 		return nil, err
 	}
 	params := crowdbt.DefaultActiveParams()
 	params.RefitEvery = 25
 	params.Fit.Epochs = 40
-	model, err := crowdbt.Active(session, n, cfg.Workers, params, rng)
+	model, err := crowdbt.Active(session, n, cfg.Workers, params, sim.rng)
 	if err != nil {
 		return nil, err
 	}
@@ -188,6 +167,6 @@ func RunInteractiveCrowdBT(n int, budget Budget, cfg SimConfig, roundLatency tim
 		Rounds:           session.Rounds(),
 		Spent:            session.Spent(),
 		SimulatedLatency: session.SimulatedLatency(),
-		GroundTruth:      truth,
+		GroundTruth:      sim.truth,
 	}, nil
 }
