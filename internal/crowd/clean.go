@@ -31,8 +31,7 @@ func (r CleanReport) String() string {
 }
 
 // Clean filters a raw vote list (for example a spreadsheet import) down to
-// votes valid for n objects and m workers, checked in this order: object
-// ids in range, no self-pair, worker id in range. It also drops exact
+// votes valid for n objects and m workers (Classify). It also drops exact
 // duplicates of the same worker answering the same pair the same way
 // (double submissions, in either object order). Conflicting repeat answers
 // by the same worker are kept — they are genuine observations for truth
@@ -42,14 +41,14 @@ func Clean(votes []Vote, n, m int) ([]Vote, CleanReport) {
 	out := make([]Vote, 0, len(votes))
 	seen := make(map[Submission]bool, len(votes))
 	for _, v := range votes {
-		switch {
-		case v.I < 0 || v.I >= n || v.J < 0 || v.J >= n:
+		switch Classify(v, n, m) {
+		case ObjectOutOfRange:
 			report.OutOfRangePairs++
 			continue
-		case v.I == v.J:
+		case SelfPair:
 			report.SelfPairs++
 			continue
-		case v.Worker < 0 || v.Worker >= m:
+		case WorkerOutOfRange:
 			report.InvalidWorkers++
 			continue
 		}

@@ -52,16 +52,45 @@ func (v Vote) Value() float64 {
 	return 0
 }
 
+// Defect names the first range check a vote fails; DefectNone means it
+// passes all three. The checks run in the order of the constants.
+type Defect uint8
+
+const (
+	DefectNone Defect = iota
+	// ObjectOutOfRange: an object id falls outside [0, n).
+	ObjectOutOfRange
+	// SelfPair: the vote compares an object with itself.
+	SelfPair
+	// WorkerOutOfRange: the worker id falls outside [0, m).
+	WorkerOutOfRange
+)
+
+// Classify checks v against the object universe [0, n) and the worker
+// universe [0, m). It is the one definition of a well-formed vote behind
+// Validate, Clean and the public strict validation. A function, not a
+// method, so the public Vote alias does not export it.
+func Classify(v Vote, n, m int) Defect {
+	switch {
+	case v.I < 0 || v.I >= n || v.J < 0 || v.J >= n:
+		return ObjectOutOfRange
+	case v.I == v.J:
+		return SelfPair
+	case v.Worker < 0 || v.Worker >= m:
+		return WorkerOutOfRange
+	}
+	return DefectNone
+}
+
 // Validate checks vote fields against the object universe [0, n) and worker
 // universe [0, m).
 func (v Vote) Validate(n, m int) error {
-	if v.I < 0 || v.I >= n || v.J < 0 || v.J >= n {
+	switch Classify(v, n, m) {
+	case ObjectOutOfRange:
 		return fmt.Errorf("crowd: vote pair (%d,%d) outside object range [0,%d)", v.I, v.J, n)
-	}
-	if v.I == v.J {
+	case SelfPair:
 		return fmt.Errorf("crowd: vote compares object %d with itself", v.I)
-	}
-	if v.Worker < 0 || v.Worker >= m {
+	case WorkerOutOfRange:
 		return fmt.Errorf("crowd: worker %d outside range [0,%d)", v.Worker, m)
 	}
 	return nil
@@ -91,6 +120,17 @@ var voteFields = [3]string{"worker", "object i", "object j"}
 func ReadVote(data []byte) (Vote, []byte, error) {
 	var ids [3]int
 	for f := range ids {
+		// Ids below 2^14 take one or two bytes; recovery decodes every
+		// vote here, so those skip the call into binary.Uvarint.
+		if len(data) > 1 {
+			if b0 := data[0]; b0 < 0x80 {
+				ids[f], data = int(b0), data[1:]
+				continue
+			} else if b1 := data[1]; b1 < 0x80 {
+				ids[f], data = int(b0&0x7f)|int(b1)<<7, data[2:]
+				continue
+			}
+		}
 		x, k := binary.Uvarint(data)
 		if k <= 0 {
 			return Vote{}, data, fmt.Errorf("%s unreadable", voteFields[f])

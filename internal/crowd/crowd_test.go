@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"fmt"
 	"testing"
 
 	"crowdrank/internal/graph"
@@ -49,6 +50,31 @@ func TestVoteValidate(t *testing.T) {
 	}
 }
 
+// TestClassifyOrderAndTexts pins the order of Classify's three range checks
+// and the error text Validate gives for each.
+func TestClassifyOrderAndTexts(t *testing.T) {
+	tests := []struct {
+		vote Vote
+		want Defect
+		text string
+	}{
+		{Vote{Worker: 2, I: 0, J: 1}, DefectNone, ""},
+		{Vote{Worker: 9, I: 4, J: 4}, ObjectOutOfRange, "crowd: vote pair (4,4) outside object range [0,3)"},
+		{Vote{Worker: 0, I: -1, J: 1}, ObjectOutOfRange, "crowd: vote pair (-1,1) outside object range [0,3)"},
+		{Vote{Worker: 9, I: 1, J: 1}, SelfPair, "crowd: vote compares object 1 with itself"},
+		{Vote{Worker: 3, I: 0, J: 2}, WorkerOutOfRange, "crowd: worker 3 outside range [0,3)"},
+	}
+	for _, tc := range tests {
+		if got := Classify(tc.vote, 3, 3); got != tc.want {
+			t.Errorf("%+v: Classify = %d, want %d", tc.vote, got, tc.want)
+		}
+		err := tc.vote.Validate(3, 3)
+		if got := fmt.Sprint(err); (err == nil) != (tc.text == "") || (err != nil && got != tc.text) {
+			t.Errorf("%+v: Validate = %v, want %q", tc.vote, err, tc.text)
+		}
+	}
+}
+
 func sampleVotes() []Vote {
 	return []Vote{
 		{Worker: 0, I: 0, J: 1, PrefersI: true},
@@ -58,7 +84,7 @@ func sampleVotes() []Vote {
 	}
 }
 
-func TestByPairAndByWorker(t *testing.T) {
+func TestByWorker(t *testing.T) {
 	byWorker := ByWorker(sampleVotes())
 	if len(byWorker[0]) != 2 || len(byWorker[1]) != 1 || len(byWorker[2]) != 1 {
 		t.Errorf("ByWorker = %v", byWorker)

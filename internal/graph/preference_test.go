@@ -108,7 +108,7 @@ func TestOneEdges(t *testing.T) {
 	}
 }
 
-func TestPathWeightAndHP(t *testing.T) {
+func TestIsHamiltonianPath(t *testing.T) {
 	g := mustPrefGraph(t, 3)
 	setW(t, g, 0, 1, 0.5)
 	setW(t, g, 1, 2, 0.4)

@@ -53,6 +53,7 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -375,9 +376,11 @@ func (j *Journal) scanSegments(fn func([]byte) error) (ReplayStats, error) {
 	}
 	expect := uint64(0) // next segment must start here; first segment sets it
 	damaged := -1       // index into segs of the first damaged segment
+	// One read buffer serves every segment.
+	br := bufio.NewReaderSize(nil, scanBufferSize)
 	for i := range segs {
 		seg := &segs[i]
-		res, err := scanSegment(seg.path, seg.size, i == 0, expect, j.opts.ReplayFrom, fn)
+		res, err := scanSegment(br, seg.path, seg.size, i == 0, expect, j.opts.ReplayFrom, fn)
 		if err != nil {
 			return stats, err
 		}
@@ -458,12 +461,16 @@ type segScan struct {
 	tailError  string
 }
 
+// scanBufferSize is the read buffer scanSegments reads every segment
+// through, so a record costs no read syscall of its own.
+const scanBufferSize = 64 << 10
+
 // scanSegment validates one segment's header and walks its records,
 // invoking fn on each valid payload at or past replayFrom. first marks
 // the journal's first live segment (the only place an unconstrained
 // firstSeq is legal); expect is the sequence the segment must start at
-// otherwise.
-func scanSegment(path string, size int64, first bool, expect, replayFrom uint64, fn func([]byte) error) (segScan, error) {
+// otherwise. The file is read through br, which scanSegment resets to it.
+func scanSegment(br *bufio.Reader, path string, size int64, first bool, expect, replayFrom uint64, fn func([]byte) error) (segScan, error) {
 	var res segScan
 	f, err := os.Open(path)
 	if err != nil {
@@ -471,9 +478,10 @@ func scanSegment(path string, size int64, first bool, expect, replayFrom uint64,
 	}
 	//lint:ignore errcheck the segment is only read during the scan; a close error cannot lose data
 	defer func() { _ = f.Close() }()
+	br.Reset(f)
 
 	header := make([]byte, segHeaderSize)
-	n, err := io.ReadFull(f, header)
+	n, err := io.ReadFull(br, header)
 	magic := header[:min(n, len(segMagic))]
 	// A header prefix torn mid-write (a crash while creating the segment)
 	// is repairable damage; anything else in the first segment means this
@@ -504,7 +512,7 @@ func scanSegment(path string, size int64, first bool, expect, replayFrom uint64,
 	offset := res.validBytes
 	hdr := make([]byte, record.HeaderSize)
 	for {
-		n, err := io.ReadFull(f, hdr)
+		n, err := io.ReadFull(br, hdr)
 		if err == io.EOF {
 			break // clean end on a record boundary
 		}
@@ -523,7 +531,7 @@ func scanSegment(path string, size int64, first bool, expect, replayFrom uint64,
 			break
 		}
 		payload := make([]byte, h.Len)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if _, err := io.ReadFull(br, payload); err != nil {
 			res.tailError = fmt.Sprintf("short read of record payload at offset %d: %v", offset, err)
 			break
 		}

@@ -43,6 +43,12 @@ func TestBudgetMaxTasks(t *testing.T) {
 	if _, err := (Budget{Total: 1, Reward: 1, WorkersPerTask: 0}).MaxTasks(); err == nil {
 		t.Error("zero workers should fail")
 	}
+	if l, err := (Budget{Total: 0.99, Reward: 0.5, WorkersPerTask: 1}).MaxTasks(); err != nil || l != 1 {
+		t.Errorf("MaxTasks rounds down: got %d, %v; want 1", l, err)
+	}
+	if l, err := (Budget{Total: 0, Reward: 0.1, WorkersPerTask: 5}).MaxTasks(); err != nil || l != 0 {
+		t.Errorf("zero budget: got %d, %v; want 0", l, err)
+	}
 }
 
 func TestPackHITs(t *testing.T) {

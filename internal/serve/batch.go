@@ -71,82 +71,88 @@ func appendVotes(dst []byte, votes []crowd.Vote) []byte {
 // bookkeeping for n objects and m workers. v1 records decode with an
 // empty key and zero malformed count.
 func decodeBatchRecord(data []byte, n, m int) (batchRecord, error) {
+	rec, _, err := decodeBatchInto(nil, data, n, m)
+	return rec, err
+}
+
+// decodeBatchInto is decodeBatchRecord decoding the votes into chunk (see
+// decodeVotes) and returning the chunk to decode the next record
+// into. Recovery decodes a journal suffix into a few chunks this way
+// instead of into one slice per record.
+func decodeBatchInto(chunk []crowd.Vote, data []byte, n, m int) (batchRecord, []crowd.Vote, error) {
 	var rec batchRecord
 	marker, off := binary.Uvarint(data)
 	if off <= 0 {
-		return rec, fmt.Errorf("serve: batch count unreadable")
+		return rec, chunk, fmt.Errorf("serve: batch count unreadable")
 	}
-	if marker != 0 {
-		// v1: the leading uvarint is the vote count itself.
-		votes, dropped, err := decodeVotes(data, n, m)
-		if err != nil {
-			return rec, err
+	rest := data // v1: the leading uvarint is the vote count itself.
+	if marker == 0 {
+		rest = data[off:]
+		keyLen, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return rec, chunk, fmt.Errorf("serve: batch key length unreadable")
 		}
-		rec.votes, rec.dropped = votes, dropped
-		return rec, nil
+		rest = rest[k:]
+		if keyLen > maxKeyLen {
+			return rec, chunk, fmt.Errorf("serve: batch key length %d exceeds maximum %d", keyLen, maxKeyLen)
+		}
+		if uint64(len(rest)) < keyLen {
+			return rec, chunk, fmt.Errorf("serve: batch key truncated: %d bytes promised, %d present", keyLen, len(rest))
+		}
+		rec.key = string(rest[:keyLen])
+		rest = rest[keyLen:]
+		malformed, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return rec, chunk, fmt.Errorf("serve: batch malformed count unreadable")
+		}
+		rest = rest[k:]
+		if malformed > uint64(1<<31) {
+			return rec, chunk, fmt.Errorf("serve: implausible malformed count %d", malformed)
+		}
+		rec.malformed = int(malformed)
 	}
-	rest := data[off:]
-	keyLen, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return rec, fmt.Errorf("serve: batch key length unreadable")
-	}
-	rest = rest[k:]
-	if keyLen > maxKeyLen {
-		return rec, fmt.Errorf("serve: batch key length %d exceeds maximum %d", keyLen, maxKeyLen)
-	}
-	if uint64(len(rest)) < keyLen {
-		return rec, fmt.Errorf("serve: batch key truncated: %d bytes promised, %d present", keyLen, len(rest))
-	}
-	rec.key = string(rest[:keyLen])
-	rest = rest[keyLen:]
-	malformed, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return rec, fmt.Errorf("serve: batch malformed count unreadable")
-	}
-	rest = rest[k:]
-	if malformed > uint64(1<<31) {
-		return rec, fmt.Errorf("serve: implausible malformed count %d", malformed)
-	}
-	rec.malformed = int(malformed)
-	votes, dropped, err := decodeVotes(rest, n, m)
-	if err != nil {
-		return rec, err
-	}
-	rec.votes, rec.dropped = votes, dropped
-	return rec, nil
+	var err error
+	rec.votes, chunk, rec.dropped, err = decodeVotes(chunk, rest, n, m)
+	return rec, chunk, err
 }
 
 // decodeVotes parses an appendVotes list back into votes for n objects
-// and m workers. Structural damage (impossible counts, short data,
+// and m workers, appending them to chunk, and returns them along with the
+// extended chunk. Structural damage (impossible counts, short data,
 // trailing bytes) is an error; individual votes outside the universe are
 // dropped and counted, so a journal written under a larger universe
-// degrades rather than poisons state.
-func decodeVotes(data []byte, n, m int) (votes []crowd.Vote, dropped int, err error) {
+// degrades rather than poisons state. When chunk lacks room, a fresh chunk
+// of chunk's capacity (or of the vote count, if larger) replaces it: votes
+// already in chunk never move, because earlier records' votes point there.
+func decodeVotes(chunk []crowd.Vote, data []byte, n, m int) (votes, grown []crowd.Vote, dropped int, err error) {
 	count, off := binary.Uvarint(data)
 	if off <= 0 {
-		return nil, 0, fmt.Errorf("serve: batch count unreadable")
+		return nil, chunk, 0, fmt.Errorf("serve: batch count unreadable")
 	}
 	// Each vote takes at least 4 bytes; a count promising more than the
 	// payload could hold is corruption, and bounding it caps allocation.
 	if count > uint64(len(data)) {
-		return nil, 0, fmt.Errorf("serve: batch count %d exceeds payload capacity %d", count, len(data))
+		return nil, chunk, 0, fmt.Errorf("serve: batch count %d exceeds payload capacity %d", count, len(data))
 	}
-	votes = make([]crowd.Vote, 0, count)
+	if cap(chunk)-len(chunk) < int(count) {
+		chunk = make([]crowd.Vote, 0, max(int(count), cap(chunk)))
+	}
+	start := len(chunk)
 	rest := data[off:]
 	for i := uint64(0); i < count; i++ {
 		v, next, err := crowd.ReadVote(rest)
 		if err != nil {
-			return nil, 0, fmt.Errorf("serve: batch vote %d at byte %d: %w", i, len(data)-len(rest), err)
+			return nil, chunk, 0, fmt.Errorf("serve: batch vote %d at byte %d: %w", i, len(data)-len(rest), err)
 		}
 		rest = next
-		if v.Validate(n, m) != nil {
+		if crowd.Classify(v, n, m) != crowd.DefectNone {
 			dropped++
 			continue
 		}
-		votes = append(votes, v)
+		chunk = append(chunk, v)
 	}
 	if len(rest) != 0 {
-		return nil, 0, fmt.Errorf("serve: batch has %d trailing bytes", len(rest))
+		return nil, chunk, 0, fmt.Errorf("serve: batch has %d trailing bytes", len(rest))
 	}
-	return votes, dropped, nil
+	return chunk[start:len(chunk):len(chunk)], chunk, dropped, nil
 }

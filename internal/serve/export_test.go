@@ -29,3 +29,10 @@ func (s *Server) current() (genEntry, error) {
 	e, _, err := s.fill(triggerRank)
 	return e, err
 }
+
+// VoteCap returns the capacity of s's vote slice.
+func VoteCap(s *Server) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return cap(s.state.votes)
+}

@@ -77,7 +77,9 @@ func recoverConfig(dir string) serve.Config {
 
 // BenchmarkRecover times a daemon restart, New through Close, over a
 // snapshot of 5k keyed 20-vote batches and a journal suffix of 500 more.
-// It reports ms/op and heap_MiB, the heap the open server retains.
+// It reports ms/op, the recovery phases (snapshot_ms, seed_ms and
+// replay_ms, from Server.Recovered), allocations, and heap_MiB, the heap
+// the open server retains.
 func BenchmarkRecover(b *testing.B) {
 	votes := recoverStream(b)
 	cfg := recoverConfig(filepath.Join(b.TempDir(), "wal"))
@@ -101,18 +103,26 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatal(err)
 	}
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
+	var load, seed, replay time.Duration
 	for i := 0; i < b.N; i++ {
 		s, err := serve.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rec := s.Recovered()
+		load, seed, replay = load+rec.SnapshotLoad, seed+rec.Seed, replay+rec.Replay
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(time.Since(start).Microseconds())/1e3/float64(b.N), "ms/op")
+	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(time.Since(start)), "ms/op")
+	b.ReportMetric(perOp(load), "snapshot_ms")
+	b.ReportMetric(perOp(seed), "seed_ms")
+	b.ReportMetric(perOp(replay), "replay_ms")
 	b.StopTimer()
 
 	var before, after runtime.MemStats

@@ -319,13 +319,22 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// replayChunkVotes is the size of the chunks recovery decodes a journal
+// suffix's votes into (128 KiB).
+const replayChunkVotes = 4096
+
 // recover rebuilds state from the newest valid snapshot plus a journal
 // suffix replay. Candidates are tried newest snapshot first, ending with a
 // full replay; a snapshot that fails to load, belongs to a different
-// universe, or no longer meets the surviving journal segments is refused
-// loudly (recorded in RecoveryStats.CorruptSnapshots) and the next
-// candidate is tried. When nothing covers the surviving segments the
-// daemon refuses to start rather than serve a state with a hole in it.
+// universe, covers another sequence than its filename says, or no longer
+// meets the surviving journal segments is refused loudly (recorded in
+// RecoveryStats.CorruptSnapshots) and the next candidate is tried. When
+// nothing covers the surviving segments the daemon refuses to start rather
+// than serve a state with a hole in it.
+//
+// Each candidate's journal suffix is scanned and decoded first, so the
+// snapshot decodes into a vote slice with room for exactly the suffix's
+// votes and replay never grows it.
 func (s *Server) recover(ctx context.Context, cfg Config) error {
 	entries, err := snapshot.List(cfg.JournalPath)
 	if err != nil {
@@ -335,61 +344,50 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 	// Each phase's time is summed over every candidate tried, so refused
 	// snapshots show up where they cost.
 	var loadDur, seedDur, replayDur time.Duration
-	// dropped counts the tried candidate's replayed votes outside the
-	// configured universe (a journal reopened under a smaller N or M).
-	var dropped int
+	// repaired is the journal open of a refused candidate that cut a torn
+	// tail: later opens find the tail already cut, so its report is kept.
+	var repaired journal.ReplayStats
 	refuse := func(path string, why error) {
 		corrupt = append(corrupt, fmt.Sprintf("%s: %v", filepath.Base(path), why))
 		s.logf("serve: refusing snapshot %s: %v", path, why)
 	}
+	// The tried candidate's journal suffix: its decoded records in journal
+	// order, the votes they carry, and how many of their votes fell outside
+	// the configured universe (a journal reopened under a smaller N or M).
+	// The records' votes are decoded into chunks of replayChunkVotes.
+	var suffix []batchRecord
+	var suffixVotes, dropped int
+	chunk := make([]crowd.Vote, 0, replayChunkVotes)
 	replay := func(payload []byte) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		rec, err := decodeBatchRecord(payload, cfg.N, cfg.M)
+		rec, next, err := decodeBatchInto(chunk, payload, cfg.N, cfg.M)
 		if err != nil {
 			// A record that passed its checksum but does not decode is
 			// a foreign or incompatible journal — refuse to serve from
 			// it rather than guess.
 			return fmt.Errorf("serve: undecodable batch: %w", err)
 		}
+		suffix, chunk = append(suffix, rec), next
+		suffixVotes += len(rec.votes)
 		dropped += rec.dropped
-		// Nothing shares the state or has armed the build-ahead before
-		// NewContext returns: replay needs no lock and fires nothing.
-		s.state.apply(rec)
 		return nil
 	}
 	// One trailing candidate past the snapshot list is the no-snapshot
 	// full replay.
 	for i := 0; i <= len(entries); i++ {
-		var st snapshot.State
 		var path string
+		var from uint64
 		if i < len(entries) {
-			path = entries[i].Path
-			loadStart := s.clock.Now()
-			st, err = snapshot.Load(path)
-			loadDur += s.clock.Since(loadStart)
-			if err != nil {
-				refuse(path, err)
-				continue
-			}
-			if st.N != cfg.N || st.M != cfg.M {
-				refuse(path, fmt.Errorf("universe (%d,%d) does not match configured (%d,%d)", st.N, st.M, cfg.N, cfg.M))
-				continue
-			}
+			path, from = entries[i].Path, entries[i].Seq
 		}
-		seedStart := s.clock.Now()
-		err = s.state.seed(st)
-		seedDur += s.clock.Since(seedStart)
-		dropped = 0
-		if err != nil {
-			refuse(path, err)
-			continue
-		}
+		// A refused candidate's records are dropped, so its chunk is reused.
+		suffix, chunk, suffixVotes, dropped = suffix[:0], chunk[:0], 0, 0
 		opts := journal.Options{
 			Sync:         cfg.JournalSync,
 			SegmentBytes: cfg.JournalSegmentBytes,
-			ReplayFrom:   st.Seq,
+			ReplayFrom:   from,
 			Faults:       testJournalFaults,
 			Metrics:      s.met.journal,
 		}
@@ -398,23 +396,6 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 		replayDur += s.clock.Since(replayStart)
 		switch {
 		case err == nil:
-			s.jnl = jnl
-			s.recovered = RecoveryStats{
-				ReplayStats:      stats,
-				SnapshotPath:     path,
-				SnapshotSeq:      st.Seq,
-				SnapshotGen:      st.Gen,
-				SnapshotVotes:    len(st.Votes),
-				DroppedVotes:     dropped,
-				CorruptSnapshots: corrupt,
-				SnapshotLoad:     loadDur,
-				Seed:             seedDur,
-				Replay:           replayDur,
-			}
-			s.mu.Lock()
-			s.lastSnapSeq, s.lastSnapGen, s.lastSnapPath = st.Seq, st.Gen, path
-			s.mu.Unlock()
-			return nil
 		case i < len(entries) && errors.Is(err, journal.ErrSeqGap):
 			// The surviving segments start after this snapshot's coverage:
 			// records in between are gone, so the snapshot cannot be
@@ -428,6 +409,67 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 			// ctx cancellation: no other candidate fixes these.
 			return err
 		}
+
+		var st snapshot.State
+		if i == len(entries) {
+			st.Votes = make([]crowd.Vote, 0, suffixVotes)
+		} else {
+			loadStart := s.clock.Now()
+			st, err = snapshot.LoadWithRoom(path, suffixVotes)
+			loadDur += s.clock.Since(loadStart)
+			switch {
+			case err != nil:
+			case st.N != cfg.N || st.M != cfg.M:
+				err = fmt.Errorf("universe (%d,%d) does not match configured (%d,%d)", st.N, st.M, cfg.N, cfg.M)
+			case st.Seq != from:
+				// The journal suffix was read from the filename's sequence.
+				err = fmt.Errorf("content covers seq %d, filename says %d", st.Seq, from)
+			}
+		}
+		if err == nil {
+			seedStart := s.clock.Now()
+			err = s.state.seed(st)
+			seedDur += s.clock.Since(seedStart)
+		}
+		if err != nil {
+			refuse(path, err)
+			if err := jnl.Close(); err != nil {
+				return fmt.Errorf("serve: closing journal after refusing %s: %w", filepath.Base(path), err)
+			}
+			if repaired.TailError == "" {
+				repaired = stats
+			}
+			continue
+		}
+
+		// Nothing shares the state or has armed the build-ahead before
+		// NewContext returns: replay needs no lock and fires nothing.
+		applyStart := s.clock.Now()
+		for _, rec := range suffix {
+			s.state.apply(rec)
+		}
+		replayDur += s.clock.Since(applyStart)
+		if stats.TailError == "" {
+			stats.TailError, stats.TruncatedBytes, stats.DroppedSegments =
+				repaired.TailError, repaired.TruncatedBytes, repaired.DroppedSegments
+		}
+		s.jnl = jnl
+		s.recovered = RecoveryStats{
+			ReplayStats:      stats,
+			SnapshotPath:     path,
+			SnapshotSeq:      st.Seq,
+			SnapshotGen:      st.Gen,
+			SnapshotVotes:    len(st.Votes),
+			DroppedVotes:     dropped,
+			CorruptSnapshots: corrupt,
+			SnapshotLoad:     loadDur,
+			Seed:             seedDur,
+			Replay:           replayDur,
+		}
+		s.mu.Lock()
+		s.lastSnapSeq, s.lastSnapGen, s.lastSnapPath = st.Seq, st.Gen, path
+		s.mu.Unlock()
+		return nil
 	}
 	return fmt.Errorf("serve: journal %s: no snapshot covers the surviving segments (refused: %s): %w",
 		cfg.JournalPath, strings.Join(corrupt, "; "), journal.ErrSeqGap)
@@ -840,8 +882,8 @@ type RecoveryStats struct {
 	// during recovery — never silently, always here and in the log.
 	CorruptSnapshots []string
 	// SnapshotLoad, Seed and Replay time the recovery phases, each summed
-	// over every candidate tried: snapshot.Load, voteState.seed, and
-	// the journal open with its suffix replay.
+	// over every candidate tried: the snapshot load, voteState.seed, and
+	// the journal suffix's scan, decode and apply.
 	SnapshotLoad, Seed, Replay time.Duration
 }
 

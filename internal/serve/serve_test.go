@@ -322,7 +322,7 @@ func TestCloseMakesRequestsFailFast(t *testing.T) {
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	votes := agreeingVotes(5, 3)
-	got, dropped, err := decodeVotes(appendVotes(nil, votes), 5, 3)
+	got, _, dropped, err := decodeVotes(nil, appendVotes(nil, votes), 5, 3)
 	if err != nil || dropped != 0 {
 		t.Fatalf("round trip failed: err=%v dropped=%d", err, dropped)
 	}
@@ -347,7 +347,7 @@ func TestBatchCodecRejectsStructuralDamage(t *testing.T) {
 		"count over bytes": {200, 1, 0, 0, 1, 1},
 	}
 	for name, data := range cases {
-		if _, _, err := decodeVotes(data, 4, 2); err == nil {
+		if _, _, _, err := decodeVotes(nil, data, 4, 2); err == nil {
 			t.Errorf("%s: decode should fail", name)
 		}
 	}
@@ -359,7 +359,7 @@ func TestBatchCodecDropsOutOfUniverse(t *testing.T) {
 		{Worker: 7, I: 0, J: 1, PrefersI: true}, // worker outside m=2
 		{Worker: 1, I: 0, J: 9, PrefersI: false},
 	}
-	got, dropped, err := decodeVotes(appendVotes(nil, votes), 4, 2)
+	got, _, dropped, err := decodeVotes(nil, appendVotes(nil, votes), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

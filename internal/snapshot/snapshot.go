@@ -136,7 +136,8 @@ func encode(st State) []byte {
 // the declared universe. Unlike journal replay — where an out-of-universe
 // vote is dropped and counted — a snapshot vote that fails validation
 // means the snapshot itself is untrustworthy, so decode refuses outright.
-func decode(data []byte) (State, error) {
+// The vote slice gets room for room more votes past the decoded ones.
+func decode(data []byte, room int) (State, error) {
 	var st State
 	rest := data
 	readField := func(fieldName string) (uint64, error) {
@@ -183,15 +184,15 @@ func decode(data []byte) (State, error) {
 	if count > uint64(len(rest)) {
 		return st, fmt.Errorf("snapshot: vote count %d exceeds payload capacity %d", count, len(rest))
 	}
-	st.Votes = make([]crowd.Vote, 0, count)
+	st.Votes = make([]crowd.Vote, 0, int(count)+max(room, 0))
 	for i := uint64(0); i < count; i++ {
 		v, next, err := crowd.ReadVote(rest)
 		if err != nil {
 			return st, fmt.Errorf("snapshot: vote %d at byte %d: %w", i, len(data)-len(rest), err)
 		}
 		rest = next
-		if err := v.Validate(st.N, st.M); err != nil {
-			return st, fmt.Errorf("snapshot: vote %d outside the declared universe: %w", i, err)
+		if crowd.Classify(v, st.N, st.M) != crowd.DefectNone {
+			return st, fmt.Errorf("snapshot: vote %d outside the declared universe: %w", i, v.Validate(st.N, st.M))
 		}
 		st.Votes = append(st.Votes, v)
 	}
@@ -262,7 +263,10 @@ func Encode(st State) []byte {
 // Decode validates data as a complete snapshot file (as produced by Encode
 // or read back from disk) and returns the State it carries. It applies the
 // same integrity and universe checks as Load.
-func Decode(data []byte) (State, error) {
+func Decode(data []byte) (State, error) { return decodeFile(data, 0) }
+
+// decodeFile is Decode with room for room more votes in State.Votes.
+func decodeFile(data []byte, room int) (State, error) {
 	var st State
 	if len(data) < headerSize {
 		return st, fmt.Errorf("snapshot: %d bytes is too short for a snapshot header", len(data))
@@ -279,7 +283,7 @@ func Decode(data []byte) (State, error) {
 	if got := record.Checksum(payload); got != want {
 		return st, fmt.Errorf("snapshot: checksum mismatch: recorded %08x, computed %08x", want, got)
 	}
-	return decode(payload)
+	return decode(payload, room)
 }
 
 // InstallRaw validates data as a complete snapshot file and atomically
@@ -353,7 +357,12 @@ func writeRaw(dir, filename string, buf []byte) (string, error) {
 // wrong magic, truncation, checksum mismatch, undecodable or
 // out-of-universe state — is an error; Load never returns a partial or
 // guessed State.
-func Load(path string) (State, error) {
+func Load(path string) (State, error) { return LoadWithRoom(path, 0) }
+
+// LoadWithRoom is Load with room for room more votes in State.Votes, so a
+// caller that appends a known number of votes to the loaded state (daemon
+// recovery, with its decoded journal suffix) allocates the slice once.
+func LoadWithRoom(path string, room int) (State, error) {
 	var st State
 	info, err := os.Stat(path)
 	if err != nil {
@@ -366,7 +375,7 @@ func Load(path string) (State, error) {
 	if err != nil {
 		return st, fmt.Errorf("snapshot: read %s: %w", path, err)
 	}
-	st, err = Decode(data)
+	st, err = decodeFile(data, room)
 	if err != nil {
 		return st, fmt.Errorf("%w (in %s)", err, path)
 	}

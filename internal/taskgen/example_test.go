@@ -39,14 +39,3 @@ func ExampleInOutProbability() {
 	// degree 1: 0.6667
 	// degree 2: 0.2222
 }
-
-// ExampleBudgetPairs shows the Section II budget arithmetic.
-func ExampleBudgetPairs() {
-	l, err := taskgen.BudgetPairs(12.5, 10, 0.025)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("affordable unique comparisons:", l)
-	// Output:
-	// affordable unique comparisons: 50
-}

@@ -47,22 +47,6 @@ func MaxPairs(n int) int {
 	return n * (n - 1) / 2
 }
 
-// BudgetPairs returns l = floor(B / (w * reward)), the number of unique
-// pairwise comparisons affordable with budget B when each comparison is
-// answered by w workers at reward per answer (Section II).
-func BudgetPairs(budget float64, workersPerTask int, reward float64) (int, error) {
-	if budget < 0 {
-		return 0, fmt.Errorf("taskgen: negative budget %v", budget)
-	}
-	if workersPerTask < 1 {
-		return 0, fmt.Errorf("taskgen: need at least one worker per task, got %d", workersPerTask)
-	}
-	if reward <= 0 {
-		return 0, fmt.Errorf("taskgen: reward must be positive, got %v", reward)
-	}
-	return int(budget / (float64(workersPerTask) * reward)), nil
-}
-
 // PairsForRatio returns l = round(r * C(n,2)) clamped to [n-1, C(n,2)]: the
 // experiment sections express budgets as a selection ratio r of all pairs.
 func PairsForRatio(n int, ratio float64) (int, error) {

@@ -13,35 +13,6 @@ func newRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xabcdef))
 }
 
-func TestBudgetPairs(t *testing.T) {
-	tests := []struct {
-		name    string
-		budget  float64
-		w       int
-		reward  float64
-		want    int
-		wantErr bool
-	}{
-		{"paperExample", 12.5, 10, 0.025, 50, false},
-		{"floor", 0.99, 1, 0.5, 1, false},
-		{"zeroBudget", 0, 5, 0.1, 0, false},
-		{"negBudget", -1, 5, 0.1, 0, true},
-		{"zeroWorkers", 10, 0, 0.1, 0, true},
-		{"zeroReward", 10, 5, 0, 0, true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := BudgetPairs(tc.budget, tc.w, tc.reward)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("err = %v, wantErr = %v", err, tc.wantErr)
-			}
-			if err == nil && got != tc.want {
-				t.Errorf("got %d, want %d", got, tc.want)
-			}
-		})
-	}
-}
-
 func TestPairsForRatio(t *testing.T) {
 	l, err := PairsForRatio(100, 0.1)
 	if err != nil {

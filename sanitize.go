@@ -32,15 +32,14 @@ func (e *VoteError) Error() string {
 type SanitizeReport = crowd.CleanReport
 
 // checkVote returns why one vote is invalid against the object universe
-// [0, n) and the worker universe [0, m), or "" for a valid vote. The
-// checks and their order match crowd.Clean's.
+// [0, n) and the worker universe [0, m), or "" for a valid vote.
 func checkVote(v Vote, n, m int) string {
-	switch {
-	case v.I < 0 || v.I >= n || v.J < 0 || v.J >= n:
+	switch crowd.Classify(v, n, m) {
+	case crowd.ObjectOutOfRange:
 		return fmt.Sprintf("object id outside [0,%d)", n)
-	case v.I == v.J:
+	case crowd.SelfPair:
 		return "object compared with itself"
-	case v.Worker < 0 || v.Worker >= m:
+	case crowd.WorkerOutOfRange:
 		return fmt.Sprintf("worker id outside [0,%d)", m)
 	}
 	return ""

@@ -58,6 +58,9 @@ go test -run='^$' -fuzz='^FuzzCommitPaths$' -fuzztime=20s ./internal/serve
 echo "== fuzz smoke: snapshot load =="
 go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/snapshot
 
+echo "== fuzz smoke: inline vote decoder equals the binary.Uvarint reference =="
+go test -run='^$' -fuzz='^FuzzReadVote$' -fuzztime=20s ./internal/crowd
+
 echo "== fuzz smoke: replication frame decoder =="
 go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=20s ./internal/replica
 
