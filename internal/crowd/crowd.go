@@ -20,6 +20,28 @@ type Vote struct {
 	PrefersI bool
 }
 
+// Packed is a Vote in 12 bytes, the form crowdrankd keeps its votes in:
+// W is worker<<1 | prefersI, and I, J are the objects in the order the
+// vote named them, so Vote gives back the submitted vote exactly. Ids must
+// lie in [0, 2^31), the id space the binary codecs accept.
+type Packed struct {
+	W, I, J uint32
+}
+
+// Pack returns v's packed form.
+func Pack(v Vote) Packed {
+	w := uint32(v.Worker) << 1
+	if v.PrefersI {
+		w |= 1
+	}
+	return Packed{W: w, I: uint32(v.I), J: uint32(v.J)}
+}
+
+// Vote returns the vote p packs.
+func (p Packed) Vote() Vote {
+	return Vote{Worker: int(p.W >> 1), I: int(p.I), J: int(p.J), PrefersI: p.W&1 == 1}
+}
+
 // Pair returns the canonical pair this vote answers.
 func (v Vote) Pair() graph.Pair { return graph.Pair{I: v.I, J: v.J}.Canon() }
 

@@ -3,6 +3,7 @@ package crowd
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"crowdrank/internal/graph"
 )
@@ -125,5 +126,23 @@ func TestReadVoteOutOfIDSpace(t *testing.T) {
 	v, rest, err := ReadVote(data)
 	if err != nil || len(rest) != 0 || v.Worker != -1 || v.Validate(4, 4) == nil {
 		t.Fatalf("ReadVote = %+v, %d bytes left, %v", v, len(rest), err)
+	}
+}
+
+// TestPackedRoundTrip pins the packed form: 12 bytes, and every vote with
+// ids at both ends of the id space, in both orientations and with both
+// answers, unpacks to itself.
+func TestPackedRoundTrip(t *testing.T) {
+	if size := unsafe.Sizeof(Packed{}); size != 12 {
+		t.Fatalf("Packed is %d bytes, want 12", size)
+	}
+	const top = 1<<31 - 1
+	for _, ids := range [][3]int{{0, 0, 1}, {0, 1, 0}, {top, top - 1, top}, {top, top, top - 1}, {top, 0, top}, {0, top, 0}} {
+		for _, prefersI := range []bool{true, false} {
+			v := Vote{Worker: ids[0], I: ids[1], J: ids[2], PrefersI: prefersI}
+			if got := Pack(v).Vote(); got != v {
+				t.Fatalf("Pack(%+v).Vote() = %+v", v, got)
+			}
+		}
 	}
 }

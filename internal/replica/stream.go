@@ -170,7 +170,7 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		n.rejectNotLeader(w)
 		return
 	}
-	data := snapshot.Encode(n.srv.StateSnapshot())
+	data := snapshot.EncodeImage(n.srv.StateSnapshot())
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	if _, err := w.Write(data); err != nil {
@@ -212,9 +212,12 @@ func (n *Node) bootstrap(ctx context.Context, dir string) error {
 		return fmt.Errorf("replica: bootstrap snapshot from %s answered %d: %s",
 			n.cfg.Leader, resp.StatusCode, bytes.TrimSpace(body))
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, snapshot.MaxBytes+1))
 	if err != nil {
 		return fmt.Errorf("replica: reading bootstrap snapshot: %w", err)
+	}
+	if len(data) > snapshot.MaxBytes {
+		return fmt.Errorf("replica: bootstrap snapshot from %s exceeds the %d-byte snapshot cap", n.cfg.Leader, snapshot.MaxBytes)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("replica: creating data dir: %w", err)

@@ -277,11 +277,11 @@ func TestBuildAheadCloseMidBuild(t *testing.T) {
 func TestBuildAheadFollower(t *testing.T) {
 	batches := splitVotes(8, 2, 69, 2)
 	follower := cacheServer(t, 8, 70)
-	if err := follower.ApplyReplicated(0, encodeBatch("", 0, batches[0])); err != nil {
+	if err := follower.ApplyReplicated(0, encodeBatch("", 0, packed(batches[0]))); err != nil {
 		t.Fatal(err)
 	}
 	rankWithin(t, follower, -time.Second)
-	if err := follower.ApplyReplicated(1, encodeBatch("", 0, batches[1])); err != nil {
+	if err := follower.ApplyReplicated(1, encodeBatch("", 0, packed(batches[1]))); err != nil {
 		t.Fatal(err)
 	}
 	follower.waitAheadIdle()

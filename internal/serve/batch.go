@@ -40,7 +40,7 @@ const maxKeyLen = 256
 type batchRecord struct {
 	key       string
 	malformed int
-	votes     []crowd.Vote
+	votes     []crowd.Packed
 	// dropped counts decoded votes outside the configured universe, left
 	// out of votes; recovery reports them in RecoveryStats.DroppedVotes.
 	dropped int
@@ -48,7 +48,7 @@ type batchRecord struct {
 
 // encodeBatch serializes one batch as a v2 journal record; key is empty
 // for an unkeyed batch.
-func encodeBatch(key string, malformed int, votes []crowd.Vote) []byte {
+func encodeBatch(key string, malformed int, votes []crowd.Packed) []byte {
 	buf := make([]byte, 0, 16+len(key)+len(votes)*7)
 	buf = binary.AppendUvarint(buf, 0) // v2 marker
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
@@ -59,10 +59,10 @@ func encodeBatch(key string, malformed int, votes []crowd.Vote) []byte {
 
 // appendVotes appends the vote list (count, then the votes) that ends a
 // v2 record and makes up the whole of a v1 record.
-func appendVotes(dst []byte, votes []crowd.Vote) []byte {
+func appendVotes(dst []byte, votes []crowd.Packed) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(votes)))
-	for _, v := range votes {
-		dst = crowd.AppendVote(dst, v)
+	for _, p := range votes {
+		dst = crowd.AppendVote(dst, p.Vote())
 	}
 	return dst
 }
@@ -79,7 +79,7 @@ func decodeBatchRecord(data []byte, n, m int) (batchRecord, error) {
 // decodeVotes) and returning the chunk to decode the next record
 // into. Recovery decodes a journal suffix into a few chunks this way
 // instead of into one slice per record.
-func decodeBatchInto(chunk []crowd.Vote, data []byte, n, m int) (batchRecord, []crowd.Vote, error) {
+func decodeBatchInto(chunk []crowd.Packed, data []byte, n, m int) (batchRecord, []crowd.Packed, error) {
 	var rec batchRecord
 	marker, off := binary.Uvarint(data)
 	if off <= 0 {
@@ -124,18 +124,18 @@ func decodeBatchInto(chunk []crowd.Vote, data []byte, n, m int) (batchRecord, []
 // degrades rather than poisons state. When chunk lacks room, a fresh chunk
 // of chunk's capacity (or of the vote count, if larger) replaces it: votes
 // already in chunk never move, because earlier records' votes point there.
-func decodeVotes(chunk []crowd.Vote, data []byte, n, m int) (votes, grown []crowd.Vote, dropped int, err error) {
+func decodeVotes(chunk []crowd.Packed, data []byte, n, m int) (votes, grown []crowd.Packed, dropped int, err error) {
 	count, off := binary.Uvarint(data)
 	if off <= 0 {
 		return nil, chunk, 0, fmt.Errorf("serve: batch count unreadable")
 	}
 	// Each vote takes at least 4 bytes; a count promising more than the
 	// payload could hold is corruption, and bounding it caps allocation.
-	if count > uint64(len(data)) {
-		return nil, chunk, 0, fmt.Errorf("serve: batch count %d exceeds payload capacity %d", count, len(data))
+	if count > uint64(len(data)/4) {
+		return nil, chunk, 0, fmt.Errorf("serve: batch count %d exceeds payload capacity %d", count, len(data)/4)
 	}
 	if cap(chunk)-len(chunk) < int(count) {
-		chunk = make([]crowd.Vote, 0, max(int(count), cap(chunk)))
+		chunk = make([]crowd.Packed, 0, max(int(count), cap(chunk)))
 	}
 	start := len(chunk)
 	rest := data[off:]
@@ -149,7 +149,7 @@ func decodeVotes(chunk []crowd.Vote, data []byte, n, m int) (votes, grown []crow
 			dropped++
 			continue
 		}
-		chunk = append(chunk, v)
+		chunk = append(chunk, crowd.Pack(v))
 	}
 	if len(rest) != 0 {
 		return nil, chunk, 0, fmt.Errorf("serve: batch has %d trailing bytes", len(rest))

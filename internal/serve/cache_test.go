@@ -232,13 +232,13 @@ func TestRankCacheInvalidation(t *testing.T) {
 
 	// A follower applying a replicated record invalidates the same way.
 	follower := cacheServer(t, 6, 44)
-	if err := follower.ApplyReplicated(0, encodeBatch("", 0, agreeingVotes(6, 1))); err != nil {
+	if err := follower.ApplyReplicated(0, encodeBatch("", 0, packed(agreeingVotes(6, 1)))); err != nil {
 		t.Fatal(err)
 	}
 	if fr := rankWithin(t, follower, 10*time.Second); fr.Algorithm != AlgoExactBranchBound {
 		t.Fatalf("follower: want exact, got %s", fr.Algorithm)
 	}
-	if err := follower.ApplyReplicated(1, encodeBatch("", 0, []crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: true}})); err != nil {
+	if err := follower.ApplyReplicated(1, encodeBatch("", 0, packed([]crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: true}}))); err != nil {
 		t.Fatal(err)
 	}
 	fr := rankWithin(t, follower, -time.Second)

@@ -205,7 +205,7 @@ func TestChaosKillMidIngest(t *testing.T) {
 		votes, _ := s.snapshot()
 		have := make(map[submissionKey]bool, len(votes))
 		for _, v := range votes {
-			have[keyOf(v)] = true
+			have[keyOf(v.Vote())] = true
 		}
 		for i, v := range acked {
 			if !have[keyOf(v)] {
@@ -351,7 +351,7 @@ func TestChaosKillDuringSnapshotCompaction(t *testing.T) {
 	votes, _ := s.snapshot()
 	have := make(map[submissionKey]bool, len(votes))
 	for _, v := range votes {
-		have[keyOf(v)] = true
+		have[keyOf(v.Vote())] = true
 	}
 	for i, v := range acked {
 		if !have[keyOf(v)] {

@@ -49,7 +49,7 @@ func restart(t *testing.T, s *Server, cfg Config) *Server {
 
 // checkCut asserts that s's consistent cut equals want and, for a server
 // with a journal, that it covers exactly the journal's records.
-func checkCut(t *testing.T, path string, s *Server, want snapshot.State) {
+func checkCut(t *testing.T, path string, s *Server, want snapshot.Image) {
 	t.Helper()
 	got := s.cut()
 	if s.jnl != nil && got.Seq != s.jnl.NextSeq() {

@@ -49,8 +49,8 @@ func FuzzJournalReplay(f *testing.F) {
 	// One legacy v1 record, then a keyed v2 record, as an upgraded
 	// daemon's journal holds them.
 	clean := fuzzJournalBytes(f,
-		appendVotes(nil, agreeingVotes(fuzzN, fuzzM)[:5]),
-		encodeBatch("fuzz-key", 1, agreeingVotes(fuzzN, fuzzM)[5:9]),
+		appendVotes(nil, packed(agreeingVotes(fuzzN, fuzzM)[:5])),
+		encodeBatch("fuzz-key", 1, packed(agreeingVotes(fuzzN, fuzzM)[5:9])),
 	)
 	f.Add(clean)
 	f.Add(clean[:len(clean)-3]) // torn tail

@@ -320,7 +320,7 @@ func TestBatchRecordCodecKeyedRoundTrip(t *testing.T) {
 		{Worker: 0, I: 0, J: 1, PrefersI: true},
 		{Worker: 2, I: 3, J: 1, PrefersI: false},
 	}
-	data := encodeBatch("abc123", 4, votes)
+	data := encodeBatch("abc123", 4, packed(votes))
 	rec, err := decodeBatchRecord(data, 6, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestBatchRecordCodecKeyedRoundTrip(t *testing.T) {
 		t.Fatalf("round trip drifted: %+v", rec)
 	}
 	for i := range votes {
-		if rec.votes[i] != votes[i] {
+		if rec.votes[i].Vote() != votes[i] {
 			t.Fatalf("vote %d = %+v, want %+v", i, rec.votes[i], votes[i])
 		}
 	}
@@ -337,11 +337,11 @@ func TestBatchRecordCodecKeyedRoundTrip(t *testing.T) {
 
 func TestBatchRecordCodecReadsV1(t *testing.T) {
 	votes := []crowd.Vote{{Worker: 1, I: 4, J: 5, PrefersI: true}}
-	rec, err := decodeBatchRecord(appendVotes(nil, votes), 6, 3)
+	rec, err := decodeBatchRecord(appendVotes(nil, packed(votes)), 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.key != "" || rec.malformed != 0 || len(rec.votes) != 1 || rec.votes[0] != votes[0] {
+	if rec.key != "" || rec.malformed != 0 || len(rec.votes) != 1 || rec.votes[0].Vote() != votes[0] {
 		t.Fatalf("v1 record decoded wrong: %+v", rec)
 	}
 }
@@ -377,13 +377,13 @@ func TestBatchRecordCodecUnkeyedIsV2(t *testing.T) {
 		t.Fatalf("unkeyed ingest journaled %x, want the v2 record %x", records, want)
 	}
 	rec, err := decodeBatchRecord(records[0], 6, 3)
-	if err != nil || rec.key != "" || rec.malformed != 1 || len(rec.votes) != 1 || rec.votes[0] != votes[0] {
+	if err != nil || rec.key != "" || rec.malformed != 1 || len(rec.votes) != 1 || rec.votes[0].Vote() != votes[0] {
 		t.Fatalf("decoded %+v (err %v)", rec, err)
 	}
 }
 
 func TestBatchRecordCodecRejectsDamage(t *testing.T) {
-	good := encodeBatch("key", 0, []crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: true}})
+	good := encodeBatch("key", 0, packed([]crowd.Vote{{Worker: 0, I: 0, J: 1, PrefersI: true}}))
 	cases := map[string][]byte{
 		"oversized key":  encodeBatch(strings.Repeat("k", maxKeyLen+1), 0, nil),
 		"truncated key":  good[:3],
@@ -619,7 +619,7 @@ func TestReplayMixedV1AndV2Records(t *testing.T) {
 		{{Worker: 1, I: 2, J: 3, PrefersI: false}, {Worker: 0, I: 1, J: 2, PrefersI: true}},
 	}
 	for _, b := range v1Batches {
-		if _, err := j.Append(appendVotes(nil, b)); err != nil {
+		if _, err := j.Append(appendVotes(nil, packed(b))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -629,7 +629,7 @@ func TestReplayMixedV1AndV2Records(t *testing.T) {
 		{{Worker: 0, I: 2, J: 0, PrefersI: false}},
 	}
 	for i, b := range v2Batches {
-		if _, err := j.Append(encodeBatch(v2Keys[i], 1, b)); err != nil {
+		if _, err := j.Append(encodeBatch(v2Keys[i], 1, packed(b))); err != nil {
 			t.Fatal(err)
 		}
 	}

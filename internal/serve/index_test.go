@@ -59,7 +59,7 @@ func rankAndCheckClosure(t *testing.T, s *Server) {
 	}
 	opts := core.DefaultOptions()
 	opts.Propagate.Parallelism = s.cfg.Parallelism
-	cold, err := core.BuildClosure(s.cfg.N, s.cfg.M, votes, opts, core.NewPipelineRNG(s.cfg.Seed))
+	cold, err := core.BuildClosure(s.cfg.N, s.cfg.M, unpacked(votes), opts, core.NewPipelineRNG(s.cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFoldedClosureMatchesColdBuild(t *testing.T) {
 		if _, err := leader.Ingest(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := follower.ApplyReplicated(uint64(b), encodeBatch("", 0, batch)); err != nil {
+		if err := follower.ApplyReplicated(uint64(b), encodeBatch("", 0, packed(batch))); err != nil {
 			t.Fatal(err)
 		}
 		rankAndCheckClosure(t, leader)
@@ -153,7 +153,7 @@ func TestFoldedClosureMatchesColdBuild(t *testing.T) {
 		if _, err := reopened.Ingest(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := follower.ApplyReplicated(uint64(half+b), encodeBatch("", 0, batch)); err != nil {
+		if err := follower.ApplyReplicated(uint64(half+b), encodeBatch("", 0, packed(batch))); err != nil {
 			t.Fatal(err)
 		}
 		rankAndCheckClosure(t, reopened)

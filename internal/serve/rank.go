@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crowdrank/internal/core"
+	"crowdrank/internal/crowd"
 	"crowdrank/internal/graph"
 	"crowdrank/internal/invariant"
 	"crowdrank/internal/search"
@@ -219,6 +220,11 @@ func (s *Server) result(e genEntry, algo string, sr *search.Result) RankResult {
 	}
 }
 
+// foldChunkVotes bounds the votes fill unpacks at a time (128 KiB), so
+// the first build after a restart, whose delta is every vote, never holds
+// the whole vote set as []crowd.Vote.
+const foldChunkVotes = 4096
+
 // fill returns the cache entry for the newest vote state; the caller holds
 // cacheMu, and trigger names it in the closure-build counter. When the
 // state moved since the last build it folds the new votes into the
@@ -242,13 +248,27 @@ func (s *Server) fill(trigger string) (e genEntry, searched bool, err error) {
 			}
 			s.index = idx
 		}
+		// The vote slice only grows once the server is open, so the index
+		// holds a prefix of it and folds in just the votes that arrived
+		// since the last build, unpacked a chunk at a time.
+		start := s.clock.Now()
+		delta := votes[s.index.Len():]
+		buf := make([]crowd.Vote, 0, min(len(delta), foldChunkVotes))
+		for len(delta) > 0 {
+			k := min(len(delta), foldChunkVotes)
+			buf = buf[:0]
+			for _, p := range delta[:k] {
+				buf = append(buf, p.Vote())
+			}
+			if err := s.index.Add(buf); err != nil {
+				return genEntry{}, false, fmt.Errorf("serve: building closure: %w", err)
+			}
+			delta = delta[k:]
+		}
+		indexed := s.clock.Since(start)
 		opts := core.DefaultOptions()
 		opts.Propagate.Parallelism = s.cfg.Parallelism
-		rng := core.NewPipelineRNG(s.cfg.Seed)
-		// s.votes only grows once the server is open, so the index holds a
-		// prefix of votes and folds in just the votes that arrived since the
-		// last build.
-		cl, err := core.BuildClosureFrom(s.index, votes[s.index.Len():], opts, rng)
+		cl, err := core.BuildClosureFrom(s.index, nil, opts, core.NewPipelineRNG(s.cfg.Seed))
 		if err != nil {
 			return genEntry{}, false, fmt.Errorf("serve: building closure: %w", err)
 		}
@@ -256,7 +276,7 @@ func (s *Server) fill(trigger string) (e genEntry, searched bool, err error) {
 		// Stage histograms record rebuild cost only: a cache hit spent no
 		// time in Steps 1-3, and observing zeros would flatten the latency
 		// distribution the histogram exists to expose.
-		s.met.stageSeconds[stageTruth].ObserveDuration(cl.Timings.TruthDiscovery)
+		s.met.stageSeconds[stageTruth].ObserveDuration(indexed + cl.Timings.TruthDiscovery)
 		s.met.stageSeconds[stageSmooth].ObserveDuration(cl.Timings.Smoothing)
 		s.met.stageSeconds[stagePropagate].ObserveDuration(cl.Timings.Propagation)
 		e = genEntry{gen: gen, votes: len(votes), closure: cl.Closure}

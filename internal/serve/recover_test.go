@@ -44,7 +44,7 @@ func writeSnapshotAs(t *testing.T, dir string, seq uint64, data []byte) string {
 
 // fullReplayCut recovers a copy of dir's journal segments, without its
 // snapshots, and returns the state a full replay rebuilds.
-func fullReplayCut(t *testing.T, cfg Config) snapshot.State {
+func fullReplayCut(t *testing.T, cfg Config) snapshot.Image {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(cfg.JournalPath, "journal.*"))
 	if err != nil || len(segs) == 0 {
@@ -129,7 +129,7 @@ func TestSnapshotSeqMismatchRefused(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := writeSnapshotAs(t, dir, 3, snapshot.Encode(want)) // content covers seq 5
+	path := writeSnapshotAs(t, dir, 3, snapshot.EncodeImage(want)) // content covers seq 5
 
 	s2 := newTestServer(t, cfg)
 	rec := s2.Recovered()
@@ -156,13 +156,13 @@ func TestCorruptSnapshotRefusedAfterJournalOpen(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ingestOne(t, s, i)
 	}
-	if _, err := snapshot.Write(dir, s.cut()); err != nil {
+	if _, err := snapshot.WriteImage(dir, s.cut()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 5; i < 8; i++ {
 		ingestOne(t, s, i)
 	}
-	newest := snapshot.Encode(s.cut())
+	newest := snapshot.EncodeImage(s.cut())
 	newest[len(newest)-1] ^= 0x01 // checksum mismatch
 	bad := writeSnapshotAs(t, dir, 8, newest)
 	want := s.cut()

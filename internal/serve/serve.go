@@ -320,7 +320,7 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 }
 
 // replayChunkVotes is the size of the chunks recovery decodes a journal
-// suffix's votes into (128 KiB).
+// suffix's votes into (48 KiB).
 const replayChunkVotes = 4096
 
 // recover rebuilds state from the newest valid snapshot plus a journal
@@ -357,7 +357,7 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 	// The records' votes are decoded into chunks of replayChunkVotes.
 	var suffix []batchRecord
 	var suffixVotes, dropped int
-	chunk := make([]crowd.Vote, 0, replayChunkVotes)
+	chunk := make([]crowd.Packed, 0, replayChunkVotes)
 	replay := func(payload []byte) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -410,12 +410,12 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 			return err
 		}
 
-		var st snapshot.State
+		var st snapshot.Image
 		if i == len(entries) {
-			st.Votes = make([]crowd.Vote, 0, suffixVotes)
+			st.Votes = make([]crowd.Packed, 0, suffixVotes)
 		} else {
 			loadStart := s.clock.Now()
-			st, err = snapshot.LoadWithRoom(path, suffixVotes)
+			st, err = snapshot.LoadImage(path, suffixVotes)
 			loadDur += s.clock.Since(loadStart)
 			switch {
 			case err != nil:
@@ -428,7 +428,7 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 		}
 		if err == nil {
 			seedStart := s.clock.Now()
-			err = s.state.seed(st)
+			err = s.state.seed(st, suffix)
 			seedDur += s.clock.Since(seedStart)
 		}
 		if err != nil {
@@ -544,13 +544,13 @@ func (s *Server) ingest(ctx context.Context, key string, votes []crowd.Vote) (In
 	if len(votes) > s.cfg.MaxBatchVotes {
 		return res, fmt.Errorf("serve: batch of %d votes exceeds cap %d: %w", len(votes), s.cfg.MaxBatchVotes, errBatchTooLarge)
 	}
-	valid := make([]crowd.Vote, 0, len(votes))
+	valid := make([]crowd.Packed, 0, len(votes))
 	for _, v := range votes {
-		if v.Validate(s.cfg.N, s.cfg.M) != nil {
+		if crowd.Classify(v, s.cfg.N, s.cfg.M) != crowd.DefectNone {
 			res.Malformed++
 			continue
 		}
-		valid = append(valid, v)
+		valid = append(valid, crowd.Pack(v))
 	}
 	s.malformed.Add(int64(res.Malformed))
 	s.met.ingestMalformed.Add(uint64(res.Malformed))
@@ -677,7 +677,7 @@ func (s *Server) Snapshot() (SnapshotResult, error) {
 
 	writeStart := s.clock.Now()
 	//lint:ignore lockcheck snapMu exists to serialize snapshot writing/compaction end to end; ingest and rank never take it, so holding it across the file I/O blocks only a competing snapshot
-	path, err := snapshot.Write(s.jnl.Dir(), st)
+	path, err := snapshot.WriteImage(s.jnl.Dir(), st)
 	if err != nil {
 		s.met.snapshotFailed.Inc()
 		return res, fmt.Errorf("serve: writing snapshot: %w", err)
@@ -686,7 +686,7 @@ func (s *Server) Snapshot() (SnapshotResult, error) {
 	// Read-back verification: no journal byte is deleted on the strength
 	// of a snapshot that cannot actually be loaded.
 	loadStart := s.clock.Now()
-	if _, err := snapshot.Load(path); err != nil {
+	if _, err := snapshot.LoadImage(path, 0); err != nil {
 		s.met.snapshotFailed.Inc()
 		return res, fmt.Errorf("serve: snapshot %s failed read-back verification, journal retained: %w", path, err)
 	}
@@ -736,13 +736,13 @@ type IngestResult struct {
 	Replayed bool `json:"replayed,omitempty"`
 }
 
-// cut captures the consistent snapshot.State that Snapshot persists and
+// cut captures the consistent snapshot.Image that Snapshot persists and
 // StateSnapshot serves. Under writeMu no commit is between its append and
 // its apply, so state.batches equals the journal's NextSeq: the cut's Seq
 // is exactly the journal coverage of the votes it holds. (A failed append
 // poisons the journal, possibly one sequence past the state; nothing is
 // appended after it.)
-func (s *Server) cut() snapshot.State {
+func (s *Server) cut() snapshot.Image {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	s.mu.RLock()
@@ -754,7 +754,7 @@ func (s *Server) cut() snapshot.State {
 // append-only, so sharing the backing array with concurrent appends is
 // safe: a later append either fits capacity (beyond our length) or
 // reallocates.
-func (s *Server) snapshot() ([]crowd.Vote, uint64) {
+func (s *Server) snapshot() ([]crowd.Packed, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.state.votes[:len(s.state.votes):len(s.state.votes)], s.state.gen
@@ -961,10 +961,10 @@ func (s *Server) Ready() error {
 // deposed leader by poisoning it.
 func (s *Server) Journal() *journal.Journal { return s.jnl }
 
-// StateSnapshot captures a consistent point-in-time snapshot.State — the
+// StateSnapshot captures a consistent point-in-time snapshot.Image — the
 // same cut Snapshot persists, without writing anything. The leader serves
 // it on GET /replicate/snapshot to bootstrap fresh followers.
-func (s *Server) StateSnapshot() snapshot.State { return s.cut() }
+func (s *Server) StateSnapshot() snapshot.Image { return s.cut() }
 
 // ApplyReplicated journals and applies one batch record received from a
 // replication stream. seq is the sequence the record carries on the

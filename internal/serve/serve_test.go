@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -17,6 +19,8 @@ import (
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/feq"
 	"crowdrank/internal/obs"
+	"crowdrank/internal/record"
+	"crowdrank/internal/snapshot"
 )
 
 // agreeingVotes has every worker vote every pair according to the identity
@@ -322,7 +326,7 @@ func TestCloseMakesRequestsFailFast(t *testing.T) {
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	votes := agreeingVotes(5, 3)
-	got, _, dropped, err := decodeVotes(nil, appendVotes(nil, votes), 5, 3)
+	got, _, dropped, err := decodeVotes(nil, appendVotes(nil, packed(votes)), 5, 3)
 	if err != nil || dropped != 0 {
 		t.Fatalf("round trip failed: err=%v dropped=%d", err, dropped)
 	}
@@ -330,14 +334,14 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d votes, want %d", len(got), len(votes))
 	}
 	for i := range got {
-		if got[i] != votes[i] {
-			t.Fatalf("vote %d: got %+v want %+v", i, got[i], votes[i])
+		if got[i].Vote() != votes[i] {
+			t.Fatalf("vote %d: got %+v want %+v", i, got[i].Vote(), votes[i])
 		}
 	}
 }
 
 func TestBatchCodecRejectsStructuralDamage(t *testing.T) {
-	good := appendVotes(nil, agreeingVotes(4, 2))
+	good := appendVotes(nil, packed(agreeingVotes(4, 2)))
 	cases := map[string][]byte{
 		"empty payload":    {},
 		"truncated":        good[:len(good)-2],
@@ -359,12 +363,75 @@ func TestBatchCodecDropsOutOfUniverse(t *testing.T) {
 		{Worker: 7, I: 0, J: 1, PrefersI: true}, // worker outside m=2
 		{Worker: 1, I: 0, J: 9, PrefersI: false},
 	}
-	got, _, dropped, err := decodeVotes(nil, appendVotes(nil, votes), 4, 2)
+	got, _, dropped, err := decodeVotes(nil, appendVotes(nil, packed(votes)), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || dropped != 2 {
 		t.Fatalf("want 1 kept / 2 dropped, got %d/%d", len(got), dropped)
+	}
+}
+
+// TestDecodersBoundAllocation feeds the binary decoders crafted inputs
+// whose counts promise one vote or ack per byte of the list they head,
+// and near-legal ones at the bound of one vote per 4 bytes: a batch
+// record or snapshot may make its decoder allocate at most 8 bytes per
+// input byte plus allocSlack before it is refused.
+func TestDecodersBoundAllocation(t *testing.T) {
+	const size = 1 << 20
+	const allocSlack = 64 << 10
+	// list appends a count (3 varint bytes for any count used here) to
+	// head and zeros up to size bytes; perByte makes the count the number
+	// of zeros, otherwise a quarter of it.
+	list := func(head []byte, perByte bool) []byte {
+		count := size - len(head) - 3
+		if !perByte {
+			count /= 4
+		}
+		head = binary.AppendUvarint(bytes.Clone(head), uint64(count))
+		return append(head, make([]byte, size-len(head))...)
+	}
+	// snapshotFile frames payload as a checksum-valid snapshot file.
+	snapshotFile := func(payload []byte) []byte {
+		file := binary.LittleEndian.AppendUint32([]byte("CRWDSNP\x02"), record.Checksum(payload))
+		file = binary.LittleEndian.AppendUint64(file, uint64(len(payload)))
+		return append(file, payload...)
+	}
+	record := func(data []byte) error {
+		_, err := decodeBatchRecord(data, 4, 2)
+		return err
+	}
+	snap := func(data []byte) error {
+		_, err := snapshot.Decode(data)
+		return err
+	}
+	// universe is a snapshot payload's header: n=4, m=2, seq, gen, dups.
+	universe := []byte{4, 2, 0, 0, 0}
+	cases := []struct {
+		name   string
+		decode func([]byte) error
+		data   []byte
+	}{
+		{"v1 record, count = length", record, list(nil, true)},
+		{"v2 record, count = length", record, list([]byte{0, 0, 0}, true)},
+		{"v2 record, count = length/4", record, list([]byte{0, 0, 0}, false)},
+		{"snapshot, vote count = length", snap, snapshotFile(list(universe, true))},
+		{"snapshot, vote count = length/4", snap, snapshotFile(list(universe, false))},
+		{"snapshot, ack count = length", snap, snapshotFile(list(append(universe, 0), true))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.decode(tc.data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("crafted input decoded without error")
+			}
+			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(tc.data)+allocSlack); got > bound {
+				t.Fatalf("decoding %d bytes allocated %d, bound %d (%v)", len(tc.data), got, bound, err)
+			}
+		})
 	}
 }
 

@@ -134,7 +134,7 @@ func TestRecoveryAfterCrashBeforeCompaction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ingestOne(t, s, i)
 	}
-	if _, err := snapshot.Write(dir, s.cut()); err != nil {
+	if _, err := snapshot.WriteImage(dir, s.cut()); err != nil {
 		t.Fatal(err)
 	}
 	wantVotes := s.VoteCount()

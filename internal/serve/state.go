@@ -17,7 +17,7 @@ type voteState struct {
 	n, m   int
 	window int // IdempotencyWindow; <= 0 keeps no acks
 
-	votes    []crowd.Vote            // append-only
+	votes    []crowd.Packed          // append-only
 	seen     *dedupSet               // every submission in votes
 	acks     map[string]IngestResult // the keyed acks of the window
 	ackOrder []string                // FIFO eviction order for acks
@@ -73,16 +73,29 @@ func (v *voteState) recordAck(key string, res IngestResult) {
 	}
 }
 
-// seed resets the state to exactly what st captured (the zero State
+// seed resets the state to exactly what st captured (the zero Image
 // resets to empty). The dedup set is recomputed from the votes; a
 // collision means no apply could have produced st, so seed refuses it and
 // leaves the state untouched. The set is sized from the configured
-// universe, never from st: the zero State of a full replay carries N=0.
-func (v *voteState) seed(st snapshot.State) error {
+// universe, never from st: the zero Image of a full replay carries N=0.
+// Each worker's dedup form is picked from its vote count in st and in
+// then, the records the caller applies next (recovery's journal suffix),
+// so neither seeding nor that replay switches a worker's form.
+func (v *voteState) seed(st snapshot.Image, then []batchRecord) error {
+	counts := make([]int32, v.m)
+	for _, p := range st.Votes {
+		counts[p.W>>1]++
+	}
+	for _, rec := range then {
+		for _, p := range rec.votes {
+			counts[p.W>>1]++
+		}
+	}
 	seen := newDedupSet(v.n, v.m)
-	for _, vote := range st.Votes {
-		if !seen.add(vote) {
-			return fmt.Errorf("duplicate submission %+v in snapshot", vote)
+	seen.reserve(counts)
+	for _, p := range st.Votes {
+		if !seen.add(p) {
+			return fmt.Errorf("duplicate submission %+v in snapshot", p.Vote())
 		}
 	}
 	*v = voteState{
@@ -104,11 +117,11 @@ func (v *voteState) seed(st snapshot.State) error {
 	return nil
 }
 
-// cut returns the state as a snapshot.State covering journal sequence
+// cut returns the state as a snapshot.Image covering journal sequence
 // batches. The vote slice is append-only, so its three-index slice stays
 // immutable after the caller's lock drops.
-func (v *voteState) cut() snapshot.State {
-	st := snapshot.State{
+func (v *voteState) cut() snapshot.Image {
+	st := snapshot.Image{
 		N:        v.n,
 		M:        v.m,
 		Seq:      uint64(v.batches),

@@ -51,10 +51,11 @@ const headerSize = 20
 // Prefix names snapshot files inside the journal directory.
 const Prefix = "snapshot."
 
-// maxSnapshotBytes bounds how much Load will read: a snapshot holds at
-// most one vote per (worker, pair) submission, so multi-gigabyte files
-// are corruption (or hostile), not state.
-const maxSnapshotBytes = 1 << 31
+// MaxBytes bounds a snapshot file: a snapshot holds at most one vote per
+// (worker, pair) submission, so multi-gigabyte files are corruption (or
+// hostile), not state. Load refuses larger files, and a follower reads a
+// leader's bootstrap snapshot through this cap.
+const MaxBytes = 1 << 31
 
 // State is the daemon state a snapshot captures. It is exactly what
 // journal replay up to Seq would rebuild, so recovery can substitute the
@@ -78,6 +79,37 @@ type State struct {
 	// retried batch key is answered with its original ack across restarts
 	// without re-journaling.
 	Acks []AckEntry
+}
+
+// Image is State in the daemon's memory form, its votes packed; the codec
+// reads and writes it. crowdrankd cuts, writes, loads and seeds Images, so
+// no path of it holds the whole vote set as []crowd.Vote. State, Encode,
+// Decode, Load and Write are the caller-facing form and convert only
+// there.
+type Image struct {
+	N, M     int
+	Seq, Gen uint64
+	DupVotes int
+	Votes    []crowd.Packed
+	Acks     []AckEntry
+}
+
+// image packs st.
+func (st State) image() Image {
+	votes := make([]crowd.Packed, len(st.Votes))
+	for i, v := range st.Votes {
+		votes[i] = crowd.Pack(v)
+	}
+	return Image{N: st.N, M: st.M, Seq: st.Seq, Gen: st.Gen, DupVotes: st.DupVotes, Votes: votes, Acks: st.Acks}
+}
+
+// state unpacks img.
+func (img Image) state() State {
+	votes := make([]crowd.Vote, len(img.Votes))
+	for i, p := range img.Votes {
+		votes[i] = p.Vote()
+	}
+	return State{N: img.N, M: img.M, Seq: img.Seq, Gen: img.Gen, DupVotes: img.DupVotes, Votes: votes, Acks: img.Acks}
 }
 
 // AckEntry is one remembered batch acknowledgement: the idempotency key
@@ -107,7 +139,7 @@ func name(seq uint64) string {
 }
 
 // encode serializes st as the snapshot payload.
-func encode(st State) []byte {
+func encode(st Image) []byte {
 	buf := make([]byte, 0, 64+len(st.Votes)*8)
 	buf = binary.AppendUvarint(buf, uint64(st.N))
 	buf = binary.AppendUvarint(buf, uint64(st.M))
@@ -115,8 +147,8 @@ func encode(st State) []byte {
 	buf = binary.AppendUvarint(buf, st.Gen)
 	buf = binary.AppendUvarint(buf, uint64(st.DupVotes))
 	buf = binary.AppendUvarint(buf, uint64(len(st.Votes)))
-	for _, v := range st.Votes {
-		buf = crowd.AppendVote(buf, v)
+	for _, p := range st.Votes {
+		buf = crowd.AppendVote(buf, p.Vote())
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.Acks)))
 	for _, a := range st.Acks {
@@ -137,8 +169,8 @@ func encode(st State) []byte {
 // vote is dropped and counted — a snapshot vote that fails validation
 // means the snapshot itself is untrustworthy, so decode refuses outright.
 // The vote slice gets room for room more votes past the decoded ones.
-func decode(data []byte, room int) (State, error) {
-	var st State
+func decode(data []byte, room int) (Image, error) {
+	var st Image
 	rest := data
 	readField := func(fieldName string) (uint64, error) {
 		v, k := binary.Uvarint(rest)
@@ -181,10 +213,10 @@ func decode(data []byte, room int) (State, error) {
 	}
 	// Each vote takes at least 4 bytes; a count promising more than the
 	// payload could hold is corruption, and bounding it caps allocation.
-	if count > uint64(len(rest)) {
-		return st, fmt.Errorf("snapshot: vote count %d exceeds payload capacity %d", count, len(rest))
+	if count > uint64(len(rest)/4) {
+		return st, fmt.Errorf("snapshot: vote count %d exceeds payload capacity %d", count, len(rest)/4)
 	}
-	st.Votes = make([]crowd.Vote, 0, int(count)+max(room, 0))
+	st.Votes = make([]crowd.Packed, 0, int(count)+max(room, 0))
 	for i := uint64(0); i < count; i++ {
 		v, next, err := crowd.ReadVote(rest)
 		if err != nil {
@@ -194,15 +226,16 @@ func decode(data []byte, room int) (State, error) {
 		if crowd.Classify(v, st.N, st.M) != crowd.DefectNone {
 			return st, fmt.Errorf("snapshot: vote %d outside the declared universe: %w", i, v.Validate(st.N, st.M))
 		}
-		st.Votes = append(st.Votes, v)
+		st.Votes = append(st.Votes, crowd.Pack(v))
 	}
 	ackCount, err := readField("ack count")
 	if err != nil {
 		return st, err
 	}
-	// Each ack takes at least 6 bytes (empty key + five counters).
-	if ackCount > uint64(len(rest)) {
-		return st, fmt.Errorf("snapshot: ack count %d exceeds payload capacity %d", ackCount, len(rest))
+	// Each ack takes at least 7 bytes (key length, a 1-byte key, five
+	// counters).
+	if ackCount > uint64(len(rest)/7) {
+		return st, fmt.Errorf("snapshot: ack count %d exceeds payload capacity %d", ackCount, len(rest)/7)
 	}
 	st.Acks = make([]AckEntry, 0, ackCount)
 	for i := uint64(0); i < ackCount; i++ {
@@ -246,11 +279,14 @@ func decode(data []byte, room int) (State, error) {
 }
 
 // Encode serializes st into the complete snapshot file format — magic,
-// checksum, length, payload — exactly the bytes Write persists. The
-// replication layer uses it to ship a leader's state to a bootstrapping
-// follower over the wire without first spilling it to the leader's disk;
-// the receiver validates and lands the bytes with InstallRaw.
-func Encode(st State) []byte {
+// checksum, length, payload — exactly the bytes Write persists.
+func Encode(st State) []byte { return EncodeImage(st.image()) }
+
+// EncodeImage is Encode for an Image. The replication layer uses it to
+// ship a leader's state to a bootstrapping follower over the wire without
+// first spilling it to the leader's disk; the receiver validates and
+// lands the bytes with InstallRaw.
+func EncodeImage(st Image) []byte {
 	payload := encode(st)
 	buf := make([]byte, headerSize+len(payload))
 	copy(buf, fileMagic)
@@ -263,11 +299,18 @@ func Encode(st State) []byte {
 // Decode validates data as a complete snapshot file (as produced by Encode
 // or read back from disk) and returns the State it carries. It applies the
 // same integrity and universe checks as Load.
-func Decode(data []byte) (State, error) { return decodeFile(data, 0) }
+func Decode(data []byte) (State, error) {
+	img, err := decodeFile(data, 0)
+	if err != nil {
+		return State{}, err
+	}
+	return img.state(), nil
+}
 
-// decodeFile is Decode with room for room more votes in State.Votes.
-func decodeFile(data []byte, room int) (State, error) {
-	var st State
+// decodeFile decodes a snapshot file into an Image with room for room
+// more votes in Image.Votes.
+func decodeFile(data []byte, room int) (Image, error) {
+	var st Image
 	if len(data) < headerSize {
 		return st, fmt.Errorf("snapshot: %d bytes is too short for a snapshot header", len(data))
 	}
@@ -292,13 +335,13 @@ func decodeFile(data []byte, room int) (State, error) {
 // replication bootstrap: the follower installs the leader's encoded
 // snapshot, then opens its journal with ReplayFrom at the returned
 // state's Seq. Damaged bytes are refused before anything touches disk.
-func InstallRaw(dir string, data []byte) (string, State, error) {
-	st, err := Decode(data)
+func InstallRaw(dir string, data []byte) (string, Image, error) {
+	if int64(len(data)) > MaxBytes {
+		return "", Image{}, fmt.Errorf("snapshot: %d bytes is beyond the plausible maximum", len(data))
+	}
+	st, err := decodeFile(data, 0)
 	if err != nil {
 		return "", st, err
-	}
-	if int64(len(data)) > maxSnapshotBytes {
-		return "", st, fmt.Errorf("snapshot: %d bytes is beyond the plausible maximum", len(data))
 	}
 	path, err := writeRaw(dir, name(st.Seq), data)
 	if err != nil {
@@ -313,8 +356,11 @@ func InstallRaw(dir string, data []byte) (string, State, error) {
 // power loss, and that a crash at any earlier point leaves the previous
 // snapshots untouched. Leftover *.tmp files from crashed writers are
 // removed opportunistically.
-func Write(dir string, st State) (string, error) {
-	return writeRaw(dir, name(st.Seq), Encode(st))
+func Write(dir string, st State) (string, error) { return WriteImage(dir, st.image()) }
+
+// WriteImage is Write for an Image.
+func WriteImage(dir string, st Image) (string, error) {
+	return writeRaw(dir, name(st.Seq), EncodeImage(st))
 }
 
 // writeRaw lands buf in dir under filename via the atomic temp → fsync →
@@ -357,18 +403,25 @@ func writeRaw(dir, filename string, buf []byte) (string, error) {
 // wrong magic, truncation, checksum mismatch, undecodable or
 // out-of-universe state — is an error; Load never returns a partial or
 // guessed State.
-func Load(path string) (State, error) { return LoadWithRoom(path, 0) }
+func Load(path string) (State, error) {
+	img, err := LoadImage(path, 0)
+	if err != nil {
+		return State{}, err
+	}
+	return img.state(), nil
+}
 
-// LoadWithRoom is Load with room for room more votes in State.Votes, so a
-// caller that appends a known number of votes to the loaded state (daemon
-// recovery, with its decoded journal suffix) allocates the slice once.
-func LoadWithRoom(path string, room int) (State, error) {
-	var st State
+// LoadImage is Load into an Image with room for room more votes in
+// Image.Votes, so a caller that appends a known number of votes to the
+// loaded state (daemon recovery, with its decoded journal suffix)
+// allocates the slice once.
+func LoadImage(path string, room int) (Image, error) {
+	var st Image
 	info, err := os.Stat(path)
 	if err != nil {
 		return st, fmt.Errorf("snapshot: stat %s: %w", path, err)
 	}
-	if info.Size() > maxSnapshotBytes {
+	if info.Size() > MaxBytes {
 		return st, fmt.Errorf("snapshot: %s is %d bytes, beyond the plausible maximum", path, info.Size())
 	}
 	data, err := os.ReadFile(path)

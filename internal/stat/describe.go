@@ -1,7 +1,6 @@
 package stat
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -71,53 +70,4 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if lo > hi {
-		//lint:ignore panics documented programmer-error panic: inverted bounds are a caller bug, not a runtime condition
-		panic(fmt.Sprintf("stat: Clamp with inverted bounds [%v, %v]", lo, hi))
-	}
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
-}
-
-// Summary holds descriptive statistics for a sample, used by the experiment
-// harness to report sweep results.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Median float64
-	Min    float64
-	Max    float64
-}
-
-// Describe computes a Summary of xs. An empty sample yields a zero Summary.
-func Describe(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	lo, hi := MinMax(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Median: Median(xs),
-		Min:    lo,
-		Max:    hi,
-	}
-}
-
-// String renders a Summary compactly for experiment logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g med=%.4g min=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Median, s.Min, s.Max)
 }

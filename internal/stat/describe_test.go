@@ -2,9 +2,7 @@ package stat
 
 import (
 	"math"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanVarianceStdDev(t *testing.T) {
@@ -70,58 +68,4 @@ func TestMinMax(t *testing.T) {
 		}
 	}()
 	MinMax(nil)
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp(5,0,3) = %v", got)
-	}
-	if got := Clamp(-5, 0, 3); got != 0 {
-		t.Errorf("Clamp(-5,0,3) = %v", got)
-	}
-	if got := Clamp(1, 0, 3); got != 1 {
-		t.Errorf("Clamp(1,0,3) = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Clamp with inverted bounds should panic")
-		}
-	}()
-	Clamp(1, 3, 0)
-}
-
-func TestDescribe(t *testing.T) {
-	s := Describe([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 || s.Median != 2.5 {
-		t.Errorf("Describe = %+v", s)
-	}
-	if Describe(nil).N != 0 {
-		t.Error("Describe(nil) should be zero")
-	}
-	if s.String() == "" {
-		t.Error("Summary.String should be non-empty")
-	}
-}
-
-func TestDescribeProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		s := Describe(xs)
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		return s.Min == sorted[0] && s.Max == sorted[len(sorted)-1] &&
-			s.Min <= s.Median && s.Median <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max && s.StdDev >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }

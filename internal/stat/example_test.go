@@ -37,11 +37,3 @@ func ExampleNormalQuantile() {
 	// Output:
 	// z(0.975) = 1.9600
 }
-
-// ExampleDescribe summarizes a sample.
-func ExampleDescribe() {
-	s := stat.Describe([]float64{1, 2, 3, 4})
-	fmt.Println(s)
-	// Output:
-	// n=4 mean=2.5 sd=1.118 med=2.5 min=1 max=4
-}

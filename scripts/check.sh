@@ -70,10 +70,10 @@ go test -run='^$' -fuzz=FuzzIndexFold -fuzztime=20s ./internal/core
 echo "== go test -tags crowdrank_invariants ./... =="
 go test -tags crowdrank_invariants ./...
 
-echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch / BenchmarkBuildClosure / BenchmarkRecover / BenchmarkRankAfterIngest / BenchmarkRankWarmUp run once =="
+echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch / BenchmarkBuildClosure / BenchmarkRecover / BenchmarkRankAfterIngest / BenchmarkRankWarmUp / BenchmarkVoteHeap run once =="
 # Execution only, no timing gate: performance is compared end to end with
 # bash cmd/crowdload/bench.sh -compare cmd/crowdload/results/BENCH_seed.json.
-go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch|BenchmarkBuildClosure|BenchmarkRecover|BenchmarkRankAfterIngest|BenchmarkRankWarmUp)$' -benchtime 1x . ./internal/serve
+go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch|BenchmarkBuildClosure|BenchmarkRecover|BenchmarkRankAfterIngest|BenchmarkRankWarmUp|BenchmarkVoteHeap)$' -benchtime 1x . ./internal/serve
 
 echo "== no orphaned crowdrankd, crowdload or test processes =="
 ./scripts/check-orphans.sh
