@@ -53,6 +53,23 @@
 // slower than -slow-request are logged and counted in
 // crowdrankd_http_slow_requests_total (negative disables).
 //
+// POST /votes takes one JSON object whose "votes" array holds objects
+// with integer "worker", "i" and "j" and boolean "prefers_i" (prefers i
+// over j). The daemon reads exactly what Go's encoding/json would decode
+// into that shape: keys match case-insensitively, unknown members are
+// skipped, null leaves a field at its zero value, a fraction or an
+// exponent in an id is refused, and bytes after the object are ignored.
+// Votes outside the universe (-n objects, -m workers), or comparing an
+// object with itself, are counted as malformed and dropped. A body that
+// is not such JSON is answered 400, and 413 has two causes: a body longer
+// than 32 MiB, refused as soon as the cap is read past, and a batch of
+// more than 65536 votes, refused once the body is read, naming its vote
+// count. The body is decoded in one pass as it arrives, into 12-byte
+// packed votes, and votes past the cap are only counted: a request
+// allocates a 16 KiB pooled read buffer and at most 36 bytes per vote of
+// the cap (2.3 MiB; a full batch of valid votes takes 768 KiB), whatever
+// the body's size.
+//
 // Retried POST /votes batches carrying an Idempotency-Key header are
 // acknowledged exactly once: a repeated key inside the last
 // -idempotency-window batches (default 65536, negative disables) returns

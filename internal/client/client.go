@@ -265,14 +265,6 @@ func (c *Client) SubmitVotes(ctx context.Context, votes []crowd.Vote) (Ack, erro
 	return c.SubmitVotesKeyed(ctx, c.NewKey(), votes)
 }
 
-// voteJSON mirrors the daemon's wire form of one vote.
-type voteJSON struct {
-	Worker   int  `json:"worker"`
-	I        int  `json:"i"`
-	J        int  `json:"j"`
-	PrefersI bool `json:"prefers_i"`
-}
-
 // SubmitVotesKeyed is SubmitVotes under a caller-chosen idempotency key,
 // for resubmitting a batch whose first delivery ended ambiguously in an
 // earlier process life.
@@ -281,18 +273,9 @@ func (c *Client) SubmitVotesKeyed(ctx context.Context, key string, votes []crowd
 	if key == "" {
 		return ack, fmt.Errorf("client: empty idempotency key")
 	}
-	wire := make([]voteJSON, len(votes))
-	for i, v := range votes {
-		wire[i] = voteJSON{Worker: v.Worker, I: v.I, J: v.J, PrefersI: v.PrefersI}
-	}
-	body, err := json.Marshal(struct {
-		Votes []voteJSON `json:"votes"`
-	}{wire})
-	if err != nil {
-		return ack, fmt.Errorf("client: encoding batch: %w", err)
-	}
-	err = c.do(ctx, http.MethodPost, "/votes", body, key, &ack)
-	if err != nil {
+	// 48 bytes hold a vote whose ids are below 1000.
+	body := crowd.AppendVotesJSON(make([]byte, 0, 16+48*len(votes)), votes)
+	if err := c.do(ctx, http.MethodPost, "/votes", body, key, &ack); err != nil {
 		return ack, err
 	}
 	ack.Key = key

@@ -42,6 +42,39 @@ func (p Packed) Vote() Vote {
 	return Vote{Worker: int(p.W >> 1), I: int(p.I), J: int(p.J), PrefersI: p.W&1 == 1}
 }
 
+// Batch gathers one ingest batch vote by vote, the way crowdrankd admits
+// votes: Add checks each vote with Classify and keeps it Packed when it is
+// well formed, or counts it in Malformed. Past Max votes it only counts,
+// so an oversized batch costs no memory and still reports its length.
+type Batch struct {
+	// N and M are the object and worker universes, Max the vote cap.
+	N, M, Max int
+	// Votes holds the well-formed votes among the first Max, in order,
+	// and Malformed counts the others among them.
+	Votes     []Packed
+	Malformed int
+	// Len counts every vote added.
+	Len int
+}
+
+// Add files one vote.
+func (b *Batch) Add(v Vote) {
+	b.Len++
+	if b.Len > b.Max {
+		return
+	}
+	if Classify(v, b.N, b.M) != DefectNone {
+		b.Malformed++
+		return
+	}
+	b.Votes = append(grow(b.Votes, b.Max), Pack(v))
+}
+
+// reset empties b, keeping its universes, cap and vote capacity.
+func (b *Batch) reset() {
+	b.Votes, b.Malformed, b.Len = b.Votes[:0], 0, 0
+}
+
 // Pair returns the canonical pair this vote answers.
 func (v Vote) Pair() graph.Pair { return graph.Pair{I: v.I, J: v.J}.Canon() }
 

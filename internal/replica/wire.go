@@ -87,8 +87,8 @@ func readFrame(r *bufio.Reader) (frame, error) {
 		if err != nil {
 			return frame{}, fmt.Errorf("replica: record frame at seq %d: %w", seq, err)
 		}
-		payload := make([]byte, h.Len)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readPayload(r, int(h.Len))
+		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
@@ -100,5 +100,27 @@ func readFrame(r *bufio.Reader) (frame, error) {
 		return frame{kind: kind, seq: seq, payload: payload}, nil
 	default:
 		return frame{}, fmt.Errorf("replica: unknown frame kind %q", kind)
+	}
+}
+
+// readPayload reads a record frame's n payload bytes. Until they arrive
+// and pass the checksum, n is only the sender's claim, so the buffer
+// grows with the bytes that do arrive, doubling from 32 KiB: a frame torn
+// short after a header that claims record.MaxPayload costs at most four
+// times what it delivered, plus 32 KiB.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 32<<10))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		got += k
+		switch {
+		case got == n:
+			return buf, nil
+		case err != nil:
+			return nil, err
+		}
+		next := make([]byte, got+min(n-got, got))
+		copy(next, buf)
+		buf = next
 	}
 }

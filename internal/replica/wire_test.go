@@ -3,6 +3,8 @@ package replica
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"crowdrank/internal/record"
@@ -25,6 +27,10 @@ func encodeFrames(t testing.TB, seq uint64, payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// frameSlack is what reading frames allocates beyond 8 bytes per input
+// byte: the reader's buffer and the first 32 KiB payload chunk.
+const frameSlack = 64 << 10
+
 // FuzzReadFrame drives the follower's frame decoder, which parses bytes
 // from the network. On arbitrary input readFrame must never panic and
 // must end in an error; frames the leader side wrote must decode to what
@@ -40,8 +46,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(append([]byte("R\x07\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff"), good[13:]...), uint64(2), uint(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, seq uint64, bit uint) {
-		// Arbitrary bytes: decode frames until the stream ends or breaks.
+		// Arbitrary bytes: decode frames until the stream ends or breaks,
+		// allocating at most 8 bytes per input byte plus frameSlack.
 		r := bufio.NewReader(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := 0; ; i++ {
 			if _, err := readFrame(r); err != nil {
 				break
@@ -49,6 +58,10 @@ func FuzzReadFrame(f *testing.F) {
 			if i > len(data) {
 				t.Fatalf("%d frames decoded from %d bytes", i, len(data))
 			}
+		}
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+frameSlack); got > bound {
+			t.Fatalf("reading frames from %d bytes allocated %d, bound %d", len(data), got, bound)
 		}
 
 		// The same bytes as a record payload: what the writer emits reads
@@ -76,4 +89,46 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("frame with payload bit %d flipped decoded as %+v", bit, rec)
 		}
 	})
+}
+
+// TestReadFrameBoundsAllocation feeds readFrame crafted record frames
+// whose header claims far more payload than follows, and one that
+// delivers a full payload under a wrong checksum: reading a frame may
+// allocate at most 8 bytes per input byte plus frameSlack before it is
+// refused. The
+// serve package's TestDecodersBoundAllocation holds the daemon's own
+// decoders to the same bound.
+func TestReadFrameBoundsAllocation(t *testing.T) {
+	// crafted is a record frame header claiming claim payload bytes,
+	// followed by sent zero bytes and a checksum that never matches.
+	crafted := func(claim, sent int) []byte {
+		hdr := binary.LittleEndian.AppendUint64([]byte{frameRecord}, 1)
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(claim))
+		hdr = binary.LittleEndian.AppendUint32(hdr, 1)
+		return append(hdr, make([]byte, sent)...)
+	}
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"claims the cap, sends nothing", crafted(record.MaxPayload, 0)},
+		{"claims the cap, sends 1 MiB", crafted(record.MaxPayload, 1<<20)},
+		{"claims the cap, sends 1 MiB + 1", crafted(record.MaxPayload, 1<<20+1)},
+		{"sends what it claims, bad checksum", crafted(1<<20, 1<<20)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bufio.NewReader(bytes.NewReader(tc.data))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := readFrame(r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("crafted frame decoded without error")
+			}
+			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(tc.data)+frameSlack); got > bound {
+				t.Fatalf("reading %d bytes allocated %d, bound %d (%v)", len(tc.data), got, bound, err)
+			}
+		})
+	}
 }

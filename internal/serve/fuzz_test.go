@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,6 +38,10 @@ func fuzzJournalBytes(t testing.TB, batches ...[]byte) []byte {
 	}
 	return data
 }
+
+// replaySlack is what opening a journal allocates whatever it holds: the
+// 64 KiB segment scan buffer, file handles and the segment list.
+const replaySlack = 256 << 10
 
 // FuzzJournalReplay feeds arbitrary bytes to the journal decoder as a
 // recovered file. Whatever the damage — truncation, bit flips, garbage —
@@ -74,10 +79,20 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		var first [][]byte
+		// Replaying the bytes, and decoding what replays, may allocate at
+		// most 8 bytes per input byte plus the scan buffer and the
+		// journal's own bookkeeping.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		j, stats, err := journal.Open(path, journal.Options{}, func(p []byte) error {
 			first = append(first, bytes.Clone(p))
+			_, _ = decodeBatchRecord(p, fuzzN, fuzzM)
 			return nil
 		})
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+replaySlack); got > bound {
+			t.Fatalf("replaying %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
 		if err != nil {
 			return // rejected outright (bad magic, short header): fine, no panic
 		}

@@ -14,19 +14,6 @@ import (
 	"crowdrank/internal/journal"
 )
 
-// voteJSON is the wire form of one vote on POST /votes.
-type voteJSON struct {
-	Worker   int  `json:"worker"`
-	I        int  `json:"i"`
-	J        int  `json:"j"`
-	PrefersI bool `json:"prefers_i"`
-}
-
-// ingestRequest is the POST /votes body.
-type ingestRequest struct {
-	Votes []voteJSON `json:"votes"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -144,6 +131,11 @@ func acquire(sem chan struct{}) bool {
 	}
 }
 
+// minVoteJSON is the fewest bytes a vote takes in the body a client
+// sends ({"worker":0,"i":0,"j":1,"prefers_i":true} and a comma), so the
+// Content-Length over it bounds the vote count: the batch is sized once.
+const minVoteJSON = 42
+
 // retryAfter is the Retry-After value (integer seconds, the parseable
 // contract clients rely on) on every 429: a full queue.
 const retryAfter = "5"
@@ -166,9 +158,12 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.ingestSem }()
 
-	var req ingestRequest
+	// The body streams straight into the batch: past MaxBatchVotes it is
+	// only counted, so a request holds at most MaxBatchVotes packed votes
+	// whatever its size.
+	b := s.newBatch(int(min(r.ContentLength/minVoteJSON, int64(s.cfg.MaxBatchVotes))))
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := crowd.ReadVotesJSON(body, &b); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
@@ -177,11 +172,10 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}
-	votes := make([]crowd.Vote, len(req.Votes))
-	for i, v := range req.Votes {
-		votes[i] = crowd.Vote{Worker: v.Worker, I: v.I, J: v.J, PrefersI: v.PrefersI}
+	res, done, err := s.admit(r.Context(), key)
+	if !done {
+		res, err = s.ingestBatch(r.Context(), key, b)
 	}
-	res, err := s.IngestKeyed(r.Context(), key, votes)
 	switch {
 	case err == nil:
 		s.writeJSON(w, http.StatusOK, res)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -456,6 +458,80 @@ func TestHTTPIdempotencyKeyReplay(t *testing.T) {
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized key should 400, got %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPReplayBeforeBatchCap pins the order of the checks a decoded
+// batch meets: a retried key is answered from the ack window before the
+// batch cap is checked, so a retry whose body grew past the cap still
+// gets its original ack, while a fresh key gets 413 naming the full vote
+// count.
+func TestHTTPReplayBeforeBatchCap(t *testing.T) {
+	cfg := DefaultConfig(4, 2)
+	cfg.Seed = 89
+	cfg.MaxBatchVotes = 2
+	_, ts := httpServer(t, cfg)
+	post := func(key string, votes int) (int, string) {
+		t.Helper()
+		batch := make([]crowd.Vote, votes)
+		for i := range batch {
+			batch[i] = crowd.Vote{Worker: 0, I: 0, J: 1, PrefersI: true}
+		}
+		body := crowd.AppendVotesJSON(nil, batch)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/votes", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Idempotency-Key", key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		text, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(text)
+	}
+	if code, text := post("cap-key", 2); code != http.StatusOK {
+		t.Fatalf("batch at the cap: status %d: %s", code, text)
+	}
+	if code, text := post("cap-key", 5); code != http.StatusOK || !strings.Contains(text, `"replayed":true`) {
+		t.Fatalf("retried key with an oversized batch: status %d: %s, want its replayed ack", code, text)
+	}
+	if code, text := post("fresh-key", 5); code != http.StatusRequestEntityTooLarge || !strings.Contains(text, "batch of 5 votes") {
+		t.Fatalf("fresh key with an oversized batch: status %d: %s, want 413 naming 5 votes", code, text)
+	}
+}
+
+// TestIngestKeyedReplayBeforeBatchCap is TestHTTPReplayBeforeBatchCap
+// for library callers: IngestKeyed answers a retried key from the ack
+// window before it looks at the batch, and refuses a fresh oversized one
+// naming its length.
+func TestIngestKeyedReplayBeforeBatchCap(t *testing.T) {
+	cfg := DefaultConfig(4, 2)
+	cfg.Seed = 97
+	cfg.MaxBatchVotes = 2
+	s := newTestServer(t, cfg)
+	batch := func(n int) []crowd.Vote {
+		votes := make([]crowd.Vote, n)
+		for i := range votes {
+			votes[i] = crowd.Vote{Worker: 0, I: 0, J: 1, PrefersI: true}
+		}
+		return votes
+	}
+	ctx := context.Background()
+	first, err := s.IngestKeyed(ctx, "cap-key", batch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.IngestKeyed(ctx, "cap-key", batch(5))
+	if err != nil || !got.Replayed || got.Seq != first.Seq {
+		t.Fatalf("retried key with an oversized batch: %+v, %v; want the replayed ack of %+v", got, err, first)
+	}
+	if _, err := s.IngestKeyed(ctx, "fresh-key", batch(5)); !errors.Is(err, errBatchTooLarge) || !strings.Contains(err.Error(), "batch of 5 votes") {
+		t.Fatalf("fresh key with an oversized batch: %v, want errBatchTooLarge naming 5 votes", err)
 	}
 }
 

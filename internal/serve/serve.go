@@ -515,10 +515,52 @@ func (s *Server) IngestContext(ctx context.Context, votes []crowd.Vote) (IngestR
 // journaling or applying the batch a second time. An empty key ingests
 // without idempotency, exactly like IngestContext.
 func (s *Server) IngestKeyed(ctx context.Context, key string, votes []crowd.Vote) (IngestResult, error) {
-	if len(key) > maxKeyLen {
-		return IngestResult{}, fmt.Errorf("serve: idempotency key of %d bytes exceeds maximum %d: %w", len(key), maxKeyLen, errKeyTooLong)
+	if res, done, err := s.admit(ctx, key); done {
+		return res, err
 	}
-	res, err := s.ingest(ctx, key, votes)
+	b := s.newBatch(min(len(votes), s.cfg.MaxBatchVotes))
+	if len(votes) > b.Max {
+		b.Len = len(votes) // refused whole: no vote of it is checked
+	} else {
+		for _, v := range votes {
+			b.Add(v)
+		}
+	}
+	return s.ingestBatch(ctx, key, b)
+}
+
+// newBatch returns an empty batch over the daemon's universe and vote
+// cap, with room for size votes.
+func (s *Server) newBatch(size int) crowd.Batch {
+	return crowd.Batch{N: s.cfg.N, M: s.cfg.M, Max: s.cfg.MaxBatchVotes, Votes: make([]crowd.Packed, 0, size)}
+}
+
+// admit runs the checks that need no batch: the key's length, shutdown,
+// the ack window and ctx. done says they answered the call, with res and
+// err; a retried key gets its original ack here, before any of its votes
+// are looked at.
+func (s *Server) admit(ctx context.Context, key string) (res IngestResult, done bool, err error) {
+	if len(key) > maxKeyLen {
+		return res, true, fmt.Errorf("serve: idempotency key of %d bytes exceeds maximum %d: %w", len(key), maxKeyLen, errKeyTooLong)
+	}
+	if s.closing.Load() {
+		return res, true, errShuttingDown
+	}
+	// Fast path for a retried key: answer from the ack window before
+	// spending any validation or journal work.
+	if cached, ok := s.replayAck(key); ok {
+		return cached, true, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return res, true, err
+	}
+	return res, false, nil
+}
+
+// ingestBatch is IngestKeyed on a batch already checked vote by vote,
+// once admit let it through.
+func (s *Server) ingestBatch(ctx context.Context, key string, b crowd.Batch) (IngestResult, error) {
+	res, err := s.ingest(ctx, key, b)
 	if err == nil {
 		// The batch is durable and acknowledged whatever the snapshot
 		// policy does next; maybeSnapshot runs outside the shutdown lock
@@ -528,30 +570,13 @@ func (s *Server) IngestKeyed(ctx context.Context, key string, votes []crowd.Vote
 	return res, err
 }
 
-func (s *Server) ingest(ctx context.Context, key string, votes []crowd.Vote) (IngestResult, error) {
+func (s *Server) ingest(ctx context.Context, key string, b crowd.Batch) (IngestResult, error) {
 	var res IngestResult
-	if s.closing.Load() {
-		return res, errShuttingDown
+	if b.Len > b.Max {
+		return res, fmt.Errorf("serve: batch of %d votes exceeds cap %d: %w", b.Len, b.Max, errBatchTooLarge)
 	}
-	// Fast path for a retried key: answer from the ack window before
-	// spending any validation or journal work.
-	if cached, ok := s.replayAck(key); ok {
-		return cached, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	if len(votes) > s.cfg.MaxBatchVotes {
-		return res, fmt.Errorf("serve: batch of %d votes exceeds cap %d: %w", len(votes), s.cfg.MaxBatchVotes, errBatchTooLarge)
-	}
-	valid := make([]crowd.Packed, 0, len(votes))
-	for _, v := range votes {
-		if crowd.Classify(v, s.cfg.N, s.cfg.M) != crowd.DefectNone {
-			res.Malformed++
-			continue
-		}
-		valid = append(valid, crowd.Pack(v))
-	}
+	valid := b.Votes
+	res.Malformed = b.Malformed
 	s.malformed.Add(int64(res.Malformed))
 	s.met.ingestMalformed.Add(uint64(res.Malformed))
 	if len(valid) == 0 && key == "" {

@@ -435,6 +435,58 @@ func TestDecodersBoundAllocation(t *testing.T) {
 	}
 }
 
+// TestVotesBodyBoundsAllocation posts crafted POST /votes bodies of up to
+// MaxBodyBytes (32 MiB) through Handler(): a body of millions of votes,
+// empty or well formed, in one array or two, must allocate no more than
+// a bound set by MaxBatchVotes, not by the body's size.
+func TestVotesBodyBoundsAllocation(t *testing.T) {
+	const perVote, slack = 40, 1 << 20
+	size := int(DefaultConfig(4, 2).MaxBodyBytes)
+	// array fills a votes array with copies of vote up to about n bytes.
+	array := func(vote string, n int) string {
+		return `"votes":[` + strings.Repeat(vote+",", n/(len(vote)+1)-1) + vote + "]"
+	}
+	// Bodies are built one at a time, so the test holds one 32 MiB body.
+	bodies := []struct {
+		name    string
+		body    func() string
+		chunked bool // no Content-Length to size the batch by
+	}{
+		{"empty votes", func() string { return "{" + array("{}", size-16) + "}" }, false},
+		{"valid votes", func() string { return "{" + array(`{"i":0,"j":1}`, size-16) + "}" }, false},
+		{"valid votes, chunked", func() string { return "{" + array(`{"i":0,"j":1}`, size-16) + "}" }, true},
+		{"two arrays", func() string { return "{" + array(`{"i":0,"j":1}`, size/2-16) + "," + array("{}", size/2-16) + "}" }, false},
+		{"malformed, then mended, chunked", func() string { return "{" + array(`{"i":0}`, size/2-16) + "," + array(`{"j":1}`, size/2-16) + "}" }, true},
+		{"over the body cap", func() string { return "{" + array(`{"i":0,"j":1}`, size+1024) + "}" }, false},
+	}
+	for _, max := range []int{4096, DefaultConfig(4, 2).MaxBatchVotes} {
+		cfg := DefaultConfig(4, 2)
+		cfg.Seed = 83
+		cfg.MaxBatchVotes = max
+		h := newTestServer(t, cfg).Handler()
+		for _, tc := range bodies {
+			t.Run(fmt.Sprintf("%s/max=%d", tc.name, max), func(t *testing.T) {
+				body := tc.body()
+				r := httptest.NewRequest(http.MethodPost, "/votes", strings.NewReader(body))
+				if tc.chunked {
+					r.ContentLength = -1
+				}
+				w := httptest.NewRecorder()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				h.ServeHTTP(w, r)
+				runtime.ReadMemStats(&after)
+				if w.Code != http.StatusRequestEntityTooLarge {
+					t.Fatalf("status %d, want 413: %s", w.Code, w.Body)
+				}
+				if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(perVote*max+slack); got > bound {
+					t.Fatalf("a %d-byte body allocated %d bytes, bound %d", len(body), got, bound)
+				}
+			})
+		}
+	}
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1000, 0))
 	b := newBreaker(3, time.Minute, clock)
@@ -537,6 +589,19 @@ func httpServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// voteJSON and ingestRequest are the POST /votes body's struct form, for
+// tests that build bodies with encoding/json.
+type voteJSON struct {
+	Worker   int  `json:"worker"`
+	I        int  `json:"i"`
+	J        int  `json:"j"`
+	PrefersI bool `json:"prefers_i"`
+}
+
+type ingestRequest struct {
+	Votes []voteJSON `json:"votes"`
 }
 
 func postVotes(t *testing.T, url string, votes []crowd.Vote) *http.Response {

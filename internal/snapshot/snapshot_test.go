@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -195,6 +196,10 @@ func TestWriteCleansStaleTmp(t *testing.T) {
 	}
 }
 
+// loadSlack is what loading a snapshot file allocates whatever it holds:
+// the file handle, the read's slack and error texts.
+const loadSlack = 64 << 10
+
 // FuzzSnapshotLoad feeds arbitrary bytes to Load: whatever the damage, it
 // must never panic and must either reject the file or return a State
 // that survives a write-load round trip unchanged.
@@ -220,6 +225,16 @@ func FuzzSnapshotLoad(f *testing.F) {
 		target := filepath.Join(t.TempDir(), "snap")
 		if err := os.WriteFile(target, data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		// The daemon's load, into packed votes, may allocate at most 8
+		// bytes per file byte plus loadSlack (Load's []crowd.Vote copy
+		// of an accepted state is the caller's, and takes up to 8 more).
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = LoadImage(target, 0)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+loadSlack); got > bound {
+			t.Fatalf("loading %d bytes allocated %d, bound %d", len(data), got, bound)
 		}
 		st, err := Load(target)
 		if err != nil {

@@ -64,29 +64,6 @@ func GammaP(a, x float64) (float64, error) {
 	return 1 - q, nil
 }
 
-// GammaQ computes the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) (float64, error) {
-	switch {
-	case a <= 0:
-		return 0, fmt.Errorf("stat: GammaQ requires a > 0, got a=%v", a)
-	case x < 0:
-		return 0, fmt.Errorf("stat: GammaQ requires x >= 0, got x=%v", x)
-	case feq.Zero(x):
-		return 1, nil
-	case math.IsInf(x, 1):
-		return 0, nil
-	}
-	if x < a+1 {
-		p, err := gammaSeries(a, x)
-		if err != nil {
-			return 0, err
-		}
-		return 1 - p, nil
-	}
-	return gammaContinuedFraction(a, x)
-}
-
 // gammaIterations returns the iteration budget for the series / continued
 // fraction: convergence near x ~ a needs O(sqrt(a)) terms, so the budget
 // grows with a.
@@ -244,11 +221,6 @@ func wilsonHilferty(p, df float64) float64 {
 // NormalCDF returns P(Z <= z) for a standard normal Z.
 func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormalPDF returns the standard normal density at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
 }
 
 // NormalQuantile returns the p-th quantile of the standard normal

@@ -61,6 +61,9 @@ go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/snapshot
 echo "== fuzz smoke: inline vote decoder equals the binary.Uvarint reference =="
 go test -run='^$' -fuzz='^FuzzReadVote$' -fuzztime=20s ./internal/crowd
 
+echo "== fuzz smoke: POST /votes decoder equals the encoding/json reference =="
+go test -run='^$' -fuzz='^FuzzVotesJSON$' -fuzztime=20s ./internal/crowd
+
 echo "== fuzz smoke: replication frame decoder =="
 go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=20s ./internal/replica
 
@@ -70,10 +73,10 @@ go test -run='^$' -fuzz=FuzzIndexFold -fuzztime=20s ./internal/core
 echo "== go test -tags crowdrank_invariants ./... =="
 go test -tags crowdrank_invariants ./...
 
-echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch / BenchmarkBuildClosure / BenchmarkRecover / BenchmarkRankAfterIngest / BenchmarkRankWarmUp / BenchmarkVoteHeap run once =="
+echo "== bench smoke: BenchmarkInfer / BenchmarkSAPSSearch / BenchmarkBuildClosure / BenchmarkRecover / BenchmarkRankAfterIngest / BenchmarkRankWarmUp / BenchmarkVoteHeap / BenchmarkIngestHTTP run once =="
 # Execution only, no timing gate: performance is compared end to end with
 # bash cmd/crowdload/bench.sh -compare cmd/crowdload/results/BENCH_seed.json.
-go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch|BenchmarkBuildClosure|BenchmarkRecover|BenchmarkRankAfterIngest|BenchmarkRankWarmUp|BenchmarkVoteHeap)$' -benchtime 1x . ./internal/serve
+go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkSAPSSearch|BenchmarkBuildClosure|BenchmarkRecover|BenchmarkRankAfterIngest|BenchmarkRankWarmUp|BenchmarkVoteHeap|BenchmarkIngestHTTP)$' -benchtime 1x . ./internal/serve
 
 echo "== no orphaned crowdrankd, crowdload or test processes =="
 ./scripts/check-orphans.sh
