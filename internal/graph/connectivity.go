@@ -21,6 +21,7 @@ func (g *PreferenceGraph) StronglyConnected() bool {
 func (g *PreferenceGraph) StronglyConnectedComponents() [][]int {
 	const unvisited = -1
 
+	out, _ := g.adjacency()
 	index := make([]int, g.n)
 	lowLink := make([]int, g.n)
 	onStack := make([]bool, g.n)
@@ -54,8 +55,8 @@ func (g *PreferenceGraph) StronglyConnectedComponents() [][]int {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
-			if f.next < len(g.out[v]) {
-				u := g.out[v][f.next]
+			if f.next < len(out[v]) {
+				u := out[v][f.next]
 				f.next++
 				if index[u] == unvisited {
 					index[u] = nextIndex
@@ -108,13 +109,14 @@ func (g *PreferenceGraph) Reachable() [][]bool {
 	}
 	// BFS from each vertex. With m directed edges the cost is O(n(n+m)),
 	// fine for the paper's scales and simpler than bitset Floyd-Warshall.
+	out, _ := g.adjacency()
 	queue := make([]int, 0, g.n)
 	for s := 0; s < g.n; s++ {
 		queue = queue[:0]
 		queue = append(queue, s)
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for _, u := range g.out[v] {
+			for _, u := range out[v] {
 				if !reach[s][u] {
 					reach[s][u] = true
 					queue = append(queue, u)

@@ -55,9 +55,10 @@ func (g *PreferenceGraph) WriteDOT(w io.Writer, name string) error {
 		i, j   int
 		weight float64
 	}
+	out, _ := g.adjacency()
 	var edges []edge
 	for i := 0; i < g.n; i++ {
-		for _, j := range g.out[i] {
+		for _, j := range out[i] {
 			edges = append(edges, edge{i: i, j: j, weight: g.w[i][j]})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"crowdrank/internal/feq"
 )
@@ -17,11 +18,16 @@ import (
 // The representation is a dense matrix plus adjacency lists: inference needs
 // O(1) weight lookups while propagation iterates outgoing edges, and the
 // paper's scale (n <= a few thousand) keeps the matrix comfortably in memory.
+// The lists are built from the matrix on the first call that needs them
+// (Out, In, SetWeight, OneEdges, the connectivity checks), so a graph only
+// read through Weight and Row, like a cached closure, never holds them.
+// Concurrent readers are safe; SetWeight is not safe alongside anything.
 type PreferenceGraph struct {
-	n   int
-	w   [][]float64
-	out [][]int // out[i] = sorted-by-insertion list of j with w[i][j] > 0
-	in  [][]int // in[j] = list of i with w[i][j] > 0
+	n     int
+	w     [][]float64
+	lists sync.Once
+	out   [][]int // out[i] = list of j with w[i][j] > 0, in insertion order
+	in    [][]int // in[j] = list of i with w[i][j] > 0
 }
 
 // NewPreferenceGraph creates an edgeless preference graph over n vertices.
@@ -29,12 +35,7 @@ func NewPreferenceGraph(n int) (*PreferenceGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("graph: preference graph needs at least one vertex, got n=%d", n)
 	}
-	return &PreferenceGraph{
-		n:   n,
-		w:   NewMatrix(n),
-		out: make([][]int, n),
-		in:  make([][]int, n),
-	}, nil
+	return &PreferenceGraph{n: n, w: NewMatrix(n)}, nil
 }
 
 // NewMatrix returns a zeroed n x n matrix whose rows share one backing
@@ -49,17 +50,15 @@ func NewMatrix(n int) [][]float64 {
 }
 
 // FromWeights assembles a preference graph from a dense n x n weight
-// matrix in one pass, taking ownership of w. Every adjacency list comes
-// out ascending — the order SetWeight produces when edges are inserted
-// pair by pair in (i, j) order — without growing lists one edge at a time.
-// The diagonal must be zero and every weight in [0, 1].
+// matrix, taking ownership of w. Its adjacency lists, built on first use,
+// come out ascending — the order SetWeight produces when edges are
+// inserted pair by pair in (i, j) order. The diagonal must be zero and
+// every weight in [0, 1].
 func FromWeights(w [][]float64) (*PreferenceGraph, error) {
 	n := len(w)
 	if n < 1 {
 		return nil, fmt.Errorf("graph: preference graph needs at least one vertex, got n=%d", n)
 	}
-	inDeg := make([]int, n)
-	edges := 0
 	for i, row := range w {
 		if len(row) != n {
 			return nil, fmt.Errorf("graph: weight row %d has %d entries, want %d", i, len(row), n)
@@ -68,10 +67,29 @@ func FromWeights(w [][]float64) (*PreferenceGraph, error) {
 			if x < 0 || x > 1 || math.IsNaN(x) {
 				return nil, fmt.Errorf("graph: weight %v for edge (%d,%d) outside [0,1]", x, i, j)
 			}
+			if x > 0 && i == j {
+				return nil, fmt.Errorf("graph: self-loop (%d,%d) is not a valid preference", i, j)
+			}
+		}
+	}
+	return &PreferenceGraph{n: n, w: w}, nil
+}
+
+// adjacency returns the adjacency lists, building them on the first call.
+func (g *PreferenceGraph) adjacency() (out, in [][]int) {
+	g.lists.Do(g.buildLists)
+	return g.out, g.in
+}
+
+// buildLists builds ascending adjacency lists from the matrix in one pass,
+// without growing lists one edge at a time.
+func (g *PreferenceGraph) buildLists() {
+	n := g.n
+	inDeg := make([]int, n)
+	edges := 0
+	for _, row := range g.w {
+		for j, x := range row {
 			if x > 0 {
-				if i == j {
-					return nil, fmt.Errorf("graph: self-loop (%d,%d) is not a valid preference", i, j)
-				}
 				inDeg[j]++
 				edges++
 			}
@@ -85,8 +103,8 @@ func FromWeights(w [][]float64) (*PreferenceGraph, error) {
 	for j := 1; j < n; j++ {
 		inEnd[j] = inEnd[j-1] + inDeg[j-1]
 	}
-	g := &PreferenceGraph{n: n, w: w, out: make([][]int, n), in: make([][]int, n)}
-	for i, row := range w {
+	g.out, g.in = make([][]int, n), make([][]int, n)
+	for i, row := range g.w {
 		start := len(outBacking)
 		for j, x := range row {
 			if x > 0 {
@@ -100,7 +118,6 @@ func FromWeights(w [][]float64) (*PreferenceGraph, error) {
 	for j := range g.in {
 		g.in[j] = inBacking[inEnd[j]-inDeg[j] : inEnd[j] : inEnd[j]]
 	}
-	return g, nil
 }
 
 // N returns the number of vertices.
@@ -139,16 +156,17 @@ func (g *PreferenceGraph) SetWeight(i, j int, weight float64) error {
 	if weight < 0 || weight > 1 || math.IsNaN(weight) {
 		return fmt.Errorf("graph: weight %v for edge (%d,%d) outside [0,1]", weight, i, j)
 	}
+	out, in := g.adjacency()
 	had := g.w[i][j] > 0
 	g.w[i][j] = weight
 	has := weight > 0
 	switch {
 	case has && !had:
-		g.out[i] = append(g.out[i], j)
-		g.in[j] = append(g.in[j], i)
+		out[i] = append(out[i], j)
+		in[j] = append(in[j], i)
 	case !has && had:
-		g.out[i] = removeInt(g.out[i], j)
-		g.in[j] = removeInt(g.in[j], i)
+		out[i] = removeInt(out[i], j)
+		in[j] = removeInt(in[j], i)
 	}
 	return nil
 }
@@ -169,7 +187,8 @@ func (g *PreferenceGraph) Out(i int) []int {
 	if i < 0 || i >= g.n {
 		return nil
 	}
-	return g.out[i]
+	out, _ := g.adjacency()
+	return out[i]
 }
 
 // In returns the in-neighbors of j. The slice is shared with internal state;
@@ -178,7 +197,8 @@ func (g *PreferenceGraph) In(j int) []int {
 	if j < 0 || j >= g.n {
 		return nil
 	}
-	return g.in[j]
+	_, in := g.adjacency()
+	return in[j]
 }
 
 // OutDegree and InDegree report edge counts per vertex.
@@ -217,9 +237,10 @@ func (g *PreferenceGraph) InOutNodes() (inNodes, outNodes []int) {
 // is sorted so that callers consuming randomness per edge stay
 // deterministic.
 func (g *PreferenceGraph) OneEdges() []Pair {
+	out, _ := g.adjacency()
 	var edges []Pair
 	for i := 0; i < g.n; i++ {
-		for _, j := range g.out[i] {
+		for _, j := range out[i] {
 			if feq.One(g.w[i][j]) {
 				edges = append(edges, Pair{I: i, J: j})
 			}

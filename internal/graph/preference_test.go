@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -302,5 +304,129 @@ func TestFromWeightsRejectsBadMatrices(t *testing.T) {
 		if _, err := FromWeights(w); err == nil {
 			t.Errorf("%s: want an error", name)
 		}
+	}
+}
+
+// eagerAdjacency returns the adjacency lists FromWeights used to build
+// up front: every list ascending.
+func eagerAdjacency(w [][]float64) (out, in [][]int) {
+	out, in = make([][]int, len(w)), make([][]int, len(w))
+	for i, row := range w {
+		for j, x := range row {
+			if x > 0 {
+				out[i] = append(out[i], j)
+				in[j] = append(in[j], i)
+			}
+		}
+	}
+	return out, in
+}
+
+// TestLazyAdjacencyMatchesEager checks on random graphs that the lists
+// built on first use equal the eager ones, and stay equal through
+// SetWeight calls that add and remove edges, whether or not anything read
+// the lists before the first SetWeight.
+func TestLazyAdjacencyMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 38))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(9)
+		w := NewMatrix(n)
+		for i := range w {
+			for j := range w[i] {
+				if i != j && rng.IntN(3) == 0 {
+					w[i][j] = rng.Float64()
+				}
+			}
+		}
+		wantOut, wantIn := eagerAdjacency(w)
+		m := NewMatrix(n)
+		for i := range w {
+			copy(m[i], w[i])
+		}
+		g, err := FromWeights(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.out != nil || g.in != nil {
+			t.Fatal("FromWeights built adjacency lists before any use")
+		}
+		readFirst := trial%2 == 0
+		check := func(when string) {
+			t.Helper()
+			for v := 0; v < n; v++ {
+				if !slices.Equal(g.Out(v), wantOut[v]) || !slices.Equal(g.In(v), wantIn[v]) {
+					t.Fatalf("trial %d %s: vertex %d out %v in %v, want %v %v", trial, when, v, g.Out(v), g.In(v), wantOut[v], wantIn[v])
+				}
+			}
+		}
+		if readFirst {
+			check("before SetWeight")
+		}
+		for range 2 * n {
+			if n < 2 {
+				break
+			}
+			i, j := rng.IntN(n), rng.IntN(n-1)
+			if j >= i {
+				j++
+			}
+			x := 0.0
+			if rng.IntN(2) == 0 {
+				x = 0.5 + rng.Float64()/2
+			}
+			// SetWeight appends a new edge and swap-removes a dropped one.
+			switch had := w[i][j] > 0; {
+			case x > 0 && !had:
+				wantOut[i] = append(wantOut[i], j)
+				wantIn[j] = append(wantIn[j], i)
+			case x == 0 && had:
+				wantOut[i] = removeInt(wantOut[i], j)
+				wantIn[j] = removeInt(wantIn[j], i)
+			}
+			w[i][j] = x
+			setW(t, g, i, j, x)
+		}
+		check("after SetWeight")
+	}
+}
+
+// TestAdjacencyConcurrentReaders has many goroutines read the lists of
+// one shared graph at once, as ranks and the build-ahead share a cached
+// closure; run under -race it checks the first-use build.
+func TestAdjacencyConcurrentReaders(t *testing.T) {
+	const n = 40
+	w := NewMatrix(n)
+	for i := range w {
+		for j := range w[i] {
+			if i != j {
+				w[i][j] = 0.5
+			}
+		}
+	}
+	g, err := FromWeights(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := 0; v < n; v++ {
+				if len(g.Out(v)) != n-1 || len(g.In(v)) != n-1 {
+					errs <- fmt.Sprintf("vertex %d: %d out, %d in, want %d each", v, len(g.Out(v)), len(g.In(v)), n-1)
+					return
+				}
+			}
+			if !g.StronglyConnected() {
+				errs <- "complete graph reads as not strongly connected"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -1,17 +1,14 @@
 // Package kendall implements the ranking-quality metrics of Section VI-A5:
 // the Kendall tau distance (both the naive O(n^2) definition and Knight's
 // O(n log n) merge-count algorithm), the derived accuracy 1 - d used
-// throughout the paper's evaluation, and Spearman correlation measures for
-// cross-checking.
+// throughout the paper's evaluation, Spearman's rho for cross-checking,
+// and the top-k overlap.
 //
 // A ranking is a permutation pi of {0, ..., n-1} listed best-first:
 // pi[0] is the most-preferred object.
 package kendall
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ValidatePermutation returns an error unless pi is a permutation of
 // {0, ..., len(pi)-1}.
@@ -162,29 +159,6 @@ func mergeCount(seq, buf []int, lo, mid, hi int) int64 {
 	return inversions
 }
 
-// SpearmanFootrule returns the normalized Spearman footrule distance: the
-// sum over objects of |rank_a - rank_b| divided by its maximum value
-// (floor(n^2/2)), yielding a distance in [0, 1].
-func SpearmanFootrule(a, b []int) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	n := len(a)
-	if n < 2 {
-		return 0, nil
-	}
-	posA, posB := positions(a), positions(b)
-	total := 0
-	for obj := 0; obj < n; obj++ {
-		d := posA[obj] - posB[obj]
-		if d < 0 {
-			d = -d
-		}
-		total += d
-	}
-	return float64(total) / float64(n*n/2), nil
-}
-
 // SpearmanRho returns Spearman's rank correlation coefficient in [-1, 1].
 func SpearmanRho(a, b []int) (float64, error) {
 	if err := checkPair(a, b); err != nil {
@@ -202,30 +176,6 @@ func SpearmanRho(a, b []int) (float64, error) {
 	}
 	nf := float64(n)
 	return 1 - 6*sumSq/(nf*(nf*nf-1)), nil
-}
-
-// PairwiseAgreement returns the fraction of the provided object pairs whose
-// relative order agrees between the two rankings. It generalizes Accuracy to
-// a subset of pairs, useful when scoring against sparse preference data.
-func PairwiseAgreement(a, b []int, pairs [][2]int) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	if len(pairs) == 0 {
-		return 0, fmt.Errorf("kendall: no pairs to score")
-	}
-	posA, posB := positions(a), positions(b)
-	agree := 0
-	for _, p := range pairs {
-		i, j := p[0], p[1]
-		if i < 0 || j < 0 || i >= len(a) || j >= len(a) || i == j {
-			return 0, fmt.Errorf("kendall: invalid pair (%d,%d)", i, j)
-		}
-		if (posA[i] < posA[j]) == (posB[i] < posB[j]) {
-			agree++
-		}
-	}
-	return float64(agree) / float64(len(pairs)), nil
 }
 
 // TopKOverlap returns |top-k(a) ∩ top-k(b)| / k, a top-k quality measure for
@@ -248,19 +198,4 @@ func TopKOverlap(a, b []int, k int) (float64, error) {
 		}
 	}
 	return float64(overlap) / float64(k), nil
-}
-
-// MeanReciprocalDisplacement is an auxiliary diagnostic: the mean over
-// objects of 1/(1+|rank_a-rank_b|). It rewards near-misses more smoothly
-// than Kendall distance and is handy for debugging inference regressions.
-func MeanReciprocalDisplacement(a, b []int) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	posA, posB := positions(a), positions(b)
-	var sum float64
-	for obj := range a {
-		sum += 1 / (1 + math.Abs(float64(posA[obj]-posB[obj])))
-	}
-	return sum / float64(len(a)), nil
 }

@@ -117,17 +117,6 @@ func TestTauAndAccuracyRelations(t *testing.T) {
 	}
 }
 
-func TestSpearmanFootrule(t *testing.T) {
-	a := []int{0, 1, 2, 3}
-	if d, _ := SpearmanFootrule(a, a); d != 0 {
-		t.Errorf("footrule self-distance = %v", d)
-	}
-	rev := []int{3, 2, 1, 0}
-	if d, _ := SpearmanFootrule(a, rev); d != 1 {
-		t.Errorf("footrule reversal = %v, want 1", d)
-	}
-}
-
 func TestSpearmanRho(t *testing.T) {
 	a := []int{0, 1, 2, 3, 4}
 	if rho, _ := SpearmanRho(a, a); !almost(rho, 1) {
@@ -136,25 +125,6 @@ func TestSpearmanRho(t *testing.T) {
 	rev := []int{4, 3, 2, 1, 0}
 	if rho, _ := SpearmanRho(a, rev); !almost(rho, -1) {
 		t.Errorf("rho reversal = %v", rho)
-	}
-}
-
-func TestPairwiseAgreement(t *testing.T) {
-	a := []int{0, 1, 2, 3}
-	b := []int{1, 0, 2, 3}
-	pairs := [][2]int{{0, 1}, {2, 3}, {0, 3}}
-	got, err := PairwiseAgreement(a, b, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(got, 2.0/3) {
-		t.Errorf("agreement = %v, want 2/3", got)
-	}
-	if _, err := PairwiseAgreement(a, b, nil); err == nil {
-		t.Error("empty pairs should fail")
-	}
-	if _, err := PairwiseAgreement(a, b, [][2]int{{0, 0}}); err == nil {
-		t.Error("degenerate pair should fail")
 	}
 }
 
@@ -172,18 +142,6 @@ func TestTopKOverlap(t *testing.T) {
 	}
 	if _, err := TopKOverlap(a, b, 6); err == nil {
 		t.Error("k>n should fail")
-	}
-}
-
-func TestMeanReciprocalDisplacement(t *testing.T) {
-	a := []int{0, 1, 2}
-	if got, _ := MeanReciprocalDisplacement(a, a); !almost(got, 1) {
-		t.Errorf("MRD self = %v", got)
-	}
-	b := []int{2, 1, 0}
-	// displacements 2, 0, 2 -> mean of 1/3, 1, 1/3
-	if got, _ := MeanReciprocalDisplacement(a, b); !almost(got, (1.0/3+1+1.0/3)/3) {
-		t.Errorf("MRD = %v", got)
 	}
 }
 

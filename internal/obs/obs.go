@@ -299,7 +299,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	var b bytes.Buffer
 	for _, f := range fams {
 		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, helpEscaper.Replace(f.help))
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
@@ -356,7 +356,7 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeValue(l.Value))
+		b.WriteString(valueEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	return b.String()
@@ -376,15 +376,12 @@ func sampleName(name, labels string) string {
 	return name + "{" + labels + "}"
 }
 
-func escapeValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
-
-func escapeHelp(h string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(h)
-}
+// valueEscaper and helpEscaper apply the exposition format's escapes to
+// label values and help text; a Replacer is safe for concurrent use.
+var (
+	valueEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 func formatFloat(v float64) string {
 	if math.IsInf(v, 1) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strconv"
+	"sync"
 
 	"crowdrank/internal/journal"
 	"crowdrank/internal/obs"
@@ -54,6 +55,8 @@ type metrics struct {
 
 	slowRequests *obs.Counter
 	httpSeconds  map[string]*obs.Histogram
+	httpMu       sync.Mutex
+	httpRequests map[routeCode]*obs.Counter // by httpRequest, under httpMu
 
 	snapshotOK           *obs.Counter
 	snapshotFailed       *obs.Counter
@@ -97,6 +100,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 		slowRequests: reg.Counter("crowdrankd_http_slow_requests_total", "HTTP requests slower than the configured threshold."),
 		httpSeconds:  make(map[string]*obs.Histogram, len(httpRoutes)),
+		httpRequests: make(map[routeCode]*obs.Counter),
 
 		snapshotOK:           reg.Counter("crowdrankd_snapshots_total", "Snapshot+compaction cycles by outcome.", obs.L("result", "ok")),
 		snapshotFailed:       reg.Counter("crowdrankd_snapshots_total", "Snapshot+compaction cycles by outcome.", obs.L("result", "error")),
@@ -129,12 +133,27 @@ func newMetrics(reg *obs.Registry) *metrics {
 	return m
 }
 
+// routeCode keys one crowdrankd_http_requests_total series.
+type routeCode struct {
+	route  string
+	status int
+}
+
 // httpRequest counts one finished HTTP request. Series are registered
-// lazily per (route, status) — the registry dedups, so steady-state cost
-// is one map lookup under a brief mutex.
+// lazily per (route, status), once each: later requests find their
+// counter in httpRequests, without rendering labels or locking the
+// registry.
 func (m *metrics) httpRequest(route string, status int) {
-	m.reg.Counter("crowdrankd_http_requests_total", "HTTP requests by route and status code.",
-		obs.L("route", route), obs.L("code", strconv.Itoa(status))).Inc()
+	key := routeCode{route, status}
+	m.httpMu.Lock()
+	c, ok := m.httpRequests[key]
+	if !ok {
+		c = m.reg.Counter("crowdrankd_http_requests_total", "HTTP requests by route and status code.",
+			obs.L("route", route), obs.L("code", strconv.Itoa(status)))
+		m.httpRequests[key] = c
+	}
+	m.httpMu.Unlock()
+	c.Inc()
 }
 
 // registerGauges installs the scrape-time gauges that mirror server

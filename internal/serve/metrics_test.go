@@ -22,7 +22,10 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"crowdrank/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -157,5 +160,37 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("exposition shape drifted from %s (run with -update if intentional)\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestHTTPRequestCounterAllocs pins what counting one HTTP request costs:
+// once its (route, code) series exists, another request on it allocates
+// nothing and still lands on the registered series, also when requests
+// finish concurrently.
+func TestHTTPRequestCounterAllocs(t *testing.T) {
+	m := newMetrics(obs.NewRegistry())
+	m.httpRequest("votes", http.StatusOK)
+	if allocs := testing.AllocsPerRun(100, func() { m.httpRequest("votes", http.StatusOK) }); allocs != 0 {
+		t.Errorf("counting a request allocates %v times, want 0", allocs)
+	}
+	// Handlers finish concurrently, some on series not yet registered.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				m.httpRequest("votes", http.StatusOK)
+				m.httpRequest("votes", http.StatusBadRequest)
+			}
+		}()
+	}
+	wg.Wait()
+	// AllocsPerRun makes one warm-up call before its 100 counted ones.
+	for code, want := range map[string]uint64{"200": 302, "400": 200} {
+		c := m.reg.Counter("crowdrankd_http_requests_total", "", obs.L("route", "votes"), obs.L("code", code))
+		if got := c.Value(); got != want {
+			t.Errorf("code %s counted %d requests, want %d", code, got, want)
+		}
 	}
 }

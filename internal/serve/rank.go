@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"crowdrank/internal/core"
-	"crowdrank/internal/crowd"
 	"crowdrank/internal/graph"
 	"crowdrank/internal/invariant"
 	"crowdrank/internal/search"
@@ -220,11 +219,6 @@ func (s *Server) result(e genEntry, algo string, sr *search.Result) RankResult {
 	}
 }
 
-// foldChunkVotes bounds the votes fill unpacks at a time (128 KiB), so
-// the first build after a restart, whose delta is every vote, never holds
-// the whole vote set as []crowd.Vote.
-const foldChunkVotes = 4096
-
 // fill returns the cache entry for the newest vote state; the caller holds
 // cacheMu, and trigger names it in the closure-build counter. When the
 // state moved since the last build it folds the new votes into the
@@ -250,20 +244,10 @@ func (s *Server) fill(trigger string) (e genEntry, searched bool, err error) {
 		}
 		// The vote slice only grows once the server is open, so the index
 		// holds a prefix of it and folds in just the votes that arrived
-		// since the last build, unpacked a chunk at a time.
+		// since the last build.
 		start := s.clock.Now()
-		delta := votes[s.index.Len():]
-		buf := make([]crowd.Vote, 0, min(len(delta), foldChunkVotes))
-		for len(delta) > 0 {
-			k := min(len(delta), foldChunkVotes)
-			buf = buf[:0]
-			for _, p := range delta[:k] {
-				buf = append(buf, p.Vote())
-			}
-			if err := s.index.Add(buf); err != nil {
-				return genEntry{}, false, fmt.Errorf("serve: building closure: %w", err)
-			}
-			delta = delta[k:]
+		if err := s.index.AddPacked(votes[s.index.Len():]); err != nil {
+			return genEntry{}, false, fmt.Errorf("serve: building closure: %w", err)
 		}
 		indexed := s.clock.Since(start)
 		opts := core.DefaultOptions()

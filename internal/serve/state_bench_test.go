@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"crowdrank/internal/core"
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/truth"
 )
@@ -47,16 +48,19 @@ func heapAfterGC() int64 {
 // marketplace crowd of many workers with few. It applies the stream in
 // keyed 1000-vote records through voteState.apply and reports
 // state_B_per_vote (the votes, the dedup set and the ack window), then
-// adds the kept votes to a cold truth.Index and reports index_B_per_vote
-// (the Steps 1-3 vote index a build keeps beside the state). Both are
-// heap growth after a full GC, over the kept vote count.
+// adds the kept packed votes to a cold truth.Index, as the daemon's first
+// build does, and reports index_B_per_vote (the Steps 1-3 vote index a
+// build keeps beside the state). Both are heap growth after a full GC,
+// over the kept vote count. Last it builds the Steps 1-3 closure over the
+// index and reports closure_B, the heap the daemon's one cached closure
+// retains.
 func BenchmarkVoteHeap(b *testing.B) {
 	const n, recordVotes = 1000, 1000
 	for _, m := range []int{30, 3000} {
 		b.Run(fmt.Sprintf("n=%d/m=%d", n, m), func(b *testing.B) {
 			stream := voteHeapStream(n, m)
 			window := DefaultConfig(n, m).IdempotencyWindow
-			var stateB, indexB int64
+			var stateB, indexB, closureB int64
 			var kept int
 			for i := 0; i < b.N; i++ {
 				base := heapAfterGC()
@@ -69,25 +73,26 @@ func BenchmarkVoteHeap(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				buf := make([]crowd.Vote, 0, foldChunkVotes)
-				for k := 0; k < len(st.votes); k += foldChunkVotes {
-					buf = buf[:0]
-					for _, p := range st.votes[k:min(k+foldChunkVotes, len(st.votes))] {
-						buf = append(buf, p.Vote())
-					}
-					if err := idx.Add(buf); err != nil {
-						b.Fatal(err)
-					}
+				if err := idx.AddPacked(st.votes); err != nil {
+					b.Fatal(err)
 				}
-				buf = nil
-				stateB, indexB = withState-base, heapAfterGC()-withState
+				withIndex := heapAfterGC()
+				cl, err := core.BuildClosureFrom(idx, nil, core.DefaultOptions(), core.NewPipelineRNG(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				closure := cl.Closure
+				cl = nil
+				stateB, indexB, closureB = withState-base, withIndex-withState, heapAfterGC()-withIndex
 				kept = len(st.votes)
 				runtime.KeepAlive(st)
 				runtime.KeepAlive(idx)
+				runtime.KeepAlive(closure)
 			}
 			b.ReportMetric(float64(kept), "votes")
 			b.ReportMetric(float64(stateB)/float64(kept), "state_B_per_vote")
 			b.ReportMetric(float64(indexB)/float64(kept), "index_B_per_vote")
+			b.ReportMetric(float64(closureB), "closure_B")
 		})
 	}
 }

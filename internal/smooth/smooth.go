@@ -96,8 +96,19 @@ func Smooth(g *graph.PreferenceGraph, quality []float64, votes *truth.Index, rng
 	stats.OneEdges = len(oneEdges)
 	var totalDelta float64
 
-	for _, e := range oneEdges {
-		delta, err := errorEstimate(votes.Voters(e.I, e.J), quality, sigma, rng, p)
+	// The voters of every 1-edge, gathered in one pass over the votes; an
+	// edge no vote compared gets none.
+	ids := make([]int, len(oneEdges))
+	for k, e := range oneEdges {
+		ids[k] = -1
+		if id, ok := votes.PairID(e.I, e.J); ok {
+			ids[k] = id
+		}
+	}
+	voters := votes.VotersOf(ids)
+
+	for k, e := range oneEdges {
+		delta, err := errorEstimate(voters[k], quality, sigma, rng, p)
 		if err != nil {
 			return Stats{}, fmt.Errorf("smooth: edge %v: %w", e, err)
 		}

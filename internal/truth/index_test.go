@@ -45,15 +45,66 @@ func TestIndexAdd(t *testing.T) {
 	if _, ok := idx.PairID(0, 9); ok {
 		t.Error("an out-of-range pair has no id")
 	}
-	if got := idx.Voters(2, 1); !slices.Equal(got, []int32{0, 1}) {
-		t.Errorf("Voters(2,1) = %v, want [0 1]", got)
+	if got := idx.VotersOf([]int{1, -1, 0, 1}); !slices.Equal(got[0], []int32{2}) || got[1] != nil || !slices.Equal(got[2], []int32{0, 1}) || !slices.Equal(got[3], []int32{2}) {
+		t.Errorf("VotersOf(1,-1,0,1) = %v, want [[2] [] [0 1] [2]]", got)
 	}
-	// Votes are filed with respect to the canonical orientation.
-	if pv := idx.pairs[0]; !slices.Equal(pv.values, []uint8{0, 1}) {
-		t.Errorf("pair (1,2) values = %v, want [0 1]", pv.values)
+	// Votes are filed with respect to the canonical orientation, in vote
+	// order: the log reads the pair id, worker and value of each vote.
+	var filed [][3]uint32
+	for _, c := range idx.log {
+		for _, e := range c {
+			filed = append(filed, [3]uint32{e.pair, e.wv >> 1, e.wv & 1})
+		}
 	}
-	if wv := idx.byWorker[2]; !slices.Equal(wv.pairs, []int32{1}) || !slices.Equal(wv.values, []uint8{0}) {
-		t.Errorf("worker 2 votes = %+v", wv)
+	if want := [][3]uint32{{0, 0, 0}, {0, 1, 1}, {1, 2, 0}}; !slices.Equal(filed, want) {
+		t.Errorf("log (pair, worker, value) = %v, want %v", filed, want)
+	}
+	if got := []int{idx.WorkerVotes(0), idx.WorkerVotes(1), idx.WorkerVotes(2)}; !slices.Equal(got, []int{1, 1, 1}) {
+		t.Errorf("per-worker counts = %v, want [1 1 1]", got)
+	}
+}
+
+func TestIndexAddPackedMatchesAdd(t *testing.T) {
+	votes := []crowd.Vote{vote(0, 2, 1, true), vote(1, 1, 2, true), vote(2, 0, 3, false), vote(1, 3, 0, true)}
+	a, _ := NewIndex(4, 3)
+	b, _ := NewIndex(4, 3)
+	if err := a.Add(votes); err != nil {
+		t.Fatal(err)
+	}
+	packed := make([]crowd.Packed, len(votes))
+	for i, v := range votes {
+		packed[i] = crowd.Pack(v)
+	}
+	if err := b.AddPacked(packed); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.log[0], b.log[0]) || !slices.Equal(a.pairs, b.pairs) || !slices.Equal(a.counts, b.counts) {
+		t.Errorf("AddPacked filed %v %v %v, Add %v %v %v", b.log, b.pairs, b.counts, a.log, a.pairs, a.counts)
+	}
+	if err := b.AddPacked([]crowd.Packed{crowd.Pack(vote(3, 0, 1, true))}); err == nil || b.Len() != len(votes) {
+		t.Errorf("a bad packed vote: err %v, Len %d", err, b.Len())
+	}
+}
+
+func TestIndexLogChunks(t *testing.T) {
+	idx, _ := NewIndex(3, 2)
+	votes := make([]crowd.Vote, chunkVotes+5)
+	for k := range votes {
+		votes[k] = vote(k%2, 0, 1+k%2, k%3 == 0)
+	}
+	if err := idx.Add(votes[:7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Add(votes[7:]); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.log) != 2 || len(idx.log[0]) != chunkVotes || cap(idx.log[0]) != chunkVotes || len(idx.log[1]) != 5 {
+		t.Fatalf("chunks of %d votes: %d chunks", len(votes), len(idx.log))
+	}
+	// Pair 0 is (0,1), answered by worker 0 at every even k.
+	got := idx.VotersOf([]int{0, 1})
+	if len(got[0]) != chunkVotes/2+3 || len(got[1]) != chunkVotes/2+2 || slices.ContainsFunc(got[0], func(w int32) bool { return w != 0 }) {
+		t.Errorf("voters across chunks: %d + %d", len(got[0]), len(got[1]))
 	}
 }
 

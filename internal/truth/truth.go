@@ -97,10 +97,11 @@ type Result struct {
 }
 
 // Discover runs iterative truth discovery over the votes idx holds; there
-// must be at least one. Every sum runs in vote order — each pair's
-// Equation 4 average over the pair's votes, each worker's squared error
-// over the worker's votes — so the result is the same bit for bit however
-// the votes were split across Add calls.
+// must be at least one. Each update is one pass over the vote log, so
+// every sum runs in vote order — each pair's Equation 4 average over the
+// pair's votes, each worker's squared error over the worker's votes — and
+// the result is the same bit for bit however the votes were split across
+// Add calls.
 func Discover(idx *Index, p Params) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -111,7 +112,7 @@ func Discover(idx *Index, p Params) (*Result, error) {
 	m := idx.M()
 	taskCounts := make([]int, m)
 	for w := range taskCounts {
-		taskCounts[w] = len(idx.byWorker[w].pairs)
+		taskCounts[w] = idx.WorkerVotes(w)
 	}
 
 	// Each worker's chi-square percentile χ²(α/2, |T_k|), computed once
@@ -141,6 +142,7 @@ func Discover(idx *Index, p Params) (*Result, error) {
 	}
 	pref := make([]float64, idx.Pairs())
 	prevPref := make([]float64, len(pref))
+	den := make([]float64, len(pref))
 	prevWeight := make([]float64, m)
 	sqErr := make([]float64, m)
 
@@ -151,7 +153,7 @@ func Discover(idx *Index, p Params) (*Result, error) {
 		copy(prevPref, pref)
 		copy(prevWeight, weight)
 
-		updatePreferences(idx, weight, pref)
+		updatePreferences(idx, weight, pref, den)
 		squaredErrors(idx, pref, sqErr)
 		updateWeights(sqErr, taskCounts, chi, weight, p.QualityFloor)
 
@@ -194,18 +196,21 @@ func boundedQualities(sqErr []float64, taskCounts []int, floor float64) []float6
 }
 
 // updatePreferences applies Equation 4: the weight-averaged vote per pair,
-// summed over the pair's votes in vote order.
-func updatePreferences(idx *Index, weight, pref []float64) {
-	for id := range idx.pairs {
-		pv := &idx.pairs[id]
-		var num, den float64
-		for t, w := range pv.workers {
-			q := weight[w]
-			num += float64(pv.values[t]) * q
-			den += q
+// in one pass over the vote log that sums each pair's numerator into pref
+// and its denominator into den, so each pair's terms add in vote order.
+func updatePreferences(idx *Index, weight, pref, den []float64) {
+	clear(pref)
+	clear(den)
+	for _, c := range idx.log {
+		for _, e := range c {
+			q := weight[e.wv>>1]
+			pref[e.pair] += float64(e.wv&1) * q
+			den[e.pair] += q
 		}
-		if den > 0 {
-			pref[id] = num / den
+	}
+	for id, d := range den {
+		if d > 0 {
+			pref[id] /= d
 		} else {
 			pref[id] = 0.5 // no usable votes: maximal uncertainty
 		}
@@ -213,16 +218,14 @@ func updatePreferences(idx *Index, weight, pref []float64) {
 }
 
 // squaredErrors fills sqErr[k] with Σ (x^k - x̂)² over worker k's votes,
-// summed in vote order.
+// in one pass over the vote log, so each worker's terms add in vote order.
 func squaredErrors(idx *Index, pref, sqErr []float64) {
-	for w := range idx.byWorker {
-		wv := &idx.byWorker[w]
-		var sum float64
-		for t, id := range wv.pairs {
-			d := float64(wv.values[t]) - pref[id]
-			sum += d * d
+	clear(sqErr)
+	for _, c := range idx.log {
+		for _, e := range c {
+			d := float64(e.wv&1) - pref[e.pair]
+			sqErr[e.wv>>1] += d * d
 		}
-		sqErr[w] = sum
 	}
 }
 
