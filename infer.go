@@ -315,10 +315,12 @@ func CertifyRanking(n, m int, votes []Vote, ranking []int, opts ...Option) (*Cer
 	return search.Certify(cl.Closure, ranking)
 }
 
-// ServeConfig configures the crowdrankd ranking daemon: journaled vote
-// ingestion, deadline-aware degradation, and the exact-rung circuit
-// breaker. DefaultServeConfig makes every default explicit; see
-// cmd/crowdrankd for the HTTP binary.
+// ServeConfig configures the crowdrankd ranking daemon: its universe, the
+// journal and snapshot policy, the seed, the idempotency window, and
+// slow-request logging. The batch, body and queue caps and the exact-rung
+// circuit breaker are fixed; README.md's Operations section lists them.
+// DefaultServeConfig makes every default explicit; see cmd/crowdrankd for
+// the HTTP binary.
 type ServeConfig = serve.Config
 
 // RankServer is the daemon engine behind crowdrankd, usable in-process:
@@ -360,9 +362,3 @@ func DefaultServeConfig(n, m int) ServeConfig { return serve.DefaultConfig(n, m)
 // a ready daemon engine. Stop it with Close to drain in-flight work and
 // perform the final journal sync.
 func NewRankServer(cfg ServeConfig) (*RankServer, error) { return serve.New(cfg) }
-
-// IngestVotes feeds public Votes into a RankServer; a nil error means the
-// batch is durable under the configured journal policy.
-func IngestVotes(s *RankServer, votes []Vote) (ServeIngestResult, error) {
-	return s.Ingest(votes)
-}

@@ -61,7 +61,7 @@ func (c Config) ackflowRules() []AckflowRule {
 	}
 	return []AckflowRule{{
 		Pkg:      "crowdrank/internal/serve",
-		Sources:  []string{"Server.Ingest", "Server.IngestContext", "Server.handleVotes", "Server.ApplyReplicated"},
+		Sources:  []string{"Server.Ingest", "Server.IngestKeyed", "Server.handleVotes", "Server.ApplyReplicated"},
 		Barriers: []string{"crowdrank/internal/journal.Journal.Append"},
 		Sinks: []AckSink{
 			{Func: "voteState.apply"},

@@ -105,10 +105,9 @@ func TestFailoverChildDaemon(t *testing.T) {
 	scfg.JournalPath = filepath.Join(dir, "wal")
 	scfg.JournalSync = journal.SyncAlways // acks must mean durable
 	rcfg := Config{
-		Self:           os.Getenv(failAdvertiseEnv),
-		Leader:         os.Getenv(failLeaderEnv),
-		EpochDir:       dir,
-		HeartbeatEvery: 50 * time.Millisecond,
+		Self:     os.Getenv(failAdvertiseEnv),
+		Leader:   os.Getenv(failLeaderEnv),
+		EpochDir: dir,
 	}
 	// The bootstrap snapshot fetch and first stream dial go through a
 	// fault-injecting proxy; retry startup instead of dying on a reset.

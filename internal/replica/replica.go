@@ -62,6 +62,13 @@ const (
 // poison cause on /healthz and in refused ingests.
 var ErrDeposed = errors.New("replica: deposed by a higher epoch")
 
+// heartbeatEvery is how often an idle leader stream emits a heartbeat
+// frame (lag + epoch); the follower treats a stream silent for ~4
+// heartbeats as dead and re-dials. Records need no interval: the stream
+// wakes when the journal appends one. The package's tests shorten it in
+// TestMain.
+var heartbeatEvery = 500 * time.Millisecond
+
 // Config configures a Node. Zero-valued fields take the documented
 // defaults.
 type Config struct {
@@ -81,15 +88,6 @@ type Config struct {
 	// while the follower is connected and at most this many records
 	// behind the leader. 0 means the default 16.
 	MaxLag uint64
-	// HeartbeatEvery is how often an idle leader stream emits a heartbeat
-	// frame (lag + epoch); the follower treats a stream silent for ~4
-	// heartbeats as dead and re-dials. 0 means the default 500ms. Records
-	// need no interval: the stream wakes when the journal appends one.
-	HeartbeatEvery time.Duration
-	// HTTPClient issues the follower's stream and snapshot requests; nil
-	// uses a plain &http.Client{} (stream lifetimes are governed by
-	// contexts and the heartbeat watchdog, not a global timeout).
-	HTTPClient *http.Client
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -100,17 +98,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxLag == 0 {
 		c.MaxLag = 16
 	}
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.HeartbeatEvery < 0 {
-		return c, fmt.Errorf("replica: HeartbeatEvery must not be negative")
 	}
 	if c.Leader != "" && c.Leader == c.Self {
 		return c, fmt.Errorf("replica: node cannot replicate from itself (%s)", c.Self)
@@ -171,7 +160,7 @@ func Open(ctx context.Context, cfg Config, scfg serve.Config) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		logf:      cfg.Logf,
-		hc:        cfg.HTTPClient,
+		hc:        &http.Client{},
 		role:      RoleLeader,
 		epoch:     epoch,
 		leaderURL: cfg.Self,
@@ -421,15 +410,17 @@ func (n *Node) setLeader(url string) {
 //	GET  /readyz              role- and lag-aware readiness
 //
 // Every other route falls through to the engine unchanged (rank requests
-// are served by any role — followers are warm read replicas).
+// are served by any role — followers are warm read replicas). /healthz and
+// /readyz go through the engine's request instrumentation, so they are
+// counted in its HTTP metrics like the routes that fall through.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /replicate/stream", n.handleStream)
 	mux.HandleFunc("GET /replicate/snapshot", n.handleSnapshot)
 	mux.HandleFunc("POST /promote", n.handlePromote)
 	mux.HandleFunc("POST /votes", n.handleVotes)
-	mux.HandleFunc("GET /healthz", n.handleHealthz)
-	mux.HandleFunc("GET /readyz", n.handleReadyz)
+	mux.Handle("GET /healthz", n.srv.Instrument("healthz", n.handleHealthz))
+	mux.Handle("GET /readyz", n.srv.Instrument("readyz", n.handleReadyz))
 	mux.Handle("/", n.inner)
 	return mux
 }

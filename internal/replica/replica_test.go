@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +20,14 @@ const (
 	testN = 8
 	testM = 4
 )
+
+// TestMain runs every replica test, and every failover child process the
+// tests re-exec, on a 50ms heartbeat, so dead streams are noticed and
+// followers catch up within test timeouts.
+func TestMain(m *testing.M) {
+	heartbeatEvery = 50 * time.Millisecond
+	os.Exit(m.Run())
+}
 
 // testVotes derives a small deterministic batch for batch number b.
 func testVotes(b int) []crowd.Vote {
@@ -63,11 +72,10 @@ func openNode(t *testing.T, dir, leaderURL string, tweak func(*Config, *serve.Co
 	scfg.Seed = 42
 	scfg.Logf = t.Logf
 	rcfg := Config{
-		Self:           "http://" + ln.Addr().String(),
-		Leader:         leaderURL,
-		EpochDir:       dir,
-		HeartbeatEvery: 50 * time.Millisecond,
-		Logf:           t.Logf,
+		Self:     "http://" + ln.Addr().String(),
+		Leader:   leaderURL,
+		EpochDir: dir,
+		Logf:     t.Logf,
 	}
 	if tweak != nil {
 		tweak(&rcfg, &scfg)
@@ -336,5 +344,36 @@ func TestHealthzCarriesReplicaBlockAndAckCapacity(t *testing.T) {
 	}
 	if got := resp.Header.Get(EpochHeader); got != "0" {
 		t.Errorf("healthz epoch header %q, want 0", got)
+	}
+}
+
+// TestHealthRoutesCounted drives /healthz and /readyz through
+// Node.Handler, which answers both itself, and checks that the engine's
+// HTTP metrics count them like every route the node passes through.
+func TestHealthRoutesCounted(t *testing.T) {
+	n, ln := openNode(t, t.TempDir(), "", nil)
+	//lint:ignore errcheck the node is driven in-process; its listener is never served
+	_ = ln.Close()
+	h := n.Handler()
+	for _, path := range []string{"/healthz", "/readyz", "/healthz"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, w.Code, w.Body)
+		}
+	}
+	var text strings.Builder
+	if err := n.Server().Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`crowdrankd_http_request_seconds_count{route="healthz"} 2`,
+		`crowdrankd_http_request_seconds_count{route="readyz"} 1`,
+		`crowdrankd_http_requests_total{code="200",route="healthz"} 2`,
+		`crowdrankd_http_requests_total{code="200",route="readyz"} 1`,
+	} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Errorf("metrics lack %q:\n%s", want, text.String())
+		}
 	}
 }

@@ -87,7 +87,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriter(w)
-	writeSlack := 4 * n.cfg.HeartbeatEvery
+	writeSlack := 4 * heartbeatEvery
 	if writeSlack < 10*time.Second {
 		writeSlack = 10 * time.Second
 	}
@@ -95,7 +95,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	// append, the Poison that deposes us, or Close), for the request or
 	// replication to end, or for the next heartbeat to fall due.
 	beatDue := true // the first frame is a heartbeat
-	beat := time.NewTimer(n.cfg.HeartbeatEvery)
+	beat := time.NewTimer(heartbeatEvery)
 	defer beat.Stop()
 	for {
 		// A leader that stepped down mid-stream stops feeding followers;
@@ -137,7 +137,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			beatDue = false
-			beat.Reset(n.cfg.HeartbeatEvery)
+			beat.Reset(heartbeatEvery)
 			wrote = true
 		}
 		if wrote {
@@ -326,10 +326,10 @@ func (n *Node) streamOnce(ctx context.Context) (progressed bool, err error) {
 	}
 
 	// Heartbeat watchdog: the leader promises a frame at least every
-	// HeartbeatEvery, so a stream silent for several beats is dead (a
+	// heartbeatEvery, so a stream silent for several beats is dead (a
 	// black-holed connection would otherwise block the read forever) and
 	// gets cancelled under us.
-	staleAfter := 4*n.cfg.HeartbeatEvery + 2*time.Second
+	staleAfter := 4*heartbeatEvery + 2*time.Second
 	watchdog := time.AfterFunc(staleAfter, cancel)
 	defer watchdog.Stop()
 

@@ -11,16 +11,14 @@ import (
 // search — attempts that hit the work cap (exactMaxSteps) or the
 // deadline — mean the instance is too hard for exact search; paying for
 // more doomed attempts only delays the floor every such request ends up
-// with. After threshold consecutive overruns the breaker opens and the
-// ladder goes straight to the floor. After the cooldown a single half-open
-// probe lets one request try exact search again: success closes the
-// breaker, another overrun re-opens it for a fresh cooldown.
+// with. After breakerThreshold consecutive overruns the breaker opens and
+// the ladder goes straight to the floor. After breakerCooldown a single
+// half-open probe lets one request try exact search again: success closes
+// the breaker, another overrun re-opens it for a fresh cooldown.
 type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	clock     obs.Clock    // injectable so tests drive transitions without sleeps
-	trips     *obs.Counter // optional; counts transitions to open (nil-safe)
+	mu    sync.Mutex
+	clock obs.Clock    // the server clock, so tests drive transitions without sleeps
+	trips *obs.Counter // counts transitions to open
 
 	failures int
 	open     bool
@@ -28,11 +26,8 @@ type breaker struct {
 	until    time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration, clock obs.Clock) *breaker {
-	if clock == nil {
-		clock = obs.Real()
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown, clock: clock}
+func newBreaker(clock obs.Clock, trips *obs.Counter) *breaker {
+	return &breaker{clock: clock, trips: trips}
 }
 
 // allow reports whether the exact rung may run now. While open it returns
@@ -68,15 +63,15 @@ func (b *breaker) failure() {
 		// The half-open probe overran: re-open for a fresh cooldown.
 		b.probing = false
 		b.open = true
-		b.until = b.clock.Now().Add(b.cooldown)
+		b.until = b.clock.Now().Add(breakerCooldown)
 		b.trips.Inc()
 		return
 	}
 	b.failures++
-	if b.failures >= b.threshold {
+	if b.failures >= breakerThreshold {
 		b.open = true
 		b.failures = 0
-		b.until = b.clock.Now().Add(b.cooldown)
+		b.until = b.clock.Now().Add(breakerCooldown)
 		b.trips.Inc()
 	}
 }

@@ -41,7 +41,7 @@ func rankWithin(t *testing.T, s *Server, budget time.Duration) *RankResult {
 }
 
 func tripBreaker(s *Server) {
-	for i := 0; i < s.cfg.BreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		s.breaker.failure()
 	}
 }
@@ -171,7 +171,7 @@ func TestRankCacheExactFailureServesCachedFloor(t *testing.T) {
 	if floor.Algorithm != AlgoGreedy {
 		t.Fatalf("open breaker should answer with the floor, got %s", floor.Algorithm)
 	}
-	clock.Advance(cfg.BreakerCooldown + time.Second)
+	clock.Advance(breakerCooldown + time.Second)
 	trips := s.met.breakerTrips.Value()
 	_, misses, _ := cacheCounts(s)
 

@@ -85,7 +85,7 @@ func TestChaosChildDaemon(t *testing.T) {
 			t.Fatalf("chaos child: bad %s: %v", chaosSnapEnv, err)
 		}
 		cfg.SnapshotEveryBatches = every
-		cfg.JournalSegmentBytes = 128
+		setSegmentBytes(t, 128)
 	}
 	s, err := New(cfg)
 	if err != nil {

@@ -78,7 +78,7 @@ func TestLadderDeterministic(t *testing.T) {
 				}
 			}
 			if tc.tripBreaker {
-				for i := 0; i < cfg.BreakerThreshold; i++ {
+				for i := 0; i < breakerThreshold; i++ {
 					s.breaker.failure()
 				}
 			}
@@ -116,7 +116,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if _, err := s.Ingest(agreeingVotes(6, 2)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cfg.BreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		s.breaker.failure()
 	}
 
@@ -134,7 +134,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 
 	// Past the cooldown the next request is the half-open probe; exact
 	// search succeeds and closes the breaker.
-	clock.Advance(cfg.BreakerCooldown + time.Second)
+	clock.Advance(breakerCooldown + time.Second)
 	rr, err = s.RankContext(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -187,7 +187,7 @@ func FuzzCommitPaths(f *testing.F) {
 		cfg.Seed = 7
 		cfg.IdempotencyWindow = commitFuzzWindow
 		cfg.JournalSync = journal.SyncOS
-		cfg.JournalSegmentBytes = 128 // a few records per segment, so the snapshot compacts some
+		setSegmentBytes(t, 128) // a few records per segment, so the snapshot compacts some
 		cfg.SnapshotEveryBatches, cfg.SnapshotMaxJournalBytes = -1, -1
 		cfgOf := func(name string) Config {
 			c := cfg

@@ -46,7 +46,7 @@ func TestExactRungCappedAtScale(t *testing.T) {
 	}
 	var attempts []int
 	defer serve.SetExactHook(func(steps int) { attempts = append(attempts, steps) })()
-	threshold := serve.DefaultConfig(200, 30).BreakerThreshold
+	threshold := serve.BreakerThreshold
 	var floor []int
 	for i := 1; i <= threshold+1; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)

@@ -8,6 +8,9 @@ func WaitAheadIdle(s *Server) { s.waitAheadIdle() }
 // ExactMaxSteps is the exact rung's work cap.
 const ExactMaxSteps = exactMaxSteps
 
+// BreakerThreshold is how many exact-rung overruns open the breaker.
+const BreakerThreshold = breakerThreshold
+
 // SetExactHook makes f receive the pair steps of every exact attempt until
 // the returned restore runs.
 func SetExactHook(f func(steps int)) (restore func()) {

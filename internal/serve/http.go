@@ -41,7 +41,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /votes", s.instrument("votes", s.handleVotes))
 	mux.Handle("GET /rank", s.instrument("rank", s.handleRank))
 	mux.Handle("POST /snapshot", s.instrument("snapshot", s.handleSnapshot))
-	mux.Handle("GET /metrics", s.instrument("metrics", s.cfg.Metrics.Handler().ServeHTTP))
+	mux.Handle("GET /metrics", s.instrument("metrics", s.met.reg.Handler().ServeHTTP))
 	mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	mux.Handle("GET /readyz", s.instrument("readyz", s.handleReadyz))
 	return mux
@@ -65,6 +65,14 @@ func (w *statusWriter) WriteHeader(code int) {
 func (w *statusWriter) Write(b []byte) (int, error) {
 	w.wrote = true
 	return w.ResponseWriter.Write(b)
+}
+
+// Instrument wraps h in the instrumentation every Handler route has. A
+// layer that serves one of those routes itself, such as the replication
+// node's /healthz and /readyz, wraps its handler under the same route
+// name, so its requests are counted as if Handler had served them.
+func (s *Server) Instrument(route string, h http.HandlerFunc) http.Handler {
+	return s.instrument(route, h)
 }
 
 // instrument wraps one route handler with panic recovery, request
@@ -158,11 +166,11 @@ func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.ingestSem }()
 
-	// The body streams straight into the batch: past MaxBatchVotes it is
-	// only counted, so a request holds at most MaxBatchVotes packed votes
+	// The body streams straight into the batch: past maxBatchVotes it is
+	// only counted, so a request holds at most maxBatchVotes packed votes
 	// whatever its size.
-	b := s.newBatch(int(min(r.ContentLength/minVoteJSON, int64(s.cfg.MaxBatchVotes))))
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	b := s.newBatch(int(min(r.ContentLength/minVoteJSON, maxBatchVotes)))
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := crowd.ReadVotesJSON(body, &b); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

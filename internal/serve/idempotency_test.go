@@ -5,13 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/journal"
@@ -469,7 +470,6 @@ func TestHTTPIdempotencyKeyReplay(t *testing.T) {
 func TestHTTPReplayBeforeBatchCap(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 89
-	cfg.MaxBatchVotes = 2
 	_, ts := httpServer(t, cfg)
 	post := func(key string, votes int) (int, string) {
 		t.Helper()
@@ -494,14 +494,15 @@ func TestHTTPReplayBeforeBatchCap(t *testing.T) {
 		}
 		return resp.StatusCode, string(text)
 	}
-	if code, text := post("cap-key", 2); code != http.StatusOK {
+	over := maxBatchVotes + 3
+	if code, text := post("cap-key", maxBatchVotes); code != http.StatusOK {
 		t.Fatalf("batch at the cap: status %d: %s", code, text)
 	}
-	if code, text := post("cap-key", 5); code != http.StatusOK || !strings.Contains(text, `"replayed":true`) {
+	if code, text := post("cap-key", over); code != http.StatusOK || !strings.Contains(text, `"replayed":true`) {
 		t.Fatalf("retried key with an oversized batch: status %d: %s, want its replayed ack", code, text)
 	}
-	if code, text := post("fresh-key", 5); code != http.StatusRequestEntityTooLarge || !strings.Contains(text, "batch of 5 votes") {
-		t.Fatalf("fresh key with an oversized batch: status %d: %s, want 413 naming 5 votes", code, text)
+	if code, text := post("fresh-key", over); code != http.StatusRequestEntityTooLarge || !strings.Contains(text, fmt.Sprintf("batch of %d votes", over)) {
+		t.Fatalf("fresh key with an oversized batch: status %d: %s, want 413 naming %d votes", code, text, over)
 	}
 }
 
@@ -512,7 +513,6 @@ func TestHTTPReplayBeforeBatchCap(t *testing.T) {
 func TestIngestKeyedReplayBeforeBatchCap(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 97
-	cfg.MaxBatchVotes = 2
 	s := newTestServer(t, cfg)
 	batch := func(n int) []crowd.Vote {
 		votes := make([]crowd.Vote, n)
@@ -522,55 +522,47 @@ func TestIngestKeyedReplayBeforeBatchCap(t *testing.T) {
 		return votes
 	}
 	ctx := context.Background()
-	first, err := s.IngestKeyed(ctx, "cap-key", batch(2))
+	over := maxBatchVotes + 3
+	first, err := s.IngestKeyed(ctx, "cap-key", batch(maxBatchVotes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.IngestKeyed(ctx, "cap-key", batch(5))
+	got, err := s.IngestKeyed(ctx, "cap-key", batch(over))
 	if err != nil || !got.Replayed || got.Seq != first.Seq {
 		t.Fatalf("retried key with an oversized batch: %+v, %v; want the replayed ack of %+v", got, err, first)
 	}
-	if _, err := s.IngestKeyed(ctx, "fresh-key", batch(5)); !errors.Is(err, errBatchTooLarge) || !strings.Contains(err.Error(), "batch of 5 votes") {
-		t.Fatalf("fresh key with an oversized batch: %v, want errBatchTooLarge naming 5 votes", err)
+	if _, err := s.IngestKeyed(ctx, "fresh-key", batch(over)); !errors.Is(err, errBatchTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("batch of %d votes", over)) {
+		t.Fatalf("fresh key with an oversized batch: %v, want errBatchTooLarge naming %d votes", err, over)
 	}
 }
 
-// TestHTTPBodyLimit pins the MaxBytesReader path: an over-limit body is
-// answered 413 with the standard error shape, and nothing reaches the
-// journal or the vote state.
+// TestHTTPBodyLimit pins the MaxBytesReader path: a body over the 32 MiB
+// cap is answered 413 with the standard error shape, and nothing reaches
+// the journal or the vote state.
 func TestHTTPBodyLimit(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 73
 	cfg.JournalPath = filepath.Join(t.TempDir(), "wal")
-	cfg.MaxBodyBytes = 512
-	s, ts := httpServer(t, cfg)
+	s := newTestServer(t, cfg)
 
 	before := s.StatsSnapshot()
 	// Valid JSON, deliberately bloated past the limit with repeated votes.
-	var req ingestRequest
-	for i := 0; i < 200; i++ {
-		req.Votes = append(req.Votes, voteJSON{Worker: 0, I: 0, J: 1, PrefersI: true})
+	vote := `{"worker":0,"i":0,"j":1,"prefers_i":true}`
+	body := `{"votes":[` + strings.Repeat(vote+",", maxBodyBytes/len(vote)) + vote + "]}"
+	if len(body) <= maxBodyBytes {
+		t.Fatalf("test body of %d bytes does not exceed the %d limit", len(body), maxBodyBytes)
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(body)) <= cfg.MaxBodyBytes {
-		t.Fatalf("test body of %d bytes does not exceed the %d limit", len(body), cfg.MaxBodyBytes)
-	}
-	resp, err := http.Post(ts.URL+"/votes", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over-limit body should 413, got %d", resp.StatusCode)
+	// Served in-process: the handler answers before reading the whole body.
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/votes", strings.NewReader(body)))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit body should 413, got %d", w.Code)
 	}
 	var er errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+	if err := json.NewDecoder(w.Body).Decode(&er); err != nil {
 		t.Fatalf("413 body is not the standard error shape: %v", err)
 	}
-	if !strings.Contains(er.Error, "512") {
+	if !strings.Contains(er.Error, strconv.Itoa(maxBodyBytes)) {
 		t.Fatalf("413 error should name the limit, got %q", er.Error)
 	}
 	after := s.StatsSnapshot()
@@ -654,18 +646,15 @@ func TestHTTPPanicAfterWrite(t *testing.T) {
 func TestRetryAfterDerivation(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 89
-	cfg.MaxConcurrentRanks = 1
-	cfg.BreakerCooldown = 10 * time.Second
 	s, ts := httpServer(t, cfg)
 
-	for i := 0; i < cfg.BreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		s.breaker.failure()
 	}
 	if s.breaker.state() != "open" {
 		t.Fatalf("breaker should be open, is %s", s.breaker.state())
 	}
-	s.rankSem <- struct{}{}
-	defer func() { <-s.rankSem }()
+	defer take(s.rankSem, cap(s.rankSem))()
 
 	resp, err := http.Get(ts.URL + "/rank")
 	if err != nil {

@@ -65,9 +65,6 @@ type Config struct {
 	// JournalSync selects the append durability policy (default
 	// journal.SyncAlways: fsync before every ack).
 	JournalSync journal.SyncPolicy
-	// JournalSegmentBytes is the segment rotation threshold; 0 means
-	// journal.DefaultSegmentBytes.
-	JournalSegmentBytes int64
 
 	// SnapshotEveryBatches takes a snapshot (and compacts covered journal
 	// segments) after that many acknowledged batches. 0 means the default
@@ -91,33 +88,12 @@ type Config struct {
 	// in parallel.
 	Parallelism int
 
-	// MaxBatchVotes caps one ingest batch (HTTP 413 beyond). Default 65536.
-	MaxBatchVotes int
-	// MaxBodyBytes caps one POST /votes request body before decoding
-	// starts (HTTP 413 beyond). 0 means the default 32 MiB.
-	MaxBodyBytes int64
 	// IdempotencyWindow is how many batch acks are remembered (and
 	// persisted through snapshots and journal records) for exactly-once
 	// acknowledgement of retried batches. 0 means the default 65536;
 	// negative disables the window — retried batches then re-apply and
 	// rely on vote-level dedup alone.
 	IdempotencyWindow int
-	// MaxConcurrentRanks and MaxConcurrentIngests bound the request
-	// queues; excess requests get HTTP 429 with Retry-After: 5. Defaults
-	// 4 and 64.
-	MaxConcurrentRanks   int
-	MaxConcurrentIngests int
-
-	// BreakerThreshold consecutive exact-rung overruns (work cap or
-	// deadline) open the circuit breaker; BreakerCooldown later a single half-open probe may
-	// close it again. Defaults 3 and 30s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// Metrics receives the daemon's operational metrics and is served on
-	// GET /metrics; nil creates a private registry. Use one registry per
-	// server — two servers sharing one would fold their counts together.
-	Metrics *obs.Registry
 	// Clock supplies time to the circuit breaker, request timing, and
 	// slow-request logging. nil means the real clock; tests inject an
 	// obs.FakeClock to drive breaker transitions deterministically,
@@ -132,6 +108,24 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// The daemon's fixed limits. Every crowdrankd runs with exactly these.
+const (
+	// maxBatchVotes caps one ingest batch (HTTP 413 beyond).
+	maxBatchVotes = 65536
+	// maxBodyBytes caps one POST /votes request body before decoding
+	// starts (HTTP 413 beyond).
+	maxBodyBytes = 32 << 20
+	// maxConcurrentRanks and maxConcurrentIngests bound the request
+	// queues; excess requests get HTTP 429 with Retry-After: 5.
+	maxConcurrentRanks   = 4
+	maxConcurrentIngests = 64
+	// breakerThreshold consecutive exact-rung overruns (work cap or
+	// deadline) open the circuit breaker; breakerCooldown later a single
+	// half-open probe may close it again.
+	breakerThreshold = 3
+	breakerCooldown  = 30 * time.Second
+)
+
 // DefaultConfig returns the daemon configuration for n objects and m
 // workers with every default made explicit.
 func DefaultConfig(n, m int) Config {
@@ -142,13 +136,7 @@ func DefaultConfig(n, m int) Config {
 		SnapshotEveryBatches:    1024,
 		SnapshotMaxJournalBytes: 64 << 20,
 		SnapshotKeep:            2,
-		MaxBatchVotes:           65536,
-		MaxBodyBytes:            32 << 20,
 		IdempotencyWindow:       65536,
-		MaxConcurrentRanks:      4,
-		MaxConcurrentIngests:    64,
-		BreakerThreshold:        3,
-		BreakerCooldown:         30 * time.Second,
 		SlowRequestThreshold:    time.Second,
 	}
 }
@@ -156,26 +144,8 @@ func DefaultConfig(n, m int) Config {
 // withDefaults fills zero fields and validates the result.
 func (c Config) withDefaults() (Config, error) {
 	d := DefaultConfig(c.N, c.M)
-	if c.MaxBatchVotes == 0 {
-		c.MaxBatchVotes = d.MaxBatchVotes
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = d.MaxBodyBytes
-	}
 	if c.IdempotencyWindow == 0 {
 		c.IdempotencyWindow = d.IdempotencyWindow
-	}
-	if c.MaxConcurrentRanks == 0 {
-		c.MaxConcurrentRanks = d.MaxConcurrentRanks
-	}
-	if c.MaxConcurrentIngests == 0 {
-		c.MaxConcurrentIngests = d.MaxConcurrentIngests
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = d.BreakerThreshold
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = d.BreakerCooldown
 	}
 	if c.SnapshotEveryBatches == 0 {
 		c.SnapshotEveryBatches = d.SnapshotEveryBatches
@@ -189,9 +159,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SlowRequestThreshold == 0 {
 		c.SlowRequestThreshold = d.SlowRequestThreshold
 	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
-	}
 	if c.Clock == nil {
 		c.Clock = obs.Real()
 	}
@@ -203,12 +170,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("serve: need at least one object, got N=%d", c.N)
 	case c.M < 1:
 		return c, fmt.Errorf("serve: need at least one worker, got M=%d", c.M)
-	case c.MaxBatchVotes < 1 || c.MaxConcurrentRanks < 1 || c.MaxConcurrentIngests < 1:
-		return c, fmt.Errorf("serve: batch and queue bounds must be >= 1")
-	case c.MaxBodyBytes < 1:
-		return c, fmt.Errorf("serve: MaxBodyBytes must be >= 1, got %d", c.MaxBodyBytes)
-	case c.BreakerThreshold < 1 || c.BreakerCooldown < 0:
-		return c, fmt.Errorf("serve: breaker threshold must be >= 1 and cooldown non-negative")
 	case c.SnapshotKeep < 1:
 		return c, fmt.Errorf("serve: SnapshotKeep must be >= 1 (the newest snapshot must survive pruning), got %d", c.SnapshotKeep)
 	}
@@ -224,7 +185,8 @@ type Server struct {
 	recovered RecoveryStats
 	logf      func(string, ...any)
 
-	// clock is cfg.Clock; met the metric bundle on cfg.Metrics; started
+	// clock is cfg.Clock; met the metric bundle on the server's private
+	// registry; started
 	// the construction instant (uptime); recoveryDur how long startup
 	// recovery took. All immutable after NewContext returns.
 	clock       obs.Clock
@@ -294,15 +256,14 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 		cfg:       cfg,
 		logf:      cfg.Logf,
 		clock:     cfg.Clock,
-		met:       newMetrics(cfg.Metrics),
+		met:       newMetrics(obs.NewRegistry()),
 		state:     newVoteState(cfg.N, cfg.M, cfg.IdempotencyWindow),
 		ahead:     newAhead(),
-		breaker:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
-		rankSem:   make(chan struct{}, cfg.MaxConcurrentRanks),
-		ingestSem: make(chan struct{}, cfg.MaxConcurrentIngests),
+		rankSem:   make(chan struct{}, maxConcurrentRanks),
+		ingestSem: make(chan struct{}, maxConcurrentIngests),
 	}
 	s.started = s.clock.Now()
-	s.breaker.trips = s.met.breakerTrips
+	s.breaker = newBreaker(s.clock, s.met.breakerTrips)
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -386,7 +347,7 @@ func (s *Server) recover(ctx context.Context, cfg Config) error {
 		suffix, chunk, suffixVotes, dropped = suffix[:0], chunk[:0], 0, 0
 		opts := journal.Options{
 			Sync:         cfg.JournalSync,
-			SegmentBytes: cfg.JournalSegmentBytes,
+			SegmentBytes: journalSegmentBytes,
 			ReplayFrom:   from,
 			Faults:       testJournalFaults,
 			Metrics:      s.met.journal,
@@ -495,30 +456,26 @@ func (s *Server) replayAck(key string) (IngestResult, bool) {
 // library form of POST /votes. A nil error means the batch is durable
 // (fsynced under journal.SyncAlways) and will survive a crash.
 func (s *Server) Ingest(votes []crowd.Vote) (IngestResult, error) {
-	return s.IngestContext(context.Background(), votes)
+	return s.IngestKeyed(context.Background(), "", votes)
 }
 
-// IngestContext is Ingest honoring ctx up to the durability point: a batch
-// cancelled before the journal append is refused with ctx's error and
-// nothing is written. Once the append starts the batch commits atomically
-// — there is no cancelling a half-fsynced record — so a ctx that expires
-// later does not un-acknowledge it.
-func (s *Server) IngestContext(ctx context.Context, votes []crowd.Vote) (IngestResult, error) {
-	return s.IngestKeyed(ctx, "", votes)
-}
-
-// IngestKeyed is IngestContext under a client-chosen idempotency key (the
-// library form of POST /votes with an Idempotency-Key header). While the
-// key stays inside the idempotency window, a repeated IngestKeyed — a
-// network retry after a lost ack, before or after a daemon restart —
-// returns the original acknowledgement with Replayed set, without
-// journaling or applying the batch a second time. An empty key ingests
-// without idempotency, exactly like IngestContext.
+// IngestKeyed is Ingest honoring ctx up to the durability point, under a
+// client-chosen idempotency key (the library form of POST /votes with an
+// Idempotency-Key header). A batch cancelled before the journal append is
+// refused with ctx's error and nothing is written. Once the append starts
+// the batch commits atomically — there is no cancelling a half-fsynced
+// record — so a ctx that expires later does not un-acknowledge it.
+//
+// While the key stays inside the idempotency window, a repeated
+// IngestKeyed — a network retry after a lost ack, before or after a
+// daemon restart — returns the original acknowledgement with Replayed
+// set, without journaling or applying the batch a second time. An empty
+// key ingests without idempotency, exactly like Ingest.
 func (s *Server) IngestKeyed(ctx context.Context, key string, votes []crowd.Vote) (IngestResult, error) {
 	if res, done, err := s.admit(ctx, key); done {
 		return res, err
 	}
-	b := s.newBatch(min(len(votes), s.cfg.MaxBatchVotes))
+	b := s.newBatch(min(len(votes), maxBatchVotes))
 	if len(votes) > b.Max {
 		b.Len = len(votes) // refused whole: no vote of it is checked
 	} else {
@@ -532,7 +489,7 @@ func (s *Server) IngestKeyed(ctx context.Context, key string, votes []crowd.Vote
 // newBatch returns an empty batch over the daemon's universe and vote
 // cap, with room for size votes.
 func (s *Server) newBatch(size int) crowd.Batch {
-	return crowd.Batch{N: s.cfg.N, M: s.cfg.M, Max: s.cfg.MaxBatchVotes, Votes: make([]crowd.Packed, 0, size)}
+	return crowd.Batch{N: s.cfg.N, M: s.cfg.M, Max: maxBatchVotes, Votes: make([]crowd.Packed, 0, size)}
 }
 
 // admit runs the checks that need no batch: the key's length, shutdown,
@@ -943,17 +900,16 @@ func (s *Server) Recovered() RecoveryStats { return s.recovered }
 // config left it 0). Pass it to CertifyRanking to certify served rankings.
 func (s *Server) Seed() uint64 { return s.cfg.Seed }
 
-// Metrics returns the server's metric registry — the one Config.Metrics
-// supplied, or the private registry created when it was nil. Handler
-// serves it on GET /metrics.
-func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
+// Metrics returns the server's private metric registry. Handler serves
+// it on GET /metrics.
+func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
 // errShuttingDown is returned by requests that arrive during Close;
-// errBatchTooLarge by batches over MaxBatchVotes. The HTTP layer maps them
+// errBatchTooLarge by batches over maxBatchVotes. The HTTP layer maps them
 // to 503 and 413.
 var (
 	errShuttingDown  = fmt.Errorf("serve: server is shutting down")
-	errBatchTooLarge = fmt.Errorf("serve: batch exceeds MaxBatchVotes")
+	errBatchTooLarge = fmt.Errorf("serve: batch exceeds the batch cap")
 	errNoJournal     = fmt.Errorf("serve: server is running in-memory; nothing to snapshot")
 	errKeyTooLong    = fmt.Errorf("serve: idempotency key too long")
 )
@@ -962,6 +918,11 @@ var (
 // journal.Faults before constructing the server to simulate failed writes
 // and fsyncs ("fsyncgate"). Always nil in production.
 var testJournalFaults *journal.Faults
+
+// journalSegmentBytes is the journal's segment rotation threshold. Tests
+// shrink it before constructing a server, so a handful of records rotate
+// and compact segments.
+var journalSegmentBytes int64 = journal.DefaultSegmentBytes
 
 // Ready reports whether the server can currently promise durability: nil
 // while healthy, an error once shutdown has begun or the journal is

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -160,7 +162,7 @@ func TestIngestContextRefusesCancelledBatch(t *testing.T) {
 	s := newTestServer(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.IngestContext(ctx, agreeingVotes(4, 1)); err == nil {
+	if _, err := s.IngestKeyed(ctx, "", agreeingVotes(4, 1)); err == nil {
 		t.Fatal("cancelled ingest must be refused")
 	}
 	if s.VoteCount() != 0 {
@@ -436,12 +438,12 @@ func TestDecodersBoundAllocation(t *testing.T) {
 }
 
 // TestVotesBodyBoundsAllocation posts crafted POST /votes bodies of up to
-// MaxBodyBytes (32 MiB) through Handler(): a body of millions of votes,
+// maxBodyBytes (32 MiB) through Handler(): a body of millions of votes,
 // empty or well formed, in one array or two, must allocate no more than
-// a bound set by MaxBatchVotes, not by the body's size.
+// a bound set by maxBatchVotes, not by the body's size.
 func TestVotesBodyBoundsAllocation(t *testing.T) {
 	const perVote, slack = 40, 1 << 20
-	size := int(DefaultConfig(4, 2).MaxBodyBytes)
+	const size = maxBodyBytes
 	// array fills a votes array with copies of vote up to about n bytes.
 	array := func(vote string, n int) string {
 		return `"votes":[` + strings.Repeat(vote+",", n/(len(vote)+1)-1) + vote + "]"
@@ -459,52 +461,55 @@ func TestVotesBodyBoundsAllocation(t *testing.T) {
 		{"malformed, then mended, chunked", func() string { return "{" + array(`{"i":0}`, size/2-16) + "," + array(`{"j":1}`, size/2-16) + "}" }, true},
 		{"over the body cap", func() string { return "{" + array(`{"i":0,"j":1}`, size+1024) + "}" }, false},
 	}
-	for _, max := range []int{4096, DefaultConfig(4, 2).MaxBatchVotes} {
-		cfg := DefaultConfig(4, 2)
-		cfg.Seed = 83
-		cfg.MaxBatchVotes = max
-		h := newTestServer(t, cfg).Handler()
-		for _, tc := range bodies {
-			t.Run(fmt.Sprintf("%s/max=%d", tc.name, max), func(t *testing.T) {
-				body := tc.body()
-				r := httptest.NewRequest(http.MethodPost, "/votes", strings.NewReader(body))
-				if tc.chunked {
-					r.ContentLength = -1
-				}
-				w := httptest.NewRecorder()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				h.ServeHTTP(w, r)
-				runtime.ReadMemStats(&after)
-				if w.Code != http.StatusRequestEntityTooLarge {
-					t.Fatalf("status %d, want 413: %s", w.Code, w.Body)
-				}
-				if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(perVote*max+slack); got > bound {
-					t.Fatalf("a %d-byte body allocated %d bytes, bound %d", len(body), got, bound)
-				}
-			})
-		}
+	cfg := DefaultConfig(4, 2)
+	cfg.Seed = 83
+	h := newTestServer(t, cfg).Handler()
+	for _, tc := range bodies {
+		t.Run(fmt.Sprintf("%s/max=%d", tc.name, maxBatchVotes), func(t *testing.T) {
+			body := tc.body()
+			r := httptest.NewRequest(http.MethodPost, "/votes", strings.NewReader(body))
+			if tc.chunked {
+				r.ContentLength = -1
+			}
+			w := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(w, r)
+			runtime.ReadMemStats(&after)
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413: %s", w.Code, w.Body)
+			}
+			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(perVote*maxBatchVotes+slack); got > bound {
+				t.Fatalf("a %d-byte body allocated %d bytes, bound %d", len(body), got, bound)
+			}
+		})
 	}
 }
 
 func TestBreakerLifecycle(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1000, 0))
-	b := newBreaker(3, time.Minute, clock)
+	var trips obs.Counter
+	b := newBreaker(clock, &trips)
 
 	if !b.allow() || b.state() != "closed" {
 		t.Fatal("fresh breaker should be closed")
 	}
-	b.failure()
-	b.failure()
-	if !b.allow() {
+	for i := 1; i < breakerThreshold; i++ {
+		b.failure()
+	}
+	if !b.allow() || trips.Value() != 0 {
 		t.Fatal("below threshold the breaker stays closed")
 	}
-	b.failure() // third consecutive failure trips it
-	if b.allow() || b.state() != "open" {
-		t.Fatalf("breaker should be open, state=%s", b.state())
+	b.failure() // the threshold-th consecutive failure trips it
+	if b.allow() || b.state() != "open" || trips.Value() != 1 {
+		t.Fatalf("breaker should be open after one trip, state=%s trips=%d", b.state(), trips.Value())
 	}
 
-	clock.Advance(61 * time.Second)
+	clock.Advance(breakerCooldown - time.Second)
+	if b.allow() || b.state() != "open" {
+		t.Fatalf("inside the cooldown the breaker stays open, state=%s", b.state())
+	}
+	clock.Advance(2 * time.Second)
 	if b.state() != "half-open" {
 		t.Fatalf("cooldown elapsed: want half-open, got %s", b.state())
 	}
@@ -515,11 +520,11 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("only one probe may be in flight")
 	}
 	b.failure() // probe overran: re-open for a fresh cooldown
-	if b.allow() || b.state() != "open" {
-		t.Fatalf("failed probe should re-open, state=%s", b.state())
+	if b.allow() || b.state() != "open" || trips.Value() != 2 {
+		t.Fatalf("failed probe should re-open, state=%s trips=%d", b.state(), trips.Value())
 	}
 
-	clock.Advance(61 * time.Second)
+	clock.Advance(breakerCooldown + time.Second)
 	if !b.allow() {
 		t.Fatal("second probe should be admitted")
 	}
@@ -542,12 +547,13 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestBreakerSkipsExactRung(t *testing.T) {
 	cfg := DefaultConfig(6, 2)
 	cfg.Seed = 13
-	cfg.BreakerThreshold = 1
 	s := newTestServer(t, cfg)
 	if _, err := s.Ingest(agreeingVotes(6, 2)); err != nil {
 		t.Fatal(err)
 	}
-	s.breaker.failure() // trip it (threshold 1)
+	for i := 0; i < breakerThreshold; i++ {
+		s.breaker.failure()
+	}
 	rr, err := s.Rank()
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +574,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{N: 0, M: 2},
 		{N: 3, M: 0},
-		{N: 3, M: 2, BreakerThreshold: -2},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -795,7 +800,7 @@ func TestHTTPRankConditionalGet(t *testing.T) {
 	}
 
 	// With the breaker open the ladder caches the floor.
-	for i := 0; i < cfg.BreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		s.breaker.failure()
 	}
 	floor, h := getRank(t, ts.URL, 1000)
@@ -837,42 +842,114 @@ func TestHTTPRankConditionalGet(t *testing.T) {
 	}
 }
 
+// take occupies n slots of a bounded request queue and returns the
+// function that frees them again.
+func take(sem chan struct{}, n int) (release func()) {
+	for range n {
+		sem <- struct{}{}
+	}
+	return func() {
+		for range n {
+			<-sem
+		}
+	}
+}
+
+// TestHTTPBackpressure pins the 429 contract of both bounded queues: one
+// free slot still serves, and with every slot taken the request is
+// rejected at once with Retry-After: 5, a value strconv can parse,
+// because naive clients do exactly that.
 func TestHTTPBackpressure(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 29
-	cfg.MaxConcurrentRanks = 1
-	cfg.MaxConcurrentIngests = 1
 	s, ts := httpServer(t, cfg)
+	if cap(s.rankSem) != maxConcurrentRanks || cap(s.ingestSem) != maxConcurrentIngests {
+		t.Fatalf("queue caps %d and %d, want %d and %d", cap(s.rankSem), cap(s.ingestSem), maxConcurrentRanks, maxConcurrentIngests)
+	}
+	rank := func() *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/rank")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = resp.Body.Close() })
+		return resp
+	}
+	rejected := func(what string, resp *http.Response) {
+		t.Helper()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("full %s queue should 429, got %d", what, resp.StatusCode)
+		}
+		raw := resp.Header.Get("Retry-After")
+		if secs, err := strconv.Atoi(raw); err != nil || secs != 5 {
+			t.Fatalf("%s 429 must carry a parseable Retry-After: 5, got %q", what, raw)
+		}
+	}
 
-	// Occupy both queues, then observe immediate 429s with Retry-After.
-	s.rankSem <- struct{}{}
-	s.ingestSem <- struct{}{}
-	defer func() { <-s.rankSem; <-s.ingestSem }()
+	defer take(s.rankSem, cap(s.rankSem)-1)()
+	defer take(s.ingestSem, cap(s.ingestSem)-1)()
+	if resp := postVotes(t, ts.URL, agreeingVotes(4, 2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest with one free slot should 200, got %d", resp.StatusCode)
+	}
+	if resp := rank(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rank with one free slot should 200, got %d", resp.StatusCode)
+	}
 
-	resp, err := http.Get(ts.URL + "/rank")
+	defer take(s.rankSem, 1)()
+	defer take(s.ingestSem, 1)()
+	rejected("rank", rank())
+	rejected("ingest", postVotes(t, ts.URL, agreeingVotes(4, 2)))
+}
+
+// TestBatchCapBoundary pins the batch cap at its value: a batch of
+// exactly maxBatchVotes votes is accepted, and one vote more is refused
+// whole — 413 through POST /votes, errBatchTooLarge through IngestKeyed —
+// with nothing journaled.
+func TestBatchCapBoundary(t *testing.T) {
+	const n, m = 64, 40 // 2016 pairs x 40 workers: room for distinct votes
+	cfg := DefaultConfig(n, m)
+	cfg.Seed = 37
+	cfg.JournalPath = filepath.Join(t.TempDir(), "wal")
+	s, ts := httpServer(t, cfg)
+	votes := make([]crowd.Vote, 0, maxBatchVotes+1)
+	for w := 0; len(votes) <= maxBatchVotes; w++ {
+		for i := 0; i < n && len(votes) <= maxBatchVotes; i++ {
+			for j := i + 1; j < n && len(votes) <= maxBatchVotes; j++ {
+				votes = append(votes, crowd.Vote{Worker: w, I: i, J: j, PrefersI: true})
+			}
+		}
+	}
+
+	before := s.StatsSnapshot()
+	resp, err := http.Post(ts.URL+"/votes", "application/json", bytes.NewReader(crowd.AppendVotesJSON(nil, votes)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full rank queue should 429, got %d", resp.StatusCode)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST of %d votes should 413, got %d", len(votes), resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "5" {
-		t.Fatalf("429 must carry Retry-After: 5, got %q", got)
+	if _, err := s.IngestKeyed(context.Background(), "", votes); !errors.Is(err, errBatchTooLarge) {
+		t.Fatalf("IngestKeyed of %d votes: %v, want errBatchTooLarge", len(votes), err)
 	}
-	resp2 := postVotes(t, ts.URL, agreeingVotes(4, 2))
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full ingest queue should 429, got %d", resp2.StatusCode)
+	if after := s.StatsSnapshot(); after.Batches != before.Batches || after.Votes != 0 || after.JournalBytes != before.JournalBytes {
+		t.Fatalf("refused batches reached the journal: before %+v after %+v", before, after)
 	}
-	if got := resp2.Header.Get("Retry-After"); got != "5" {
-		t.Fatalf("429 must carry Retry-After: 5, got %q", got)
+
+	resp = postVotes(t, ts.URL, votes[:maxBatchVotes])
+	var ack IngestResult
+	if err := json.NewDecoder(resp.Body).Decode(&ack); resp.StatusCode != http.StatusOK || err != nil || ack.Accepted != maxBatchVotes {
+		t.Fatalf("POST of exactly %d votes: status %d, %+v, %v", maxBatchVotes, resp.StatusCode, ack, err)
+	}
+	ack, err = s.IngestKeyed(context.Background(), "", votes[1:])
+	if err != nil || ack.Accepted != 1 || ack.Duplicates != maxBatchVotes-1 {
+		t.Fatalf("IngestKeyed of exactly %d votes: %+v, %v", maxBatchVotes, ack, err)
 	}
 }
 
 func TestHTTPValidationErrors(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 31
-	cfg.MaxBatchVotes = 2
 	_, ts := httpServer(t, cfg)
 
 	resp, err := http.Post(ts.URL+"/votes", "application/json", bytes.NewReader([]byte("{not json")))
@@ -882,10 +959,6 @@ func TestHTTPValidationErrors(t *testing.T) {
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON should 400, got %d", resp.StatusCode)
-	}
-
-	if resp := postVotes(t, ts.URL, agreeingVotes(4, 1)); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized batch should 413, got %d", resp.StatusCode)
 	}
 
 	for _, q := range []string{"deadline_ms=0", "deadline_ms=-5", "deadline_ms=soon"} {

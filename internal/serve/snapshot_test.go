@@ -16,6 +16,15 @@ import (
 	"crowdrank/internal/snapshot"
 )
 
+// setSegmentBytes shrinks the journal segments of the servers tb
+// constructs to n bytes and restores the threshold when tb ends.
+func setSegmentBytes(tb testing.TB, n int64) {
+	tb.Helper()
+	old := journalSegmentBytes
+	journalSegmentBytes = n
+	tb.Cleanup(func() { journalSegmentBytes = old })
+}
+
 // snapCfg is a daemon tuned so snapshots and rotation trigger within a
 // handful of single-vote batches.
 func snapCfg(t *testing.T, dir string) Config {
@@ -23,7 +32,7 @@ func snapCfg(t *testing.T, dir string) Config {
 	cfg := DefaultConfig(8, 4)
 	cfg.Seed = 21
 	cfg.JournalPath = dir
-	cfg.JournalSegmentBytes = 64 // a record or two per segment
+	setSegmentBytes(t, 64) // a record or two per segment
 	cfg.SnapshotEveryBatches = -1
 	cfg.SnapshotMaxJournalBytes = -1
 	return cfg
@@ -401,15 +410,12 @@ func TestRecoveryPhasesReported(t *testing.T) {
 func TestRetryAfterParseable(t *testing.T) {
 	cfg := DefaultConfig(4, 2)
 	cfg.Seed = 9
-	cfg.MaxConcurrentRanks = 1
-	cfg.MaxConcurrentIngests = 1
 	s, ts := httpServer(t, cfg)
 
-	// Fill both semaphores directly so the next request of each kind hits
-	// a full queue deterministically.
-	s.rankSem <- struct{}{}
-	s.ingestSem <- struct{}{}
-	defer func() { <-s.rankSem; <-s.ingestSem }()
+	// Fill both queues directly so the next request of each kind hits a
+	// full queue deterministically.
+	defer take(s.rankSem, cap(s.rankSem))()
+	defer take(s.ingestSem, cap(s.ingestSem))()
 
 	check := func(resp *http.Response) {
 		t.Helper()

@@ -38,7 +38,7 @@ func TestRankServerCertifiable(t *testing.T) {
 			}
 		}
 	}
-	ack, err := crowdrank.IngestVotes(srv, votes)
+	ack, err := srv.Ingest(votes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRankServerCachedRankingCertifies(t *testing.T) {
 			}
 		}
 	}
-	if _, err := crowdrank.IngestVotes(srv, votes); err != nil {
+	if _, err := srv.Ingest(votes); err != nil {
 		t.Fatal(err)
 	}
 	rank := func() *crowdrank.ServeRankResult {

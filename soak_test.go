@@ -149,7 +149,7 @@ func TestSoakDaemon(t *testing.T) {
 					}
 					batch = append(batch, Vote{Worker: worker, I: i, J: j, PrefersI: rng.Float64() < 0.7})
 				}
-				if _, err := IngestVotes(srv, batch); err != nil {
+				if _, err := srv.Ingest(batch); err != nil {
 					t.Errorf("soak ingest failed: %v", err)
 					return
 				}

@@ -34,7 +34,6 @@ var surfaceFuncs = map[string]any{
 	"DefaultSimConfig":        crowdrank.DefaultSimConfig,
 	"Infer":                   crowdrank.Infer,
 	"InferContext":            crowdrank.InferContext,
-	"IngestVotes":             crowdrank.IngestVotes,
 	"KendallTau":              crowdrank.KendallTau,
 	"KendallTauDistance":      crowdrank.KendallTauDistance,
 	"MajorityRank":            crowdrank.MajorityRank,
@@ -129,10 +128,8 @@ var surfaceTypes = map[string]struct {
 	"SanitizeReport":  {reflect.TypeFor[crowdrank.SanitizeReport](), []string{"Input", "Kept", "OutOfRangePairs", "SelfPairs", "InvalidWorkers", "Duplicates"}},
 	"SearchAlgorithm": {reflect.TypeFor[crowdrank.SearchAlgorithm](), nil},
 	"ServeConfig": {reflect.TypeFor[crowdrank.ServeConfig](), []string{
-		"N", "M", "JournalPath", "JournalSync", "JournalSegmentBytes", "SnapshotEveryBatches",
-		"SnapshotMaxJournalBytes", "SnapshotKeep", "Seed", "Parallelism", "MaxBatchVotes", "MaxBodyBytes",
-		"IdempotencyWindow", "MaxConcurrentRanks", "MaxConcurrentIngests", "BreakerThreshold",
-		"BreakerCooldown", "Metrics", "Clock", "SlowRequestThreshold", "Logf"}},
+		"N", "M", "JournalPath", "JournalSync", "SnapshotEveryBatches", "SnapshotMaxJournalBytes",
+		"SnapshotKeep", "Seed", "Parallelism", "IdempotencyWindow", "Clock", "SlowRequestThreshold", "Logf"}},
 	"ServeIngestResult": {reflect.TypeFor[crowdrank.ServeIngestResult](), []string{
 		"Accepted", "Duplicates", "Malformed", "Seq", "TotalVotes", "Replayed"}},
 	"ServeRankResult": {reflect.TypeFor[crowdrank.ServeRankResult](), []string{
